@@ -14,15 +14,12 @@ from toolsmith.baselines.shared import (
     shared_policy,
 )
 from toolsmith.baselines.single_traj import (
-    FlatEpisodePlan,
     plan_dim,
-    plan_from_vector,
     single_traj_cmaes,
 )
 
 __all__ = [
     "CmaState",
-    "FlatEpisodePlan",
     "cma_ask",
     "cma_init",
     "cma_rl",
@@ -32,7 +29,6 @@ __all__ = [
     "hwasp_minimal",
     "load_shared_params",
     "plan_dim",
-    "plan_from_vector",
     "shared_arch",
     "shared_features",
     "shared_policy",

@@ -2,18 +2,24 @@
 
 Implements the standard rank-one plus rank-mu update with cumulative step
 size adaptation. The state is a plain dataclass so runs can be serialized
-and inspected; ask/tell are pure functions of it.
+and inspected; ask/tell are pure functions of it. cma_search is the one
+generation loop both CMA baselines run.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from toolsmith.ppo import METRICS_HEADER, _append_csv
+
 EIG_FLOOR_REL = 1e-14
+GENERATIONS_FILE = "generations.jsonl"
 
 
 @dataclass
@@ -138,3 +144,71 @@ def cma_tell(state: CmaState, candidates: np.ndarray,
     return CmaState(mean=mean, sigma=float(sigma), covariance=cov,
                     p_sigma=p_sigma, p_c=p_c, generation=gen,
                     population_size=lam, weights=state.weights)
+
+
+def cma_search(fitness_fn, dim: int, total_steps: int, out_dir,
+               rng: np.random.Generator, population_size: int, sigma0: float,
+               artifact: str) -> dict:
+    """Run generations from the origin until total_steps env steps are spent.
+
+    fitness_fn(candidate) returns evaluation statistics: mean_return is the
+    fitness, env_steps every env step the candidate cost, and success_rate,
+    mean_d_used and mean_c_used are logged. Candidates are scored in order
+    after each ask, so a fitness_fn that draws from rng stays reproducible.
+    The best candidate is kept elitist-style, so best fitness never drops.
+
+    Writes one generations.jsonl record per generation and one metrics.csv
+    row in the training schema. A row pairs the population's mean return
+    with the success_rate, mean_d_used and mean_c_used of the best candidate
+    so far; approx_kl and entropy are 0. The caller's artifact file is
+    removed up front, so an interrupted run leaves none behind.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    gen_path = os.path.join(out_dir, GENERATIONS_FILE)
+    metrics_path = os.path.join(out_dir, "metrics.csv")
+    for path in (gen_path, metrics_path, os.path.join(out_dir, artifact)):
+        if os.path.exists(path):
+            os.remove(path)
+
+    state = cma_init(np.zeros(dim), sigma=sigma0,
+                     population_size=population_size)
+    env_steps = 0
+    best_fitness = -np.inf
+    best = best_stats = None
+    while env_steps < total_steps:
+        cands = cma_ask(state, rng)
+        fits = np.empty(len(cands))
+        for i, cand in enumerate(cands):
+            stats = fitness_fn(cand)
+            fits[i] = stats["mean_return"]
+            env_steps += stats["env_steps"]
+            if fits[i] > best_fitness:
+                best_fitness, best, best_stats = float(fits[i]), cand.copy(), stats
+        state = cma_tell(state, cands, fits)
+        record = {
+            "generation": state.generation,
+            "best_fitness": best_fitness,
+            "mean_fitness": float(fits.mean()),
+            "sigma": state.sigma,
+            "env_steps": env_steps,
+        }
+        with open(gen_path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record) + "\n")
+        _append_csv(metrics_path, METRICS_HEADER, [
+            env_steps,
+            f"{fits.mean():.6f}",
+            f"{best_stats['success_rate']:.6f}",
+            "0.00000000",
+            "0.000000",
+            f"{best_stats['mean_d_used']:.6f}",
+            f"{best_stats['mean_c_used']:.6f}",
+        ])
+    return {
+        "best_candidate": best,
+        "best_stats": best_stats,
+        "best_fitness": best_fitness,
+        "env_steps": env_steps,
+        "generations": state.generation,
+        "metrics_path": metrics_path,
+        "generations_path": gen_path,
+    }

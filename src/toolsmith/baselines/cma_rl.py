@@ -9,34 +9,31 @@ spent in inner training and in evaluation are both charged to the curve.
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
 
-from toolsmith.baselines.cma import cma_ask, cma_init, cma_tell
+from toolsmith.baselines.cma import cma_search
 from toolsmith.envs import default_config, make_env
 from toolsmith.evaluation import evaluate_policy, evaluation_goals
-from toolsmith.neural import params_state, save_checkpoint
+from toolsmith.neural import param_count, params_state, save_checkpoint
 from toolsmith.ppo import (
-    METRICS_HEADER,
     Optimizers,
     TrainConfig,
-    _append_csv,
     collect_batch,
+    config_fingerprint,
     default_train_config,
     policy_for_env,
     ppo_update,
     prepare_batch,
 )
 
-GENERATIONS_FILE = "generations.jsonl"
-BEST_FILE = "best_design.json"
-DESIGN_DIM = 5
+CHECKPOINT_FILE = "checkpoint.json"
 
 
-def _train_inner(envs, params, cfg, rng, budget: int, design) -> int:
-    """Control-only updates against one fixed design; returns steps used."""
+def _train_inner(envs, params, cfg, rng, budget: int, design) -> tuple:
+    """Control-only updates against one fixed design; returns the steps
+    used and the optimizers."""
     optimizers = Optimizers(params, cfg)
     steps = 0
     while steps < budget:
@@ -44,23 +41,19 @@ def _train_inner(envs, params, cfg, rng, budget: int, design) -> int:
         batch = prepare_batch(trajs, cfg)
         steps += batch.env_steps
         ppo_update(params, batch, cfg, optimizers, rng)
-    return steps
+    return steps, optimizers
 
 
 def cma_rl(task: str, total_steps: int, out_dir, seed: int = 0,
            task_cfg=None, cfg: TrainConfig | None = None,
            population_size: int = 24, sigma0: float = 0.1,
            inner_steps: int = 20000, n_eval_goals: int = 16,
-           n_envs: int = 8, log_fn=None) -> dict:
-    """Run the outer loop until the total env-step budget is spent."""
-    os.makedirs(out_dir, exist_ok=True)
-    gen_path = os.path.join(out_dir, GENERATIONS_FILE)
-    metrics_path = os.path.join(out_dir, "metrics.csv")
-    best_path = os.path.join(out_dir, BEST_FILE)
-    for path in (gen_path, metrics_path, best_path):
-        if os.path.exists(path):
-            os.remove(path)
+           n_envs: int = 8) -> dict:
+    """Run the outer loop until the total env-step budget is spent.
 
+    Saves the best candidate as checkpoint.json in the train schema, plus
+    fixed_design (the searched design action) and fitness.
+    """
     task_cfg = task_cfg or default_config(task)
     cfg = cfg or default_train_config(task, scale="desk")
     rng = np.random.default_rng(seed)
@@ -70,68 +63,39 @@ def cma_rl(task: str, total_steps: int, out_dir, seed: int = 0,
         env.reset(seed=ss)
     eval_env = make_env(task_cfg)
     goals = evaluation_goals(eval_env, n_eval_goals)
-
-    state = cma_init(np.zeros(DESIGN_DIM), sigma=sigma0,
-                     population_size=population_size)
-    env_steps = 0
     inner_total = 0
-    eval_total = 0
-    best_fitness = -np.inf
-    best_design = None
-    best_params = None
-    best_stats = None
-    while env_steps < total_steps:
-        cands = cma_ask(state, rng)
-        fits = np.empty(len(cands))
-        for i, cand in enumerate(cands):
-            params = policy_for_env(envs[0], rng)
-            inner = _train_inner(envs, params, cfg, rng, inner_steps, cand)
-            res = evaluate_policy(eval_env, params, goals, fixed_design=cand)
-            inner_total += inner
-            eval_total += res["env_steps"]
-            env_steps += inner + res["env_steps"]
-            fits[i] = res["mean_return"]
-            if fits[i] > best_fitness:
-                best_fitness = float(fits[i])
-                best_design = cand.copy()
-                best_params = params
-                best_stats = res
-        state = cma_tell(state, cands, fits)
-        record = {
-            "generation": state.generation,
-            "best_fitness": best_fitness,
-            "mean_fitness": float(fits.mean()),
-            "sigma": state.sigma,
-            "env_steps": env_steps,
-        }
-        with open(gen_path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record) + "\n")
-        _append_csv(metrics_path, METRICS_HEADER, [
-            env_steps,
-            f"{fits.mean():.6f}",
-            f"{best_stats['success_rate']:.6f}",
-            "0.00000000",
-            "0.000000",
-            f"{best_stats['mean_d_used']:.6f}",
-            "0.000000",
-        ])
-        if log_fn is not None:
-            log_fn(record)
 
-    save_checkpoint(best_path, {
-        "task": eval_env.task_name,
-        "fitness": best_fitness,
-        "design_action": [float(x) for x in best_design],
+    def fitness(design) -> dict:
+        nonlocal inner_total
+        params = policy_for_env(envs[0], rng)
+        inner, optimizers = _train_inner(envs, params, cfg, rng, inner_steps,
+                                         design)
+        res = evaluate_policy(eval_env, params, goals, fixed_design=design)
+        inner_total += inner
+        return dict(res, env_steps=inner + res["env_steps"], params=params,
+                    optimizers=optimizers)
+
+    out = cma_search(fitness, eval_env.design_action_dim, total_steps,
+                     out_dir, rng, population_size, sigma0,
+                     artifact=CHECKPOINT_FILE)
+    best_design = out["best_candidate"]
+    best_params = out["best_stats"]["params"]
+    ck_path = os.path.join(out_dir, CHECKPOINT_FILE)
+    save_checkpoint(ck_path, {
         "params": params_state(best_params),
+        "optimizers": out["best_stats"]["optimizers"].state(),
+        "rng_state": rng.bit_generator.state,
+        "env_rng_states": [e._rng.bit_generator.state for e in envs],
+        "env_steps": out["env_steps"],
+        "config_hash": config_fingerprint(task_cfg, cfg, seed, n_envs,
+                                          fixed_design=best_design),
+        "task": eval_env.task_name,
+        "param_count": param_count(best_params),
+        "fixed_design": [float(x) for x in best_design],
+        "fitness": out["best_fitness"],
     })
-    return {
-        "best_design": best_design,
-        "best_params": best_params,
-        "best_fitness": best_fitness,
-        "env_steps": env_steps,
-        "inner_steps": inner_total,
-        "eval_steps": eval_total,
-        "generations": state.generation,
-        "metrics_path": metrics_path,
-        "generations_path": gen_path,
-    }
+    out.update(best_design=best_design, best_params=best_params,
+               inner_steps=inner_total,
+               eval_steps=out["env_steps"] - inner_total,
+               checkpoint_path=ck_path)
+    return out

@@ -10,31 +10,14 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
-from toolsmith.baselines.cma import cma_ask, cma_init, cma_tell
+from toolsmith.baselines.cma import cma_search
 from toolsmith.envs import default_config, make_env
-from toolsmith.geometry import DesignVector
 from toolsmith.evaluation import evaluate_plan, evaluation_goals
-from toolsmith.ppo import METRICS_HEADER, _append_csv
 
-GENERATIONS_FILE = "generations.jsonl"
 BEST_PLAN_FILE = "best_plan.json"
-
-
-@dataclass
-class FlatEpisodePlan:
-    """Realized design plus the full open-loop control schedule."""
-
-    design: DesignVector
-    open_loop_controls: np.ndarray
-    design_action: np.ndarray
-
-    def __post_init__(self):
-        assert self.open_loop_controls.ndim == 2
-        assert self.design_action.shape == (5,)
 
 
 def plan_dim(env) -> int:
@@ -53,13 +36,6 @@ def split_plan(env, vector: np.ndarray) -> tuple:
     return vector[:nd], controls
 
 
-def plan_from_vector(env, vector: np.ndarray) -> FlatEpisodePlan:
-    design_action, controls = split_plan(env, vector)
-    return FlatEpisodePlan(design=env.space.realize(design_action),
-                           open_loop_controls=controls.copy(),
-                           design_action=design_action.copy())
-
-
 def plan_fitness(env, vector: np.ndarray, goals) -> dict:
     design_action, controls = split_plan(env, vector)
     return evaluate_plan(env, design_action, controls, goals)
@@ -67,77 +43,22 @@ def plan_fitness(env, vector: np.ndarray, goals) -> dict:
 
 def single_traj_cmaes(task: str, total_steps: int, out_dir, seed: int = 0,
                       task_cfg=None, population_size: int = 24,
-                      sigma0: float = 0.1, n_eval_goals: int = 16,
-                      log_fn=None) -> dict:
+                      sigma0: float = 0.1, n_eval_goals: int = 16) -> dict:
     """Evolve a flat plan until the env-step budget is spent.
 
-    Logs one JSON line per generation plus the common CSV schema; best
-    fitness is tracked elitist-style so it never decreases.
+    Logs through cma_search, then writes the best plan to best_plan.json.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    gen_path = os.path.join(out_dir, GENERATIONS_FILE)
-    metrics_path = os.path.join(out_dir, "metrics.csv")
-    best_path = os.path.join(out_dir, BEST_PLAN_FILE)
-    for path in (gen_path, metrics_path, best_path):
-        if os.path.exists(path):
-            os.remove(path)
-
     env = make_env(task_cfg or default_config(task))
     goals = evaluation_goals(env, n_eval_goals)
-    rng = np.random.default_rng(seed)
-    state = cma_init(np.zeros(plan_dim(env)), sigma=sigma0,
-                     population_size=population_size)
-
-    env_steps = 0
-    best_fitness = -np.inf
-    best_vector = None
-    best_stats = None
-    while env_steps < total_steps:
-        cands = cma_ask(state, rng)
-        fits = np.empty(len(cands))
-        stats = []
-        for i, cand in enumerate(cands):
-            res = plan_fitness(env, cand, goals)
-            fits[i] = res["mean_return"]
-            env_steps += res["env_steps"]
-            stats.append(res)
-        top = int(np.argmax(fits))
-        if fits[top] > best_fitness:
-            best_fitness = float(fits[top])
-            best_vector = cands[top].copy()
-            best_stats = stats[top]
-        state = cma_tell(state, cands, fits)
-        record = {
-            "generation": state.generation,
-            "best_fitness": best_fitness,
-            "mean_fitness": float(fits.mean()),
-            "sigma": state.sigma,
-            "env_steps": env_steps,
-        }
-        with open(gen_path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record) + "\n")
-        _append_csv(metrics_path, METRICS_HEADER, [
-            env_steps,
-            f"{fits.mean():.6f}",
-            f"{best_stats['success_rate']:.6f}",
-            "0.00000000",
-            "0.000000",
-            f"{best_stats['mean_d_used']:.6f}",
-            f"{best_stats['mean_c_used']:.6f}",
-        ])
-        if log_fn is not None:
-            log_fn(record)
-
-    with open(best_path, "w", encoding="utf-8") as fh:
+    out = cma_search(lambda vector: plan_fitness(env, vector, goals),
+                     plan_dim(env), total_steps, out_dir,
+                     np.random.default_rng(seed), population_size, sigma0,
+                     artifact=BEST_PLAN_FILE)
+    best_vector = out["best_candidate"]
+    with open(os.path.join(out_dir, BEST_PLAN_FILE), "w",
+              encoding="utf-8") as fh:
         json.dump({"task": env.task_name,
-                   "fitness": best_fitness,
+                   "fitness": out["best_fitness"],
                    "vector": [float(x) for x in best_vector]}, fh, indent=1)
-    return {
-        "best_plan": plan_from_vector(env, best_vector),
-        "best_vector": best_vector,
-        "best_fitness": best_fitness,
-        "env_steps": env_steps,
-        "generations": state.generation,
-        "metrics_path": metrics_path,
-        "generations_path": gen_path,
-    }
+    out["best_vector"] = best_vector
+    return out

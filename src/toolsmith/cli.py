@@ -146,7 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="deterministic rollouts from a checkpoint")
-    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--checkpoint", required=True,
+                   help="checkpoint.json, or best_plan.json of single_traj")
     p.add_argument("--out-dir", dest="out_dir", required=True)
     p.add_argument("--task", help="expected task; errors on mismatch")
     p.add_argument("--grid", type=int, help="evaluate an NxN goal grid (push)")
@@ -177,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_alpha_sweep)
 
     p = sub.add_parser("export-tool", help="write the tool mesh for one goal")
-    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--checkpoint", required=True,
+                   help="checkpoint.json, or best_plan.json of single_traj")
     p.add_argument("--goal", required=True, help="comma separated numbers")
     p.add_argument("--out-dir", dest="out_dir", required=True)
     p.set_defaults(fn=cmd_export_tool)

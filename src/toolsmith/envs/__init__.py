@@ -11,7 +11,6 @@ from .base import (
     TradeoffConfig,
     default_config,
     dump_task_config,
-    format_trace_record,
     load_task_config,
     make_env,
     parse_task_config,
@@ -32,7 +31,6 @@ __all__ = [
     "TradeoffConfig",
     "default_config",
     "dump_task_config",
-    "format_trace_record",
     "load_task_config",
     "make_env",
     "parse_task_config",

@@ -14,7 +14,6 @@ K * [1 - (alpha * d_used/d_max + (1-alpha) * c_used/c_max)].
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, fields, replace
 
@@ -233,20 +232,6 @@ def parse_task_config(text: str) -> TaskConfig:
 def load_task_config(path) -> TaskConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_task_config(fh.read())
-
-
-def format_trace_record(step_index: int, phase: str, action, result: StepResult) -> str:
-    """One JSON line per step for episode trace export."""
-    payload = {
-        "step": int(step_index),
-        "phase": phase,
-        "action": [float(a) for a in np.atleast_1d(np.asarray(action, dtype=np.float64))],
-        "reward": float(result.reward),
-        "done": bool(result.done),
-        "info": {k: (float(v) if isinstance(v, (int, float, np.floating)) else v)
-                 for k, v in result.info.items()},
-    }
-    return json.dumps(payload, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

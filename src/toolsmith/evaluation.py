@@ -21,52 +21,7 @@ def evaluation_goals(env, n: int = 16) -> list:
             for k in range(n)]
 
 
-def evaluate_policy(env, params, goals, fixed_design=None,
-                    features=default_features) -> dict:
-    """Deterministic episodes on each goal; returns aggregate statistics."""
-    episodes = []
-    for k, goal in enumerate(goals):
-        episodes.append(run_episode(env, params, goal=goal,
-                                    seed=EVAL_RESET_SEED + k,
-                                    fixed_design=fixed_design,
-                                    features=features))
-    returns = np.array([e["return"] for e in episodes])
-    return {
-        "mean_return": float(returns.mean()),
-        "returns": [float(r) for r in returns],
-        "success_rate": float(np.mean([e["success"] for e in episodes])),
-        "mean_d_used": float(np.mean([e["d_used"] for e in episodes])),
-        "env_steps": int(sum(1 + e["steps"] for e in episodes)),
-        "episodes": episodes,
-    }
-
-
-def run_plan(env, design_action, controls, goal, seed) -> dict:
-    """Execute an open-loop plan: one design step, then scripted controls."""
-    env.reset(goal=goal, seed=seed)
-    res = env.step_design(np.asarray(design_action, dtype=np.float64))
-    total = res.reward
-    c_used = []
-    t = 0
-    while not env.done:
-        res = env.step_control(controls[t])
-        total += res.reward
-        c_used.append(res.info["c_used"])
-        t += 1
-    return {
-        "return": float(total),
-        "success": float(res.info["success"]),
-        "steps": t,
-        "d_used": float(res.info["d_used"]),
-        "mean_c_used": float(np.mean(c_used)) if c_used else 0.0,
-    }
-
-
-def evaluate_plan(env, design_action, controls, goals) -> dict:
-    """Mean statistics of one plan over the fixed goal set."""
-    episodes = [run_plan(env, design_action, controls, goal,
-                         EVAL_RESET_SEED + k)
-                for k, goal in enumerate(goals)]
+def _summarize(episodes) -> dict:
     return {
         "mean_return": float(np.mean([e["return"] for e in episodes])),
         "success_rate": float(np.mean([e["success"] for e in episodes])),
@@ -74,3 +29,30 @@ def evaluate_plan(env, design_action, controls, goals) -> dict:
         "mean_c_used": float(np.mean([e["mean_c_used"] for e in episodes])),
         "env_steps": int(sum(1 + e["steps"] for e in episodes)),
     }
+
+
+def evaluate_policy(env, params, goals, fixed_design=None, controls=None,
+                    features=default_features) -> dict:
+    """Deterministic episodes on each goal; returns aggregate statistics.
+
+    fixed_design and controls impose a design or an open-loop control
+    schedule in place of the corresponding policy, as in run_episode.
+    """
+    episodes = [run_episode(env, params, goal=goal, seed=EVAL_RESET_SEED + k,
+                            fixed_design=fixed_design, controls=controls,
+                            features=features)
+                for k, goal in enumerate(goals)]
+    return {**_summarize(episodes), "episodes": episodes}
+
+
+def run_plan(env, design_action, controls, goal, seed) -> dict:
+    """Execute an open-loop plan: one design step, then scripted controls."""
+    return run_episode(env, None, goal=goal, seed=seed,
+                       fixed_design=design_action, controls=controls)
+
+
+def evaluate_plan(env, design_action, controls, goals) -> dict:
+    """Mean statistics of one plan over the fixed goal set."""
+    return _summarize([run_plan(env, design_action, controls, goal,
+                                EVAL_RESET_SEED + k)
+                       for k, goal in enumerate(goals)])

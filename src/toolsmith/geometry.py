@@ -9,7 +9,6 @@ accounting, and mesh export for fabrication.
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 from dataclasses import dataclass
@@ -178,7 +177,6 @@ def material_length(design: DesignVector, bounds: DesignBounds) -> MaterialRepor
 # Mesh export
 # ---------------------------------------------------------------------------
 
-TRIANGLES_PER_LINK = 12
 STL_HEADER_BYTES = 80
 
 
@@ -241,15 +239,3 @@ def export_stl(geom: ToolGeometry, thickness: float = 0.5) -> bytes:
                            float(c[0]), float(c[1]), float(c[2]),
                            0)
     return bytes(out)
-
-
-def design_record(task: str, goal, design: DesignVector, seed: int) -> str:
-    """JSON record describing an exported tool: task, goal, shape, seed."""
-    payload = {
-        "task": task,
-        "goal": [float(g) for g in np.atleast_1d(np.asarray(goal, dtype=np.float64))],
-        "lengths": [float(v) for v in design.lengths],
-        "angles_rad": [float(v) for v in design.angles],
-        "seed": int(seed),
-    }
-    return json.dumps(payload, sort_keys=True)

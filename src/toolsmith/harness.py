@@ -5,6 +5,21 @@ fabrication export.
 All commands write a manifest before any long computation, derive every
 random stream from the configured seeds, and emit deterministic CSV/JSON so
 reruns are byte-identical.
+
+Artifact contract: each method leaves one artifact per seed directory, and
+_load_for_eval reads it for eval, compare, export-tool and finetune.
+
+- ours, hwasp, shared: checkpoint.json from ppo.train (params, optimizers,
+  rng_state, env_rng_states, env_steps, config_hash, task, param_count).
+- cma_rl: checkpoint.json with those keys for the best candidate, plus
+  fixed_design (the searched design action) and fitness.
+- single_traj: best_plan.json with task, fitness and vector (the design
+  action, then every control action).
+
+The loader checks the task. A designer as wide as the value input marks a
+shared trunk, which is re-tied and fed the value features; a fixed_design
+replaces the designer; a plan's vector splits into its design and
+open-loop controls.
 """
 
 from __future__ import annotations
@@ -12,6 +27,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -19,17 +35,23 @@ import numpy as np
 from toolsmith import __version__
 from toolsmith.baselines import cma_rl, hwasp_minimal, shared_arch, single_traj_cmaes
 from toolsmith.baselines.shared import retie_trunk, shared_features
-from toolsmith.baselines.single_traj import plan_fitness
+from toolsmith.baselines.single_traj import BEST_PLAN_FILE, split_plan
 from toolsmith.envs import default_config, make_env
 from toolsmith.envs.push import GOAL_HIGH, GOAL_LOW
 from toolsmith.evaluation import EVAL_RESET_SEED, evaluate_policy, evaluation_goals
 from toolsmith.geometry import build_tool, export_stl
-from toolsmith.neural import forward, load_checkpoint, params_from_state
+from toolsmith.neural import (
+    PolicyParams,
+    forward,
+    load_checkpoint,
+    params_from_state,
+)
 from toolsmith.ppo import (
     METRICS_HEADER,
     Optimizers,
     TrainConfig,
     collect_batch,
+    default_features,
     default_train_config,
     policy_for_env,
     ppo_update,
@@ -297,20 +319,56 @@ def cmd_train(config: ExperimentConfig) -> dict:
 # eval
 # ---------------------------------------------------------------------------
 
-def _load_for_eval(checkpoint_path, task: str | None = None):
-    state = load_checkpoint(checkpoint_path)
+@dataclass
+class Artifact:
+    """One method's saved result, in the form evaluate_policy takes it."""
+
+    task: str
+    params: PolicyParams | None
+    features: Callable = default_features
+    fixed_design: np.ndarray | None = None
+    controls: np.ndarray | None = None
+
+    @property
+    def kind(self) -> str:
+        if self.controls is not None:
+            return "open-loop plan"
+        if self.fixed_design is not None:
+            return "fixed-design"
+        if self.features is shared_features:
+            return "shared"
+        return "policy"
+
+    def evaluate(self, env, goals) -> dict:
+        return evaluate_policy(env, self.params, goals,
+                               fixed_design=self.fixed_design,
+                               controls=self.controls, features=self.features)
+
+
+def _load_for_eval(path, task: str | None = None) -> tuple:
+    """Read a checkpoint.json or best_plan.json as (env, Artifact)."""
+    is_plan = os.path.basename(str(path)) == BEST_PLAN_FILE
+    if is_plan:
+        with open(path, encoding="utf-8") as fh:
+            state = json.load(fh)
+    else:
+        state = load_checkpoint(path)
     ck_task = state.get("task")
     if task is not None and ck_task != task:
         raise ValueError(
             f"checkpoint was trained on {ck_task!r}, not {task!r}")
-    params = params_from_state(state["params"])
     env = make_env(default_config(ck_task))
-    features = None
-    if params.designer.sizes[0] == env.value_input_dim \
-            and env.value_input_dim != env.design_input_dim:
-        params = retie_trunk(params)
-        features = shared_features
-    return env, params, features, ck_task
+    if is_plan:
+        design, controls = split_plan(env, state["vector"])
+        return env, Artifact(ck_task, None, fixed_design=design,
+                             controls=controls)
+    art = Artifact(ck_task, params_from_state(state["params"]))
+    if art.params.designer.sizes[0] == env.value_input_dim:
+        art.params = retie_trunk(art.params)
+        art.features = shared_features
+    if "fixed_design" in state:
+        art.fixed_design = np.asarray(state["fixed_design"], dtype=np.float64)
+    return env, art
 
 
 def goal_grid(n: int) -> np.ndarray:
@@ -323,7 +381,8 @@ def goal_grid(n: int) -> np.ndarray:
 def cmd_eval(checkpoint_path, out_dir, goals=None, grid: int | None = None,
              cutout_fraction: float = 0.0, task: str | None = None) -> dict:
     """Deterministic rollouts per goal with region classification."""
-    env, params, features, ck_task = _load_for_eval(checkpoint_path, task)
+    env, art = _load_for_eval(checkpoint_path, task)
+    ck_task = art.task
     spec = centered_cutout(cutout_fraction)
     if goals is None:
         if grid is not None:
@@ -338,8 +397,7 @@ def cmd_eval(checkpoint_path, out_dir, goals=None, grid: int | None = None,
         "n_goals": len(goals),
         "cutout_fraction": cutout_fraction,
     })
-    kw = {"features": features} if features is not None else {}
-    result = evaluate_policy(env, params, goals, **kw)
+    result = art.evaluate(env, goals)
 
     regions = {"training": [], "cutout": [], "outside": []}
     per_goal_path = os.path.join(out_dir, "per_goal.csv")
@@ -438,9 +496,11 @@ def _finetune_arm(env_template, params, cfg, goals, budget: int, seed: int,
 def cmd_finetune(checkpoint_path, out_dir, goals=None, budget: int = 50,
                  seed: int = 0, cfg: TrainConfig | None = None) -> dict:
     """Adapt a trained checkpoint to held-out goals versus a cold start."""
-    env, params, features, ck_task = _load_for_eval(checkpoint_path)
-    if features is not None:
-        raise ValueError("fine-tuning expects the separate-network method")
+    env, art = _load_for_eval(checkpoint_path)
+    if art.kind != "policy":
+        raise ValueError(f"fine-tuning expects a separate-network policy, "
+                         f"not a {art.kind} artifact")
+    ck_task, params = art.task, art.params
     goals = [np.asarray(g, dtype=np.float64)
              for g in (goals if goals is not None else DEFAULT_FINETUNE_GOALS)]
     if ck_task == "push":
@@ -507,15 +567,12 @@ def cmd_alpha_sweep(out_dir, task: str = "catch", alphas=DEFAULT_ALPHAS,
             goals = evaluation_goals(env, 16)
             res = evaluate_policy(env, out["params"], goals)
             d_hat = res["mean_d_used"] / env.tradeoff.d_max
-            c_per_step = np.mean([
-                np.mean([r for r in _per_step_c(env, out["params"], g, i)])
-                for i, g in enumerate(goals)])
-            c_hat = float(c_per_step) / env.tradeoff.c_max
+            c_hat = res["mean_c_used"] / env.tradeoff.c_max
             ratio = d_hat / c_hat if c_hat > 0 else float("inf")
             goal = goals[0]
             stl_path = os.path.join(out_dir, f"alpha_{alpha:g}",
                                     f"tool_seed_{seed}.stl")
-            _export_design(env, out["params"], goal, stl_path)
+            _export_design(env, Artifact(task, out["params"]), goal, stl_path)
             rows.append({"alpha": alpha, "seed": seed, "k": k,
                          "ratio": float(ratio), "d_hat": float(d_hat),
                          "c_hat": float(c_hat),
@@ -535,30 +592,16 @@ def cmd_alpha_sweep(out_dir, task: str = "catch", alphas=DEFAULT_ALPHAS,
     return rows
 
 
-def _per_step_c(env, params, goal, index: int):
-    obs = env.reset(goal=goal, seed=EVAL_RESET_SEED + index)
-    mu = forward(params.designer, env.design_input(obs))
-    res = env.step_design(mu)
-    obs = res.observation
-    cs = []
-    while not env.done:
-        a = forward(params.controller, env.control_input(obs))
-        res = env.step_control(a)
-        cs.append(res.info["c_used"])
-        obs = res.observation
-    return cs
-
-
 # ---------------------------------------------------------------------------
 # export-tool
 # ---------------------------------------------------------------------------
 
-def _export_design(env, params, goal, stl_path,
-                   features=None) -> dict:
-    obs = env.reset(goal=goal)
-    x = env.value_input(obs) if features is shared_features \
-        else env.design_input(obs)
-    mu = forward(params.designer, x)
+def _export_design(env, art: Artifact, goal, stl_path) -> dict:
+    obs = env.reset(goal=goal, seed=EVAL_RESET_SEED)
+    if art.fixed_design is not None:
+        mu = art.fixed_design
+    else:
+        mu = forward(art.params.designer, art.features(env)[0](obs))
     design = env.space.realize(mu)
     geom = build_tool(design)
     data = export_stl(geom)
@@ -576,13 +619,11 @@ def _export_design(env, params, goal, stl_path,
 
 def cmd_export_tool(checkpoint_path, goal, out_dir) -> dict:
     """Run the designer on one goal and write the printable mesh."""
-    env, params, features, ck_task = _load_for_eval(checkpoint_path)
+    env, art = _load_for_eval(checkpoint_path)
     goal = env.validate_goal(np.asarray(goal, dtype=np.float64))
     os.makedirs(out_dir, exist_ok=True)
-    record = _export_design(env, params, goal,
-                            os.path.join(out_dir, "tool.stl"),
-                            features=features)
-    record["task"] = ck_task
+    record = _export_design(env, art, goal, os.path.join(out_dir, "tool.stl"))
+    record["task"] = art.task
     record_path = os.path.join(out_dir, "design.json")
     with open(record_path, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
@@ -614,18 +655,12 @@ def cmd_compare(run_dirs: list, out_dir, task: str, n_goals: int = 16) -> list:
                 last = list(csv.DictReader(fh))[-1]
             row["env_steps"] = int(last["env_steps"])
             row["train_mean_return"] = float(last["mean_return"])
-        checkpoint = os.path.join(run_dir, "checkpoint.json")
-        best_plan = os.path.join(run_dir, "best_plan.json")
-        if os.path.exists(checkpoint):
-            _, params, features, ck_task = _load_for_eval(checkpoint, task)
-            kw = {"features": features} if features is not None else {}
-            res = evaluate_policy(env, params, goals, **kw)
-            row["eval_mean_return"] = res["mean_return"]
-        elif os.path.exists(best_plan):
-            with open(best_plan, encoding="utf-8") as fh:
-                vec = np.asarray(json.load(fh)["vector"], dtype=np.float64)
-            res = plan_fitness(env, vec, goals)
-            row["eval_mean_return"] = res["mean_return"]
+        for name in ("checkpoint.json", BEST_PLAN_FILE):
+            path = os.path.join(run_dir, name)
+            if os.path.exists(path):
+                _, art = _load_for_eval(path, task)
+                row["eval_mean_return"] = art.evaluate(env, goals)["mean_return"]
+                break
         rows.append(row)
     table_path = os.path.join(out_dir, "compare.csv")
     with open(table_path, "w", newline="", encoding="utf-8") as fh:

@@ -16,19 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import ToolGeometry, transform_geometry
-
-
-@dataclass
-class Body:
-    """Read-only snapshot of one simulated body."""
-
-    body_id: int
-    kind: str  # "dynamic_circle", "static_segment", or "kinematic_tool"
-    position: np.ndarray
-    velocity: np.ndarray
-    radius: float
-    inv_mass: float
+from .geometry import ToolGeometry
 
 
 @dataclass(frozen=True)
@@ -177,36 +165,6 @@ class World:
     @property
     def num_circles(self) -> int:
         return self.pos.shape[0]
-
-    def tool_world_segments(self) -> np.ndarray:
-        """Tool capsule segments in world frame, shape (K, 2, 2)."""
-        if self.tool_geometry is None:
-            return np.empty((0, 2, 2), dtype=np.float64)
-        placed = transform_geometry(self.tool_geometry, self.tool_position, self.tool_angle)
-        return placed.segments
-
-    def bodies(self) -> list:
-        """Snapshots of all bodies (circles, then statics, then the tool)."""
-        out = []
-        for i in range(self.num_circles):
-            out.append(Body(i, "dynamic_circle", self.pos[i].copy(), self.vel[i].copy(),
-                            float(self.radius[i]), float(self.inv_mass[i])))
-        n = self.num_circles
-        for s in range(self.static_a.shape[0]):
-            center = 0.5 * (self.static_a[s] + self.static_b[s])
-            out.append(Body(n + s, "static_segment", center, np.zeros(2),
-                            float(self.static_r[s]), 0.0))
-        if self.tool_geometry is not None:
-            out.append(Body(n + self.static_a.shape[0], "kinematic_tool",
-                            self.tool_position.copy(), self.tool_velocity.copy(),
-                            self.tool_geometry.radius, 0.0))
-        return out
-
-    def trace_rows(self, step: int) -> list:
-        """Circle state rows (step, body_id, x, y, vx, vy) for trajectory traces."""
-        return [(step, i, float(self.pos[i, 0]), float(self.pos[i, 1]),
-                 float(self.vel[i, 0]), float(self.vel[i, 1]))
-                for i in range(self.num_circles)]
 
     def circles_touching_tool(self) -> np.ndarray:
         """Boolean mask over circles in contact with the tool in the last step."""
@@ -453,56 +411,3 @@ class World:
                                           minlength=n)
             self.pos[:, 1] += np.bincount(idx, weights=np.concatenate([py * wa, -py * wb]),
                                           minlength=n)
-
-
-def make_world(**kwargs) -> World:
-    """Construct an empty world; keyword arguments forward to World."""
-    return World(**kwargs)
-
-
-def _segment_top_y(a, b, r: float, x: float) -> float | None:
-    """Highest y of the capsule (a, b, r) on the vertical line at x, if hit."""
-    ax, ay = float(a[0]), float(a[1])
-    bx, by = float(b[0]), float(b[1])
-    dx, dy = bx - ax, by - ay
-    length = math.hypot(dx, dy)
-    best = None
-
-    def consider(t: float):
-        nonlocal best
-        if t < 0.0 or t > 1.0:
-            return
-        px, py = ax + t * dx, ay + t * dy
-        u = x - px
-        if abs(u) > r:
-            return
-        y = py + math.sqrt(max(r * r - u * u, 0.0))
-        if best is None or y > best:
-            best = y
-
-    consider(0.0)
-    consider(1.0)
-    if length > 1e-12:
-        if abs(dx) > 1e-12:
-            # where the cap circle's tangent aligns with the segment slope
-            u_star = r * dy / length
-            for u in (u_star, -u_star):
-                consider((x - u - ax) / dx)
-            # feasibility boundary |x - px| = r
-            for u in (r, -r):
-                consider((x - u - ax) / dx)
-        elif abs(x - ax) <= r:
-            consider(0.0)
-            consider(1.0)
-    return best
-
-
-def raycast_down(world: World, x: float) -> float | None:
-    """Highest surface height under a vertical line, over tool and statics."""
-    a, b, r, _ = world._surfaces()
-    best = None
-    for s in range(a.shape[0]):
-        y = _segment_top_y(a[s], b[s], float(r[s]), float(x))
-        if y is not None and (best is None or y > best):
-            best = y
-    return best

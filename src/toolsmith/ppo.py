@@ -41,6 +41,7 @@ METRICS_HEADER = ["env_steps", "mean_return", "success_rate", "approx_kl",
                   "entropy", "mean_d_used", "mean_c_used"]
 DESIGN_MEANS_HEADER = ["env_steps", "mean_length_1", "mean_length_2",
                        "mean_length_3", "mean_angle_1", "mean_angle_2"]
+CHECKPOINT_EVERY = 10  # batches between mid-run checkpoints
 
 
 @dataclass
@@ -575,8 +576,7 @@ def _append_csv(path, header, row) -> None:
 def train(task: str, cfg: TrainConfig, total_steps: int, out_dir,
           seed: int = 0, task_cfg: TaskConfig | None = None, n_envs: int = 16,
           goal_sampler=None, params: PolicyParams | None = None,
-          resume: bool = False, checkpoint_every: int = 10,
-          log_fn=None, fixed_design=None, freeze=(),
+          resume: bool = False, fixed_design=None, freeze=(),
           features=default_features, policy_overrides=None) -> dict:
     """Alternate collect/update until total_steps env steps; log and checkpoint.
 
@@ -658,9 +658,7 @@ def train(task: str, cfg: TrainConfig, total_steps: int, out_dir,
         ])
         _append_csv(means_path, DESIGN_MEANS_HEADER,
                     [env_steps] + [f"{x:.6f}" for x in batch.design_echo_mean])
-        if log_fn is not None:
-            log_fn(env_steps, batch, stats)
-        if batches % checkpoint_every == 0:
+        if batches % CHECKPOINT_EVERY == 0:
             save(env_steps)
     save(env_steps)
     return {"env_steps": env_steps, "batches": batches, "params": params,
@@ -672,37 +670,39 @@ def train(task: str, cfg: TrainConfig, total_steps: int, out_dir,
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def run_episode(env, params: PolicyParams, goal=None, seed=None,
-                deterministic: bool = True,
-                rng: np.random.Generator | None = None,
-                fixed_design=None, features=default_features) -> dict:
-    """One episode under the current policies; deterministic uses the means."""
-    if rng is None:
-        rng = np.random.default_rng(0)
+def run_episode(env, params: PolicyParams | None, goal=None, seed=None,
+                fixed_design=None, controls=None,
+                features=default_features) -> dict:
+    """One deterministic episode, the loop every method is scored by.
+
+    The design is fixed_design when given, else the designer's mean; control
+    t is controls[t] when an open-loop schedule is given, else the
+    controller's mean. params may be None when both are given.
+    """
     design_feat, control_feat = features(env)
     obs = env.reset(goal=goal, seed=seed)
     if fixed_design is not None:
         act = np.asarray(fixed_design, dtype=np.float64)
     else:
-        mu = forward(params.designer, design_feat(obs))
-        act = mu if deterministic else sample_action(params.designer_head, mu, rng)[0]
+        act = forward(params.designer, design_feat(obs))
     res = env.step_design(act)
     total = res.reward
     obs = res.observation
-    steps = 0
+    c_used = []
     while not env.done:
-        mu = forward(params.controller, control_feat(obs))
-        act = mu if deterministic else sample_action(params.controller_head, mu, rng)[0]
+        if controls is not None:
+            act = controls[len(c_used)]
+        else:
+            act = forward(params.controller, control_feat(obs))
         res = env.step_control(act)
         total += res.reward
+        c_used.append(res.info["c_used"])
         obs = res.observation
-        steps += 1
     return {
         "return": float(total),
         "success": float(res.info["success"]),
-        "steps": steps,
+        "steps": len(c_used),
         "design": env.design.as_array(),
         "d_used": float(res.info["d_used"]),
-        "goal": env.goal,
-        "info": res.info,
+        "mean_c_used": float(np.mean(c_used)) if c_used else 0.0,
     }

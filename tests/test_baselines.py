@@ -25,8 +25,8 @@ from toolsmith.baselines.shared import separate_param_count
 from toolsmith.baselines.single_traj import (
     plan_dim,
     plan_fitness,
-    plan_from_vector,
     single_traj_cmaes,
+    split_plan,
 )
 from toolsmith.envs import default_config, make_env
 from toolsmith.evaluation import evaluate_policy, evaluation_goals
@@ -209,13 +209,13 @@ def test_plan_dims_per_task():
         assert plan_dim(env) == dim
 
 
-def test_plan_from_vector_shapes():
+def test_split_plan_shapes():
     env = make_env(default_config("scoop"))
     vec = np.random.default_rng(0).normal(size=plan_dim(env)) * 0.1
-    plan = plan_from_vector(env, vec)
-    assert plan.open_loop_controls.shape == (30, 3)
-    assert plan.design_action.shape == (5,)
-    assert np.all(np.isfinite(plan.design.as_array()))
+    design_action, controls = split_plan(env, vec)
+    assert controls.shape == (30, 3)
+    assert design_action.shape == (5,)
+    assert np.all(np.isfinite(env.space.realize(design_action).as_array()))
 
 
 def test_plan_fitness_deterministic_on_fixed_goal():
@@ -297,6 +297,18 @@ def test_cma_rl_zero_inner_budget_scores_untrained_controller(tmp_path):
     res = evaluate_policy(env, out["best_params"], goals,
                           fixed_design=out["best_design"])
     assert res["mean_return"] == out["best_fitness"]
+
+
+def test_cma_rl_rerun_is_byte_identical(tmp_path):
+    a_dir, b_dir = tmp_path / "a", tmp_path / "b"
+    for d in (a_dir, b_dir):
+        out = cma_rl("push", total_steps=2000, out_dir=d, seed=6,
+                     cfg=tiny_cfg(), population_size=3, inner_steps=256,
+                     n_eval_goals=2, n_envs=2)
+    assert out["generations"] == 2
+    for name in ("generations.jsonl", "metrics.csv", "checkpoint.json"):
+        with open(a_dir / name, "rb") as fa, open(b_dir / name, "rb") as fb:
+            assert fa.read() == fb.read(), name
 
 
 # ---------------------------------------------------------------------------

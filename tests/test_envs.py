@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -15,7 +14,6 @@ from toolsmith.envs import (
     make_env,
     parse_task_config,
     tradeoff_reward,
-    format_trace_record,
 )
 from toolsmith.envs.base import supported_by_tool
 from toolsmith.geometry import DesignVector, build_tool
@@ -442,16 +440,3 @@ def test_make_env_overrides_and_unknown_task():
     assert env.cfg.tradeoff_k == 1.0
     with pytest.raises(ValueError):
         default_config("juggle")
-
-
-def test_trace_record_format():
-    env = make_env("push")
-    env.reset(goal=(8.0, 10.0), seed=0)
-    res = env.step_design(np.zeros(5))
-    line = format_trace_record(0, DESIGN, np.zeros(5), res)
-    rec = json.loads(line)
-    assert rec["step"] == 0
-    assert rec["phase"] == "design"
-    assert rec["action"] == [0.0] * 5
-    assert rec["done"] is False
-    assert rec["info"]["d_used"] == 6.0

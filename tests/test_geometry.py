@@ -1,6 +1,5 @@
 """Tests for the tool design space, kinematics, and mesh export."""
 
-import json
 import math
 
 import numpy as np
@@ -15,7 +14,6 @@ from toolsmith.geometry import (
     ToolGeometry,
     build_tool,
     clamp_design,
-    design_record,
     export_stl,
     material_length,
     transform_geometry,
@@ -218,17 +216,3 @@ def test_stl_rejects_bad_inputs():
     d = DesignVector(lengths=(1.0, 1.0, 1.0), angles=(0.0, 0.0))
     with pytest.raises(ValueError):
         export_stl(build_tool(d), 0.0)
-
-
-def test_design_record_round_trip():
-    """The export record carries task, goal, shape, and seed as JSON."""
-    d = DesignVector(lengths=(1.0, 2.0, 3.0), angles=(0.5, -0.5))
-    rec = json.loads(design_record("push", (12.0, 7.5), d, seed=42))
-    assert rec["task"] == "push"
-    assert rec["goal"] == [12.0, 7.5]
-    assert rec["lengths"] == [1.0, 2.0, 3.0]
-    assert rec["angles_rad"] == [0.5, -0.5]
-    assert rec["seed"] == 42
-    # scalar goals serialize as a one-element list
-    rec2 = json.loads(design_record("scoop", 4, d, seed=0))
-    assert rec2["goal"] == [4.0]

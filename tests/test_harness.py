@@ -335,6 +335,22 @@ def test_export_tool_is_deterministic(tmp_path, tiny_checkpoint):
     assert out1["record"]["design"] == out2["record"]["design"]
 
 
+def test_export_tool_is_deterministic_on_a_random_scene(tmp_path):
+    """Scoop resets scatter the balls at random, so the designer's input,
+    and with it the exported mesh, depends on the seed of the reset."""
+    from toolsmith.ppo import default_train_config, train
+    cfg = default_train_config("scoop", batch_size=64, minibatch_size=32,
+                               ppo_epochs=1)
+    out = train("scoop", cfg, 1, str(tmp_path / "run"), n_envs=1)
+    stls = []
+    for k in range(2):
+        res = cmd_export_tool(out["checkpoint_path"], (4,),
+                              str(tmp_path / f"t{k}"))
+        with open(res["stl_path"], "rb") as fh:
+            stls.append(fh.read())
+    assert stls[0] == stls[1]
+
+
 def test_export_tool_rejects_bad_goal(tmp_path, tiny_checkpoint):
     with pytest.raises(ValueError, match="workspace"):
         cmd_export_tool(tiny_checkpoint, (40.0, 40.0), str(tmp_path / "t3"))
@@ -346,17 +362,68 @@ def test_export_tool_rejects_bad_goal(tmp_path, tiny_checkpoint):
 # compare command
 # ---------------------------------------------------------------------------
 
-def test_cmd_compare_scores_checkpoints_and_plans(tmp_path, tiny_checkpoint):
-    from toolsmith.baselines import single_traj_cmaes
-    plan_dir = tmp_path / "plan"
-    single_traj_cmaes("push", 2000, str(plan_dir), seed=0)
-    rows = cmd_compare([os.path.dirname(tiny_checkpoint), str(plan_dir)],
-                       str(tmp_path / "cmp"), "push")
-    assert len(rows) == 2
-    assert rows[0]["eval_mean_return"] is not None
-    assert rows[1]["eval_mean_return"] is not None
+@pytest.fixture(scope="module")
+def cma_rl_run(tmp_path_factory):
+    from toolsmith.baselines import cma_rl
+    from toolsmith.ppo import default_train_config
+    cfg = default_train_config("push", batch_size=256, minibatch_size=64,
+                               ppo_epochs=2)
+    return cma_rl("push", total_steps=1,
+                  out_dir=str(tmp_path_factory.mktemp("cma_rl")), seed=0,
+                  cfg=cfg, population_size=3, inner_steps=256,
+                  n_eval_goals=2, n_envs=2)
+
+
+def test_cmd_compare_scores_checkpoints_and_plans(tmp_path, tiny_checkpoint,
+                                                  cma_rl_run):
+    """Every method's artifact is scored, evaluated and exported; finetune
+    takes only separate-network policies and names what it refuses."""
+    from toolsmith.baselines import (hwasp_minimal, shared_arch,
+                                     single_traj_cmaes)
+    from toolsmith.ppo import default_train_config
+    cfg = default_train_config("push", batch_size=256, minibatch_size=64,
+                               ppo_epochs=2)
+    run_dirs = {"ours": os.path.dirname(tiny_checkpoint),
+                "cma_rl": os.path.dirname(cma_rl_run["checkpoint_path"])}
+    for method in ("hwasp", "shared", "single_traj"):
+        run_dirs[method] = str(tmp_path / method)
+    hwasp_minimal("push", cfg, 300, run_dirs["hwasp"], n_envs=4)
+    shared_arch("push", cfg, 300, run_dirs["shared"], n_envs=4)
+    single_traj_cmaes("push", 2000, run_dirs["single_traj"], seed=0)
+
+    rows = cmd_compare(list(run_dirs.values()), str(tmp_path / "cmp"), "push")
+    assert len(rows) == 5
     table = read_csv(str(tmp_path / "cmp" / "compare.csv"))
-    assert len(table) == 3
+    assert len(table) == 6
+
+    artifacts = {}
+    for (method, run_dir), row in zip(run_dirs.items(), rows):
+        name = "best_plan.json" if method == "single_traj" \
+            else "checkpoint.json"
+        artifacts[method] = path = os.path.join(run_dir, name)
+        out = cmd_eval(path, str(tmp_path / "eval" / method), task="push")
+        assert row["eval_mean_return"] == out["report"]["mean_return"], method
+        tool = cmd_export_tool(path, (8.0, 12.0), str(tmp_path / "t" / method))
+        assert os.path.getsize(tool["stl_path"]) > 84
+
+    for method, kind in (("shared", "shared"), ("cma_rl", "fixed-design"),
+                         ("single_traj", "open-loop plan")):
+        with pytest.raises(ValueError, match=kind):
+            cmd_finetune(artifacts[method], str(tmp_path / "ft" / method),
+                         budget=0)
+
+
+def test_cma_rl_checkpoint_evaluates_to_the_searched_design(tmp_path,
+                                                           cma_rl_run):
+    row, = cmd_compare([os.path.dirname(cma_rl_run["checkpoint_path"])],
+                       str(tmp_path / "cmp"), "push")
+    assert row["eval_mean_return"] is not None
+    env = make_env(default_config("push"))
+    out = cmd_eval(cma_rl_run["checkpoint_path"], str(tmp_path / "eval"),
+                   goals=evaluation_goals(env, 2))
+    design = env.space.realize(cma_rl_run["best_design"]).as_array()
+    assert out["report"]["design_mean"] == design.tolist()
+    assert out["report"]["mean_return"] == cma_rl_run["best_fitness"]
 
 
 # ---------------------------------------------------------------------------

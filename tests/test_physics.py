@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from toolsmith.geometry import DesignVector, build_tool
-from toolsmith.physics2d import World, circle_capsule_contact, make_world, raycast_down
+from toolsmith.physics2d import World, circle_capsule_contact
 
 DT = 1.0 / 60.0
 
@@ -356,49 +356,6 @@ def test_determinism_bitwise():
     p2, v2 = run()
     assert np.array_equal(p1, p2)
     assert np.array_equal(v1, v2)
-
-
-def test_raycast_down_matches_dense_sampling():
-    """Raycast heights agree with brute-force sampling over the surfaces."""
-    rng = np.random.default_rng(31)
-    for _ in range(20):
-        w = make_world(gravity=0.0)
-        segs = []
-        for _ in range(3):
-            a = rng.uniform(-3, 3, size=2)
-            b = rng.uniform(-3, 3, size=2)
-            r = float(rng.uniform(0.05, 0.4))
-            w.add_static_capsule(a, b, radius=r)
-            segs.append((a, b, r))
-        x = float(rng.uniform(-3.5, 3.5))
-        got = raycast_down(w, x)
-        best = None
-        for a, b, r in segs:
-            ts = np.linspace(0.0, 1.0, 40001)
-            pts = a + ts[:, None] * (b - a)
-            u = x - pts[:, 0]
-            ok = np.abs(u) <= r
-            if np.any(ok):
-                ys = pts[ok, 1] + np.sqrt(np.maximum(r * r - u[ok] ** 2, 0.0))
-                top = float(np.max(ys))
-                if best is None or top > best:
-                    best = top
-        if best is None:
-            assert got is None
-        else:
-            assert got == pytest.approx(best, abs=1e-5)
-
-
-def test_trace_rows_format():
-    """Trace rows carry (step, body_id, x, y, vx, vy) per circle."""
-    w = World()
-    w.add_circle((1.0, 2.0), velocity=(0.5, -0.5), radius=0.3)
-    w.add_circle((3.0, 4.0), radius=0.3)
-    rows = w.trace_rows(step=7)
-    assert len(rows) == 2
-    assert rows[0][0] == 7 and rows[0][1] == 0
-    assert rows[1][1] == 1
-    assert rows[0][2:] == (1.0, 2.0, 0.5, -0.5)
 
 
 def test_ball_rests_on_collinear_joint():
