@@ -8,7 +8,6 @@ from toolsmith.baselines.hwasp import (
     hwasp_minimal,
 )
 from toolsmith.baselines.shared import (
-    load_shared_params,
     shared_arch,
     shared_features,
     shared_policy,
@@ -27,7 +26,6 @@ __all__ = [
     "constant_designer_policy",
     "frozen_design_weights",
     "hwasp_minimal",
-    "load_shared_params",
     "plan_dim",
     "shared_arch",
     "shared_features",

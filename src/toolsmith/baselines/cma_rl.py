@@ -16,16 +16,18 @@ import numpy as np
 from toolsmith.baselines.cma import cma_search
 from toolsmith.envs import default_config, make_env
 from toolsmith.evaluation import evaluate_policy, evaluation_goals
-from toolsmith.neural import param_count, params_state, save_checkpoint
+from toolsmith.neural import save_checkpoint
 from toolsmith.ppo import (
     Optimizers,
     TrainConfig,
+    checkpoint_record,
     collect_batch,
     config_fingerprint,
     default_train_config,
     policy_for_env,
     ppo_update,
     prepare_batch,
+    seeded_envs,
 )
 
 CHECKPOINT_FILE = "checkpoint.json"
@@ -51,16 +53,13 @@ def cma_rl(task: str, total_steps: int, out_dir, seed: int = 0,
            n_envs: int = 8) -> dict:
     """Run the outer loop until the total env-step budget is spent.
 
-    Saves the best candidate as checkpoint.json in the train schema, plus
+    Saves the best candidate as checkpoint.json: ppo.checkpoint_record plus
     fixed_design (the searched design action) and fitness.
     """
     task_cfg = task_cfg or default_config(task)
     cfg = cfg or default_train_config(task, scale="desk")
     rng = np.random.default_rng(seed)
-    envs = [make_env(task_cfg) for _ in range(n_envs)]
-    seeds = np.random.SeedSequence(seed).spawn(n_envs)
-    for env, ss in zip(envs, seeds):
-        env.reset(seed=ss)
+    envs = seeded_envs(task_cfg, n_envs, seed)
     eval_env = make_env(task_cfg)
     goals = evaluation_goals(eval_env, n_eval_goals)
     inner_total = 0
@@ -81,16 +80,12 @@ def cma_rl(task: str, total_steps: int, out_dir, seed: int = 0,
     best_design = out["best_candidate"]
     best_params = out["best_stats"]["params"]
     ck_path = os.path.join(out_dir, CHECKPOINT_FILE)
+    config_hash = config_fingerprint(task_cfg, cfg, seed, n_envs,
+                                     fixed_design=best_design)
     save_checkpoint(ck_path, {
-        "params": params_state(best_params),
-        "optimizers": out["best_stats"]["optimizers"].state(),
-        "rng_state": rng.bit_generator.state,
-        "env_rng_states": [e._rng.bit_generator.state for e in envs],
-        "env_steps": out["env_steps"],
-        "config_hash": config_fingerprint(task_cfg, cfg, seed, n_envs,
-                                          fixed_design=best_design),
-        "task": eval_env.task_name,
-        "param_count": param_count(best_params),
+        **checkpoint_record(best_params, out["best_stats"]["optimizers"], rng,
+                            envs, out["env_steps"], config_hash,
+                            eval_env.task_name),
         "fixed_design": [float(x) for x in best_design],
         "fitness": out["best_fitness"],
     })

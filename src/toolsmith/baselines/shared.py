@@ -21,8 +21,6 @@ from toolsmith.neural import (
     PolicyParams,
     init_network,
     param_count,
-    params_from_state,
-    load_checkpoint,
 )
 from toolsmith.ppo import TASK_POLICY, TrainConfig, policy_for_env, train
 
@@ -93,11 +91,6 @@ def retie_trunk(params: PolicyParams) -> PolicyParams:
         params.controller.weights[i] = params.designer.weights[i]
         params.controller.biases[i] = params.designer.biases[i]
     return params
-
-
-def load_shared_params(checkpoint_path) -> PolicyParams:
-    state = load_checkpoint(checkpoint_path)
-    return retie_trunk(params_from_state(state["params"]))
 
 
 def shared_arch(task: str, cfg: TrainConfig, total_steps: int, out_dir,

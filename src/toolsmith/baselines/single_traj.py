@@ -29,7 +29,9 @@ def plan_dim(env) -> int:
 def split_plan(env, vector: np.ndarray) -> tuple:
     """(design_action, controls) views of one flat candidate vector."""
     vector = np.asarray(vector, dtype=np.float64)
-    assert vector.shape == (plan_dim(env),)
+    if vector.shape != (plan_dim(env),):
+        raise ValueError(f"a {env.task_name} plan vector has {plan_dim(env)} "
+                         f"entries, got shape {vector.shape}")
     nd = env.design_action_dim
     controls = vector[nd:].reshape(env.cfg.max_episode_steps,
                                    env.control_action_dim)

@@ -11,9 +11,7 @@ from .base import (
     TradeoffConfig,
     default_config,
     dump_task_config,
-    load_task_config,
     make_env,
-    parse_task_config,
     tradeoff_reward,
 )
 
@@ -31,8 +29,6 @@ __all__ = [
     "TradeoffConfig",
     "default_config",
     "dump_task_config",
-    "load_task_config",
     "make_env",
-    "parse_task_config",
     "tradeoff_reward",
 ]

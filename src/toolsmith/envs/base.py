@@ -10,12 +10,20 @@ the episode's design action, which stays in every control observation.
 Rewards: the design step earns only the material/control tradeoff term; each
 control step earns task reward + slack + tradeoff. The tradeoff term is
 K * [1 - (alpha * d_used/d_max + (1-alpha) * c_used/c_max)].
+
+Policy inputs: each task class declares task_center and task_scale (one
+entry per task-observation entry) and goal_center and goal_scale (one per
+goal entry); a task or goal entry x enters as (x - center) / scale.
+design_input is the normalized task followed by the normalized goal;
+control_input puts the design echo, in ratio space, between them;
+value_input prepends a phase flag (0 design, 1 control) to the control
+layout.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -24,7 +32,6 @@ from ..geometry import (
     DesignVector,
     RatioDesignSpace,
     build_tool,
-    material_length,
 )
 from ..physics2d import World
 
@@ -173,7 +180,7 @@ def default_config(task: str, **overrides) -> TaskConfig:
 
 
 # ---------------------------------------------------------------------------
-# Flat key-value config files
+# Config text, hashed into the training fingerprint
 # ---------------------------------------------------------------------------
 
 _TUPLE_FIELDS = {"tool_position_init", "tool_length_init", "tool_length_ratio",
@@ -182,7 +189,7 @@ _INT_FIELDS = {"max_episode_steps", "control_steps_per_action"}
 
 
 def dump_task_config(cfg: TaskConfig) -> str:
-    """Serialize as one `key = value` line per field, tuples comma-separated."""
+    """One `key = value` line per field, tuples comma-separated."""
     lines = []
     for f in fields(TaskConfig):
         v = getattr(cfg, f.name)
@@ -196,42 +203,6 @@ def dump_task_config(cfg: TaskConfig) -> str:
             text = repr(float(v))
         lines.append(f"{f.name} = {text}")
     return "\n".join(lines) + "\n"
-
-
-def parse_task_config(text: str) -> TaskConfig:
-    """Parse the flat key-value format; unknown keys are rejected by name."""
-    known = {f.name for f in fields(TaskConfig)}
-    raw: dict = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in known:
-            raise ValueError(f"unknown config key {key!r}")
-        raw[key] = value
-    if "task" not in raw:
-        raise ValueError("config must name a task")
-    overrides = {}
-    for key, value in raw.items():
-        if key == "task":
-            continue
-        if key in _TUPLE_FIELDS:
-            overrides[key] = tuple(float(p) for p in value.split(","))
-        elif key in _INT_FIELDS:
-            overrides[key] = int(value)
-        else:
-            overrides[key] = float(value)
-    return default_config(raw["task"], **overrides)
-
-
-def load_task_config(path) -> TaskConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_task_config(fh.read())
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +222,11 @@ class ToolTaskEnv:
     control_action_dim: int = 0
     design_action_dim: int = DESIGN_DIM
     task_obs_dim: int = 0
+    # featurization constants, one entry per task-observation / goal entry
+    task_center: np.ndarray = np.zeros(0)
+    task_scale: np.ndarray = np.ones(0)
+    goal_center: np.ndarray = np.zeros(0)
+    goal_scale: np.ndarray = np.ones(0)
 
     def __init__(self, config: TaskConfig):
         if config.task != self.task_name:
@@ -309,7 +285,7 @@ class ToolTaskEnv:
         self._design_echo = design.as_array()
         self.world.set_tool(build_tool(design, radius=TOOL_RADIUS),
                             self.cfg.tool_position_init, angle=math.pi)
-        self._d_used = material_length(design, self.space.bounds).d_used
+        self._d_used = float(sum(design.lengths))
         self._phase = CONTROL
         self._post_design()
         reward = tradeoff_reward(self.tradeoff, self._d_used, 0.0)
@@ -371,7 +347,8 @@ class ToolTaskEnv:
         return info
 
     # -- policy featurization -------------------------------------------------
-    # Inputs are affinely normalized; the design echo enters in ratio space.
+    # Inputs are affinely normalized with the class's declared constants; the
+    # design echo enters in ratio space.
 
     @property
     def design_input_dim(self) -> int:
@@ -390,19 +367,23 @@ class ToolTaskEnv:
             return np.zeros(DESIGN_DIM, dtype=np.float64)
         return self.space.ratio_of(DesignVector.from_array(echo))
 
+    def _normalized(self, obs: Observation) -> tuple:
+        """(task, goal) of an observation as (x - center) / scale."""
+        return ((obs.task - self.task_center) / self.task_scale,
+                (obs.goal - self.goal_center) / self.goal_scale)
+
     def design_input(self, obs: Observation) -> np.ndarray:
-        return np.concatenate([self._scale_task(obs.task), self._scale_goal(obs.goal)])
+        return np.concatenate(self._normalized(obs))
 
     def control_input(self, obs: Observation) -> np.ndarray:
-        return np.concatenate([self._scale_task(obs.task),
-                               self._echo_ratio(obs.design_echo),
-                               self._scale_goal(obs.goal)])
+        task, goal = self._normalized(obs)
+        return np.concatenate([task, self._echo_ratio(obs.design_echo), goal])
 
     def value_input(self, obs: Observation) -> np.ndarray:
         flag = 0.0 if obs.phase == DESIGN else 1.0
-        return np.concatenate([[flag], self._scale_task(obs.task),
-                               self._echo_ratio(obs.design_echo),
-                               self._scale_goal(obs.goal)])
+        task, goal = self._normalized(obs)
+        return np.concatenate([[flag], task, self._echo_ratio(obs.design_echo),
+                               goal])
 
     # -- subclass hooks ---------------------------------------------------
 
@@ -435,12 +416,6 @@ class ToolTaskEnv:
 
     def _task_info(self) -> dict:
         return {}
-
-    def _scale_task(self, task: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _scale_goal(self, goal: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
 
 def supported_by_tool(world: World) -> np.ndarray:

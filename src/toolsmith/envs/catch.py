@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import TaskConfig, ToolTaskEnv, supported_by_tool
+from .base import ToolTaskEnv, supported_by_tool
 
 NUM_BALLS = 3
 BALL_RADIUS = 0.5
@@ -31,9 +31,14 @@ class CatchEnv(ToolTaskEnv):
     goal_dim = 2 * NUM_BALLS
     control_action_dim = 1
     task_obs_dim = 4 * NUM_BALLS + 2
-
-    def __init__(self, config: TaskConfig):
-        super().__init__(config)
+    # ball positions (x, y per ball), ball velocities, tool position
+    task_center = np.concatenate([np.tile([20.0, 14.0], NUM_BALLS),
+                                  np.zeros(2 * NUM_BALLS), [20.0, 14.0]])
+    task_scale = np.concatenate([np.tile([10.0, 8.0], NUM_BALLS),
+                                 np.full(2 * NUM_BALLS, 8.0), [10.0, 8.0]])
+    # spawn xs, then spawn heights
+    goal_center = np.repeat([20.0, 19.0], NUM_BALLS)
+    goal_scale = np.repeat([5.0, 3.0], NUM_BALLS)
 
     def sample_goal(self, rng: np.random.Generator) -> np.ndarray:
         xs = rng.uniform(X_LOW, X_HIGH, size=NUM_BALLS)
@@ -93,19 +98,3 @@ class CatchEnv(ToolTaskEnv):
     def _task_info(self) -> dict:
         return {"caught": int(np.count_nonzero(self._caught)),
                 "lost": int(np.count_nonzero(self._lost))}
-
-    def _scale_task(self, task: np.ndarray) -> np.ndarray:
-        out = task.astype(np.float64).copy()
-        p = 2 * NUM_BALLS
-        out[0:p:2] = (out[0:p:2] - 20.0) / 10.0
-        out[1:p:2] = (out[1:p:2] - 14.0) / 8.0
-        out[p:2 * p] = out[p:2 * p] / 8.0
-        out[2 * p] = (out[2 * p] - 20.0) / 10.0
-        out[2 * p + 1] = (out[2 * p + 1] - 14.0) / 8.0
-        return out
-
-    def _scale_goal(self, goal: np.ndarray) -> np.ndarray:
-        out = goal.astype(np.float64).copy()
-        out[:NUM_BALLS] = (out[:NUM_BALLS] - 20.0) / 5.0
-        out[NUM_BALLS:] = (out[NUM_BALLS:] - 19.0) / 3.0
-        return out

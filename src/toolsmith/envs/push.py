@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import TaskConfig, ToolTaskEnv
+from .base import ToolTaskEnv
 
 PUCK_START = (13.0, 10.0)
 PUCK_RADIUS = 0.6
@@ -29,9 +29,11 @@ class PushEnv(ToolTaskEnv):
     goal_dim = 2
     control_action_dim = 2
     task_obs_dim = 6
-
-    def __init__(self, config: TaskConfig):
-        super().__init__(config)
+    # puck position, puck velocity, tool position
+    task_center = np.array([10.0, 10.0, 0.0, 0.0, 10.0, 10.0])
+    task_scale = np.array([10.0, 10.0, 6.0, 6.0, 10.0, 10.0])
+    goal_center = np.array([10.0, 10.0])
+    goal_scale = np.array([10.0, 10.0])
 
     def sample_goal(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(GOAL_LOW, GOAL_HIGH)
@@ -78,13 +80,3 @@ class PushEnv(ToolTaskEnv):
 
     def _task_info(self) -> dict:
         return {"goal_dist": self._goal_dist()}
-
-    def _scale_task(self, task: np.ndarray) -> np.ndarray:
-        out = task.astype(np.float64).copy()
-        out[0:2] = (out[0:2] - 10.0) / 10.0
-        out[2:4] = out[2:4] / 6.0
-        out[4:6] = (out[4:6] - 10.0) / 10.0
-        return out
-
-    def _scale_goal(self, goal: np.ndarray) -> np.ndarray:
-        return (goal - 10.0) / 10.0

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import TaskConfig, ToolTaskEnv, supported_by_tool
+from .base import ToolTaskEnv, supported_by_tool
 
 NUM_BALLS = 40
 BALL_RADIUS = 0.25
@@ -28,9 +28,14 @@ class ScoopEnv(ToolTaskEnv):
     goal_dim = 1
     control_action_dim = 3
     task_obs_dim = 4 * NUM_BALLS + 4
-
-    def __init__(self, config: TaskConfig):
-        super().__init__(config)
+    # ball positions (x, y per ball), ball velocities, tool position, then
+    # the tool heading's cosine and sine, which enter unscaled
+    task_center = np.concatenate([np.tile([10.0, 7.0], NUM_BALLS),
+                                  np.zeros(2 * NUM_BALLS), [10.0, 7.0],
+                                  [0.0, 0.0]])
+    task_scale = np.concatenate([np.full(4 * NUM_BALLS + 2, 6.0), [1.0, 1.0]])
+    goal_center = np.array([4.0])
+    goal_scale = np.array([3.0])
 
     def sample_goal(self, rng: np.random.Generator) -> np.ndarray:
         return np.array([float(rng.integers(GOAL_MIN, GOAL_MAX + 1))])
@@ -87,16 +92,3 @@ class ScoopEnv(ToolTaskEnv):
 
     def _task_info(self) -> dict:
         return {"scooped": self._scooped_count()}
-
-    def _scale_task(self, task: np.ndarray) -> np.ndarray:
-        out = task.astype(np.float64).copy()
-        p = 2 * NUM_BALLS
-        out[0:p:2] = (out[0:p:2] - 10.0) / 6.0
-        out[1:p:2] = (out[1:p:2] - 7.0) / 6.0
-        out[p:2 * p] = out[p:2 * p] / 6.0
-        out[2 * p] = (out[2 * p] - 10.0) / 6.0
-        out[2 * p + 1] = (out[2 * p + 1] - 7.0) / 6.0
-        return out
-
-    def _scale_goal(self, goal: np.ndarray) -> np.ndarray:
-        return (goal - 4.0) / 3.0

@@ -3,8 +3,8 @@
 A tool is a serial chain of three capsule links. Its shape is described by a
 design vector of three link lengths and two relative joint angles. This module
 owns the design space (ratio parameterization, bounds, clamping), the forward
-kinematics that turn a design vector into world-frame segments, material
-accounting, and mesh export for fabrication.
+kinematics that turn a design vector into world-frame segments, and mesh
+export for fabrication.
 """
 
 from __future__ import annotations
@@ -124,10 +124,6 @@ class ToolGeometry:
     segments: np.ndarray
     radius: float
 
-    def endpoints(self) -> np.ndarray:
-        """Chain joint positions, shape (NUM_LINKS + 1, 2)."""
-        return np.vstack([self.segments[0, 0], self.segments[:, 1]])
-
 
 def build_tool(design: DesignVector, radius: float = 0.1,
                anchor=(0.0, 0.0), base_angle: float = 0.0) -> ToolGeometry:
@@ -146,31 +142,6 @@ def build_tool(design: DesignVector, radius: float = 0.1,
         segs[i, 1] = end
         pos = end
     return ToolGeometry(segments=segs, radius=float(radius))
-
-
-def transform_geometry(geom: ToolGeometry, position, angle: float) -> ToolGeometry:
-    """Rigidly place a tool built at the origin: rotate by angle, then translate."""
-    c, s = math.cos(angle), math.sin(angle)
-    rot = np.array([[c, -s], [s, c]])
-    pts = geom.segments.reshape(-1, 2) @ rot.T + np.asarray(position, dtype=np.float64)
-    return ToolGeometry(segments=pts.reshape(geom.segments.shape), radius=geom.radius)
-
-
-@dataclass(frozen=True)
-class MaterialReport:
-    """Material used by a design against the budget implied by its bounds."""
-
-    d_used: float
-    d_max: float
-
-    @property
-    def fraction(self) -> float:
-        return self.d_used / self.d_max
-
-
-def material_length(design: DesignVector, bounds: DesignBounds) -> MaterialReport:
-    """Total link length of a design; d_max comes from the bounds box."""
-    return MaterialReport(d_used=float(sum(design.lengths)), d_max=bounds.d_max)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ reruns are byte-identical.
 Artifact contract: each method leaves one artifact per seed directory, and
 _load_for_eval reads it for eval, compare, export-tool and finetune.
 
-- ours, hwasp, shared: checkpoint.json from ppo.train (params, optimizers,
+- ours, hwasp, shared: checkpoint.json from ppo.train, holding the shared
+  checkpoint record of ppo.checkpoint_record (params, optimizers,
   rng_state, env_rng_states, env_steps, config_hash, task, param_count).
-- cma_rl: checkpoint.json with those keys for the best candidate, plus
+- cma_rl: checkpoint.json with that record for the best candidate, plus
   fixed_design (the searched design action) and fitness.
 - single_traj: best_plan.json with task, fitness and vector (the design
   action, then every control action).
@@ -56,6 +57,7 @@ from toolsmith.ppo import (
     policy_for_env,
     ppo_update,
     prepare_batch,
+    seeded_envs,
     train,
 )
 
@@ -169,6 +171,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown method {self.method!r}; expected {METHODS}")
         if len(self.seeds) == 0:
             raise ValueError("at least one seed is required")
+        if self.n_envs < 1:
+            raise ValueError(f"n_envs must be at least 1, got {self.n_envs}")
+        if self.total_steps < 1:
+            raise ValueError(
+                f"total_steps must be at least 1, got {self.total_steps}")
         if self.cutout_fraction not in ALLOWED_FRACTIONS:
             raise ValueError(
                 f"cutout fraction {self.cutout_fraction} not one of "
@@ -461,10 +468,7 @@ def _finetune_arm(env_template, params, cfg, goals, budget: int, seed: int,
                   csv_path, label: str) -> dict:
     """Train on the fixed goal set for budget updates, logging eval curves."""
     task_cfg = env_template.cfg
-    n_envs = 4
-    envs = [make_env(task_cfg) for _ in range(n_envs)]
-    for env, ss in zip(envs, np.random.SeedSequence(seed).spawn(n_envs)):
-        env.reset(seed=ss)
+    envs = seeded_envs(task_cfg, 4, seed)
     rng = np.random.default_rng(seed)
     goal_arr = [np.asarray(g, dtype=np.float64) for g in goals]
 

@@ -18,42 +18,10 @@ import numpy as np
 
 from .geometry import ToolGeometry
 
-
-@dataclass(frozen=True)
-class Contact:
-    """One circle-capsule contact: normal points from the capsule to the circle."""
-
-    normal: tuple[float, float]
-    depth: float
-    point: tuple[float, float]
-
-
-def circle_capsule_contact(center, r: float, seg_a, seg_b,
-                           capsule_radius: float) -> Contact | None:
-    """Contact between a circle and a capsule, or None when separated."""
-    if r <= 0.0:
-        raise ValueError("circle radius must be positive")
-    ax, ay = float(seg_a[0]), float(seg_a[1])
-    abx = float(seg_b[0]) - ax
-    aby = float(seg_b[1]) - ay
-    cx, cy = float(center[0]), float(center[1])
-    length2 = abx * abx + aby * aby
-    if length2 < 1e-18:
-        t = 0.0
-    else:
-        t = min(max(((cx - ax) * abx + (cy - ay) * aby) / length2, 0.0), 1.0)
-    px, py = ax + t * abx, ay + t * aby
-    dx, dy = cx - px, cy - py
-    dist = math.hypot(dx, dy)
-    depth = (r + capsule_radius) - dist
-    if depth <= 0.0:
-        return None
-    if dist > 1e-9:
-        nx, ny = dx / dist, dy / dist
-    else:
-        nx, ny = 0.0, 1.0
-    return Contact(normal=(nx, ny), depth=depth,
-                   point=(px + nx * capsule_radius, py + ny * capsule_radius))
+VELOCITY_ITERATIONS = 4       # accumulated-impulse sweeps per step
+BAUMGARTE = 0.2               # share of penetration removed per step
+SLOP = 0.005                  # penetration left uncorrected
+RESTITUTION_THRESHOLD = 1.0   # slower approaches do not bounce
 
 
 @dataclass
@@ -86,21 +54,12 @@ class World:
 
     def __init__(self, gravity=(0.0, -9.8), dt: float = 1.0 / 60.0,
                  friction: float = 0.5, restitution_circle: float = 0.1,
-                 restitution_surface: float = 0.0,
-                 velocity_iterations: int = 4,
-                 baumgarte: float = 0.2, slop: float = 0.005,
-                 restitution_threshold: float = 1.0):
-        if np.isscalar(gravity):
-            gravity = (0.0, float(gravity))
+                 restitution_surface: float = 0.0):
         self.gravity = np.asarray(gravity, dtype=np.float64)
         self.dt = float(dt)
         self.friction = float(friction)
         self.restitution_circle = float(restitution_circle)
         self.restitution_surface = float(restitution_surface)
-        self.velocity_iterations = int(velocity_iterations)
-        self.baumgarte = float(baumgarte)
-        self.slop = float(slop)
-        self.restitution_threshold = float(restitution_threshold)
 
         self.pos = np.empty((0, 2), dtype=np.float64)
         self.vel = np.empty((0, 2), dtype=np.float64)
@@ -118,7 +77,6 @@ class World:
         self.tool_velocity = np.zeros(2, dtype=np.float64)
         self.tool_angular_velocity = 0.0
 
-        self.steps_done = 0
         self.contacts = ContactBatch()
         self._upper_mask: np.ndarray | None = None
         self._surf_cache: tuple | None = None
@@ -191,7 +149,6 @@ class World:
         self.contacts = self._detect_contacts()
         self._solve_velocity(self.contacts)
         self._correct_positions(self.contacts)
-        self.steps_done += 1
 
     # -- internals ----------------------------------------------------------
 
@@ -256,7 +213,6 @@ class World:
                 batch.cs_is_tool = is_tool[si]
                 batch.cs_normal = nrm
                 batch.cs_depth = overlap[ci, si]
-                batch.cs_impulse = np.zeros(ci.size)
                 if ci.size > 1 and np.any(ci[1:] == ci[:-1]):
                     same = ci[:, None] == ci[None, :]
                     agree = np.maximum(nrm @ nrm.T, 0.0)
@@ -284,7 +240,6 @@ class World:
                 batch.cc_b = ib
                 batch.cc_normal = nrm
                 batch.cc_depth = rsum[ia, ib] - d
-                batch.cc_impulse = np.zeros(ia.size)
         return batch
 
     def _surface_point_velocity(self, batch: ContactBatch) -> np.ndarray:
@@ -306,94 +261,71 @@ class World:
     def _solve_velocity(self, batch: ContactBatch) -> None:
         """Accumulated-impulse sweeps over all contacts as one constraint batch.
 
-        Circle-surface rows treat the surface as a virtual body with fixed
-        velocity and zero inverse mass, so both contact kinds share the same
-        normal/friction arithmetic and a single scatter per sweep.
+        Rows are the circle-surface contacts, then the circle-circle ones.
+        A surface is a virtual body with fixed velocity and zero inverse
+        mass, so both kinds share the same normal/friction arithmetic and a
+        single scatter per sweep.
         """
         m_cs = batch.cs_circle.size
-        m_cc = batch.cc_a.size
-        m = m_cs + m_cc
+        m = m_cs + batch.cc_a.size
         if m == 0:
             return
-        mu = self.friction
         n = self.num_circles
         vel = self.vel
 
-        ja = np.concatenate([batch.cs_circle, batch.cc_a]) if m_cc else batch.cs_circle
-        if m_cs:
-            normals = np.vstack([batch.cs_normal, batch.cc_normal]) if m_cc else batch.cs_normal
-        else:
-            ja = batch.cc_a
-            normals = batch.cc_normal
-        nx, ny = normals[:, 0].copy(), normals[:, 1].copy()
+        ja = np.concatenate([batch.cs_circle, batch.cc_a])
+        jb = np.concatenate([n + np.arange(m_cs), batch.cc_b])
+        normal = np.concatenate([batch.cs_normal, batch.cc_normal])
+        nx, ny = normal[:, 0], normal[:, 1]
+        tangent = normal[:, ::-1] * (-1.0, 1.0)
         wa = self.inv_mass[ja]
         wb = np.zeros(m)
-        if m_cc:
-            wb[m_cs:] = self.inv_mass[batch.cc_b]
-        w_eff = wa + wb
-        coeff = 1.0 / w_eff
-        if m_cs:
-            coeff[:m_cs] *= batch.cs_scale
-
-        # virtual-body velocities: slots [0:n] mirror the circles each sweep,
-        # slots [n:n+m_cs] hold constant surface velocities
-        vx = np.empty(n + max(m_cs, 1))
-        vy = np.empty(n + max(m_cs, 1))
-        jb = np.empty(m, dtype=np.int64)
-        if m_cs:
-            v_surf = self._surface_point_velocity(batch)
-            vx[n:n + m_cs] = v_surf[:, 0]
-            vy[n:n + m_cs] = v_surf[:, 1]
-            jb[:m_cs] = n + np.arange(m_cs)
-        if m_cc:
-            jb[m_cs:] = batch.cc_b
-
-        vx[:n] = vel[:, 0]
-        vy[:n] = vel[:, 1]
-        vn0 = (vx[ja] - vx[jb]) * nx + (vy[ja] - vy[jb]) * ny
+        wb[m_cs:] = self.inv_mass[batch.cc_b]
+        coeff = 1.0 / (wa + wb)
+        coeff[:m_cs] *= batch.cs_scale
         restitution = np.empty(m)
         restitution[:m_cs] = self.restitution_surface
         restitution[m_cs:] = self.restitution_circle
-        bounce = np.where(vn0 < -self.restitution_threshold, -restitution * vn0, 0.0)
 
-        scatter_idx = np.concatenate([ja, batch.cc_b]) if m_cc else ja
+        # body velocities: slots [0:n] mirror the circles after each sweep,
+        # slots [n:n+m_cs] hold constant surface velocities
+        v = np.concatenate([vel, self._surface_point_velocity(batch)])
+        # every row pushes body a and, oppositely, body b; bins are
+        # 2 * body + axis, and what lands on surface slots is dropped
+        bins = (2 * np.concatenate([ja, jb])[:, None] + (0, 1)).ravel()
+        push = np.concatenate([wa, -wb]).reshape(2, m, 1)
+
+        mu = self.friction
         acc_n = np.zeros(m)
         acc_t = np.zeros(m)
-        for _ in range(self.velocity_iterations):
-            vx[:n] = vel[:, 0]
-            vy[:n] = vel[:, 1]
-            rvx = vx[ja] - vx[jb]
-            rvy = vy[ja] - vy[jb]
-            vn = rvx * nx + rvy * ny
+        bounce = None
+        for _ in range(VELOCITY_ITERATIONS):
+            rv = v.take(ja, 0) - v.take(jb, 0)
+            vn = rv[:, 0] * nx + rv[:, 1] * ny
+            if bounce is None:  # restitution targets the speed before any impulse
+                bounce = np.where(vn < -RESTITUTION_THRESHOLD, -restitution * vn, 0.0)
             dj = (bounce - vn) * coeff
             new = np.maximum(acc_n + dj, 0.0)
             dj = new - acc_n
             acc_n = new
-            vt = -rvx * ny + rvy * nx
+            vt = -rv[:, 0] * ny + rv[:, 1] * nx
             djt = -vt * coeff
             cap = mu * acc_n
             newt = np.minimum(np.maximum(acc_t + djt, -cap), cap)
             djt = newt - acc_t
             acc_t = newt
-            jx = dj * nx - djt * ny
-            jy = dj * ny + djt * nx
-            if m_cc:
-                wx = np.concatenate([jx * wa, -jx[m_cs:] * wb[m_cs:]])
-                wy = np.concatenate([jy * wa, -jy[m_cs:] * wb[m_cs:]])
-            else:
-                wx, wy = jx * wa, jy * wa
-            vel[:, 0] += np.bincount(scatter_idx, weights=wx, minlength=n)
-            vel[:, 1] += np.bincount(scatter_idx, weights=wy, minlength=n)
+            impulse = dj[:, None] * normal + djt[:, None] * tangent
+            vel += np.bincount(bins, weights=(push * impulse).ravel(),
+                               minlength=2 * n)[:2 * n].reshape(n, 2)
+            v[:n] = vel
 
-        if m_cs:
-            batch.cs_impulse = acc_n[:m_cs]
-            batch.cs_impulse_t = acc_t[:m_cs]
-        if m_cc:
-            batch.cc_impulse = acc_n[m_cs:]
-            batch.cc_impulse_t = acc_t[m_cs:]
+        batch.cs_impulse = acc_n[:m_cs]
+        batch.cs_impulse_t = acc_t[:m_cs]
+        batch.cc_impulse = acc_n[m_cs:]
+        batch.cc_impulse_t = acc_t[m_cs:]
 
     def _correct_positions(self, batch: ContactBatch) -> None:
-        beta, slop = self.baumgarte, self.slop
+        beta, slop = BAUMGARTE, SLOP
         n = self.num_circles
         if batch.cs_circle.size:
             ci = batch.cs_circle

@@ -573,17 +573,53 @@ def _append_csv(path, header, row) -> None:
         w.writerow(row)
 
 
+def _drop_rows_after(path, env_steps: int) -> None:
+    """Remove the rows of a curve CSV logged past env_steps."""
+    if not os.path.exists(path):
+        return
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(
+            rows[:1] + [r for r in rows[1:] if int(r[0]) <= env_steps])
+
+
+def seeded_envs(task_cfg: TaskConfig, n_envs: int, seed: int) -> list:
+    """n_envs environments, each reset with its own child of SeedSequence(seed)."""
+    envs = [make_env(task_cfg) for _ in range(n_envs)]
+    for env, ss in zip(envs, np.random.SeedSequence(seed).spawn(n_envs)):
+        env.reset(seed=ss)
+    return envs
+
+
+def checkpoint_record(params: PolicyParams, optimizers: Optimizers,
+                      rng: np.random.Generator, envs: list, env_steps: int,
+                      config_hash: str, task: str) -> dict:
+    """The keys every checkpoint.json holds; train resumes from them."""
+    return {
+        "params": params_state(params),
+        "optimizers": optimizers.state(),
+        "rng_state": rng.bit_generator.state,
+        "env_rng_states": [e._rng.bit_generator.state for e in envs],
+        "env_steps": env_steps,
+        "config_hash": config_hash,
+        "task": task,
+        "param_count": param_count(params),
+    }
+
+
 def train(task: str, cfg: TrainConfig, total_steps: int, out_dir,
           seed: int = 0, task_cfg: TaskConfig | None = None, n_envs: int = 16,
           goal_sampler=None, params: PolicyParams | None = None,
-          resume: bool = False, fixed_design=None, freeze=(),
-          features=default_features, policy_overrides=None) -> dict:
+          resume: bool = False, freeze=(), features=default_features,
+          policy_overrides=None) -> dict:
     """Alternate collect/update until total_steps env steps; log and checkpoint.
 
     Writes metrics.csv (fixed header) and design_means.csv under out_dir, plus
-    a resumable checkpoint.json.  fixed_design bypasses the designer during
-    collection; freeze lists parameter arrays excluded from policy updates;
-    policy_overrides adjusts the freshly built policy when params is None.
+    a resumable checkpoint.json. A resume drops curve rows logged after the
+    checkpoint, so they are not repeated. freeze lists parameter arrays
+    excluded from policy updates; policy_overrides adjusts the freshly built
+    policy when params is None.
     """
     os.makedirs(out_dir, exist_ok=True)
     task_cfg = task_cfg or default_config(task)
@@ -591,14 +627,10 @@ def train(task: str, cfg: TrainConfig, total_steps: int, out_dir,
     means_path = os.path.join(out_dir, "design_means.csv")
     ck_path = os.path.join(out_dir, "checkpoint.json")
     fingerprint = config_fingerprint(task_cfg, cfg, seed, n_envs,
-                                     fixed_design=fixed_design,
                                      policy_overrides=policy_overrides)
 
     rng = np.random.default_rng(seed)
-    seeds = np.random.SeedSequence(seed).spawn(n_envs)
-    envs = [make_env(task_cfg) for _ in range(n_envs)]
-    for env, ss in zip(envs, seeds):
-        env.reset(seed=ss)
+    envs = seeded_envs(task_cfg, n_envs, seed)
 
     env_steps = 0
     if params is None:
@@ -620,29 +652,22 @@ def train(task: str, cfg: TrainConfig, total_steps: int, out_dir,
     # freshly decoded parameters after a resume
     freeze_list = list(freeze(params)) if callable(freeze) else list(freeze)
     optimizers = Optimizers(params, cfg, freeze=freeze_list)
+    for path in (metrics_path, means_path):
+        if resumed:
+            _drop_rows_after(path, env_steps)
+        elif os.path.exists(path):
+            os.remove(path)
     if resumed:
         optimizers.load_state(state["optimizers"])
-    if not resumed:
-        for path in (metrics_path, means_path):
-            if os.path.exists(path):
-                os.remove(path)
 
     def save(env_steps: int) -> None:
-        save_checkpoint(ck_path, {
-            "params": params_state(params),
-            "optimizers": optimizers.state(),
-            "rng_state": rng.bit_generator.state,
-            "env_rng_states": [e._rng.bit_generator.state for e in envs],
-            "env_steps": env_steps,
-            "config_hash": fingerprint,
-            "task": task,
-            "param_count": param_count(params),
-        })
+        save_checkpoint(ck_path, checkpoint_record(
+            params, optimizers, rng, envs, env_steps, fingerprint, task))
 
     batches = 0
     while env_steps < total_steps:
         trajs = collect_batch(envs, params, cfg, rng, goal_sampler,
-                              fixed_design=fixed_design, features=features)
+                              features=features)
         batch = prepare_batch(trajs, cfg)
         env_steps += batch.env_steps
         params, stats = ppo_update(params, batch, cfg, optimizers, rng)

@@ -16,12 +16,11 @@ from toolsmith.baselines import (
     constant_designer_policy,
     frozen_design_weights,
     hwasp_minimal,
-    load_shared_params,
     shared_arch,
     shared_features,
     shared_policy,
 )
-from toolsmith.baselines.shared import separate_param_count
+from toolsmith.baselines.shared import retie_trunk, separate_param_count
 from toolsmith.baselines.single_traj import (
     plan_dim,
     plan_fitness,
@@ -34,8 +33,10 @@ from toolsmith.neural import (
     clone_params,
     forward,
     gaussian_logprob,
+    load_checkpoint,
     param_count,
     parameters,
+    params_from_state,
 )
 from toolsmith.ppo import (
     METRICS_HEADER,
@@ -216,6 +217,12 @@ def test_split_plan_shapes():
     assert controls.shape == (30, 3)
     assert design_action.shape == (5,)
     assert np.all(np.isfinite(env.space.realize(design_action).as_array()))
+
+
+def test_split_plan_rejects_wrong_length():
+    env = make_env(default_config("push"))
+    with pytest.raises(ValueError, match=str(plan_dim(env))):
+        split_plan(env, np.zeros(plan_dim(env) - 1))
 
 
 def test_plan_fitness_deterministic_on_fixed_goal():
@@ -447,7 +454,8 @@ def test_shared_arch_trains_and_reties_from_checkpoint(tmp_path):
     out = shared_arch("push", cfg, total_steps=256, out_dir=tmp_path,
                       seed=6, n_envs=2)
     assert out["param_count"] >= out["separate_param_count"]
-    loaded = load_shared_params(out["checkpoint_path"])
+    state = load_checkpoint(out["checkpoint_path"])
+    loaded = retie_trunk(params_from_state(state["params"]))
     assert loaded.controller.weights[0] is loaded.designer.weights[0]
     live = out["params"]
     for a, b in zip(parameters(loaded.designer), parameters(live.designer)):

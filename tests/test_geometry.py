@@ -15,8 +15,6 @@ from toolsmith.geometry import (
     build_tool,
     clamp_design,
     export_stl,
-    material_length,
-    transform_geometry,
 )
 
 from _stl import is_watertight, read_stl, signed_volume
@@ -52,15 +50,14 @@ def unit_bounds():
 def test_straight_chain_tip():
     """Zero angles lay the links along +x with tip at the total length."""
     d = DesignVector(lengths=(2.0, 1.5, 0.5), angles=(0.0, 0.0))
-    geom = build_tool(d)
-    tip = geom.endpoints()[-1]
+    tip = build_tool(d).segments[-1, 1]
     assert np.allclose(tip, [4.0, 0.0], atol=1e-12)
 
 
 def test_right_angle_chain_tip():
     """Unit links with two right-angle joints end at (0, 1)."""
     d = DesignVector(lengths=(1.0, 1.0, 1.0), angles=(math.pi / 2, math.pi / 2))
-    tip = build_tool(d).endpoints()[-1]
+    tip = build_tool(d).segments[-1, 1]
     assert np.allclose(tip, [0.0, 1.0], atol=1e-12)
 
 
@@ -71,9 +68,10 @@ def test_forward_kinematics_matches_reference():
         lengths = tuple(rng.uniform(0.2, 5.0, size=3))
         angles = tuple(rng.uniform(-math.pi, math.pi, size=2))
         d = DesignVector(lengths=lengths, angles=angles)
-        got = build_tool(d).endpoints()
-        want = fk_reference(lengths, angles)
-        assert np.allclose(got, want, atol=1e-12)
+        segs = build_tool(d).segments
+        want = np.array(fk_reference(lengths, angles))
+        assert np.allclose(segs[:, 0], want[:-1], atol=1e-12)
+        assert np.allclose(segs[:, 1], want[1:], atol=1e-12)
 
 
 def test_rotation_equivariance():
@@ -84,16 +82,9 @@ def test_rotation_equivariance():
                          angles=tuple(rng.uniform(-1.5, 1.5, size=2)))
         phi = float(rng.uniform(-math.pi, math.pi))
         direct = build_tool(d, base_angle=phi)
-        rotated = transform_geometry(build_tool(d), (0.0, 0.0), phi)
-        assert np.allclose(direct.segments, rotated.segments, atol=1e-12)
-
-
-def test_transform_translates_after_rotation():
-    """Placement rotates about the anchor first, then translates."""
-    d = DesignVector(lengths=(1.0, 1.0, 1.0), angles=(0.0, 0.0))
-    placed = transform_geometry(build_tool(d), (5.0, 2.0), math.pi)
-    assert np.allclose(placed.segments[0, 0], [5.0, 2.0], atol=1e-12)
-    assert np.allclose(placed.endpoints()[-1], [2.0, 2.0], atol=1e-12)
+        c, s = math.cos(phi), math.sin(phi)
+        rotated = build_tool(d).segments @ np.array([[c, s], [-s, c]])
+        assert np.allclose(direct.segments, rotated, atol=1e-12)
 
 
 def test_clamp_is_idempotent():
@@ -154,13 +145,8 @@ def test_ratio_of_inverts_realize():
 
 
 def test_material_length():
-    """d_used sums link lengths, d_max sums the length upper bounds."""
-    bounds = unit_bounds()
-    d = DesignVector(lengths=(1.5, 2.0, 2.5), angles=(0.1, 0.2))
-    rep = material_length(d, bounds)
-    assert rep.d_used == pytest.approx(6.0)
-    assert rep.d_max == pytest.approx(9.0)
-    assert rep.fraction == pytest.approx(6.0 / 9.0)
+    """The material budget d_max sums the length upper bounds."""
+    assert unit_bounds().d_max == pytest.approx(9.0)
 
 
 def test_stl_size_single_link():

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from toolsmith.baselines.single_traj import plan_dim
 from toolsmith.cli import main as cli_main
 from toolsmith.envs import default_config, make_env
 from toolsmith.evaluation import evaluation_goals, evaluate_policy
@@ -132,6 +133,12 @@ def test_zero_seeds_rejected():
 def test_unknown_method_rejected():
     with pytest.raises(ValueError, match="no_such"):
         config_from_dict({"task": "push", "method": "no_such"})
+
+
+@pytest.mark.parametrize("key", ["n_envs", "total_steps"])
+def test_nonpositive_sizes_rejected(key):
+    with pytest.raises(ValueError, match=key):
+        config_from_dict({"task": "push", key: 0})
 
 
 def test_train_keys_route_into_train_config():
@@ -466,6 +473,33 @@ def test_cli_reports_config_errors(tmp_path, capsys):
                    "--opt", "bogus_key=1"])
     assert rc == 2
     assert "bogus_key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,method", [("--n-envs", "ours"),
+                                         ("--total-steps", "ours"),
+                                         ("--total-steps", "single_traj")])
+def test_cli_rejects_zero_sizes_before_running(tmp_path, capsys, flag, method):
+    out_dir = tmp_path / "run"
+    rc = cli_main(["train", "--task", "push", "--method", method,
+                   "--seeds", "0", flag, "0", "--out-dir", str(out_dir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert flag[2:].replace("-", "_") in err
+    assert not out_dir.exists()
+
+
+def test_cli_eval_rejects_truncated_plan(tmp_path, capsys):
+    env = make_env(default_config("push"))
+    plan = tmp_path / "best_plan.json"
+    plan.write_text(json.dumps({"task": "push", "fitness": 0.0,
+                                "vector": [0.0] * (plan_dim(env) - 2)}))
+    rc = cli_main(["eval", "--checkpoint", str(plan),
+                   "--out-dir", str(tmp_path / "eval")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert str(plan_dim(env)) in err
 
 
 def test_cli_output_root_env_var(tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from toolsmith.geometry import DesignVector, build_tool
-from toolsmith.physics2d import World, circle_capsule_contact
+from toolsmith.physics2d import BAUMGARTE, SLOP, World
 
 DT = 1.0 / 60.0
 
@@ -17,7 +17,7 @@ def flat_floor(world: World, y: float = 0.0, r: float = 0.1, span: float = 100.0
 
 def test_semi_implicit_euler_one_step():
     """One step from rest: velocity updates first, position uses the new velocity."""
-    w = World(gravity=-9.8, dt=0.1)
+    w = World(gravity=(0.0, -9.8), dt=0.1)
     w.add_circle((0.0, 10.0), radius=0.5)
     w.step()
     assert w.vel[0, 1] == pytest.approx(-0.98, abs=1e-12)
@@ -26,7 +26,7 @@ def test_semi_implicit_euler_one_step():
 
 def test_free_fall_matches_closed_form():
     """k steps of free fall follow the exact discrete recurrence."""
-    w = World(gravity=-9.8, dt=DT)
+    w = World(gravity=(0.0, -9.8), dt=DT)
     w.add_circle((3.0, 50.0), velocity=(2.0, 0.0), radius=0.3)
     k = 40
     for _ in range(k):
@@ -40,7 +40,7 @@ def test_free_fall_matches_closed_form():
 
 def test_linear_damping():
     """Damping scales velocity by (1 - c dt) each step before moving."""
-    w = World(gravity=0.0, dt=DT)
+    w = World(gravity=(0.0, 0.0), dt=DT)
     w.add_circle((0.0, 5.0), velocity=(6.0, 0.0), radius=0.5, damping=1.2)
     w.step()
     assert w.vel[0, 0] == pytest.approx(6.0 * (1.0 - 1.2 * DT), abs=1e-12)
@@ -66,36 +66,26 @@ def test_zero_gravity_zero_velocity_fixed_point():
     assert np.array_equal(w.vel[0], [0.0, 0.0])
 
 
+def contact_after_one_step(center, radius):
+    """Contacts of a resting circle over a capsule from (-1, 0) to (1, 0)."""
+    w = World(gravity=(0.0, 0.0), dt=DT)
+    w.add_static_capsule((-1.0, 0.0), (1.0, 0.0), radius=0.1)
+    w.add_circle(center, radius=radius)
+    w.step()
+    return w.contacts
+
+
 def test_circle_capsule_contact_separated():
     """A gap of 1.4 produces no contact."""
-    assert circle_capsule_contact((0.0, 2.0), 0.5, (-1.0, 0.0), (1.0, 0.0), 0.1) is None
+    assert contact_after_one_step((0.0, 2.0), 0.5).cs_circle.size == 0
 
 
 def test_circle_capsule_contact_overlap():
     """Overlap of 0.1 yields an upward normal and that depth."""
-    c = circle_capsule_contact((0.0, 0.5), 0.5, (-1.0, 0.0), (1.0, 0.0), 0.1)
-    assert c is not None
-    assert c.normal == pytest.approx((0.0, 1.0))
-    assert c.depth == pytest.approx(0.1, abs=1e-12)
-    assert c.point == pytest.approx((0.0, 0.1), abs=1e-12)
-
-
-def test_circle_capsule_contact_matches_dense_sampling():
-    """Contact decision and depth agree with a dense segment scan."""
-    rng = np.random.default_rng(17)
-    for _ in range(200):
-        a = rng.uniform(-3, 3, size=2)
-        b = rng.uniform(-3, 3, size=2)
-        center = rng.uniform(-4, 4, size=2)
-        r = float(rng.uniform(0.1, 1.0))
-        sr = float(rng.uniform(0.05, 0.4))
-        got = circle_capsule_contact(center, r, a, b, sr)
-        want = contact_depth_oracle(center, r, a, b, sr)
-        if want > 1e-4:
-            assert got is not None
-            assert got.depth == pytest.approx(want, abs=1e-3)
-        elif want < -1e-4:
-            assert got is None
+    c = contact_after_one_step((0.0, 0.5), 0.5)
+    assert c.cs_circle.tolist() == [0]
+    assert c.cs_normal[0] == pytest.approx((0.0, 1.0))
+    assert c.cs_depth[0] == pytest.approx(0.1, abs=1e-12)
 
 
 def test_ball_settles_in_v_tool():
@@ -167,7 +157,7 @@ def test_contact_depth_matches_dense_sampling():
         if np.hypot(*(b - a)) < 0.1:
             continue
         center = rng.uniform(-3, 3, size=2)
-        w = World(gravity=0.0, dt=DT, velocity_iterations=0, baumgarte=0.0)
+        w = World(gravity=(0.0, 0.0), dt=DT)
         w.add_static_capsule(a, b, radius=0.2)
         w.add_circle(center, radius=0.6)
         w.step()
@@ -181,14 +171,14 @@ def test_contact_depth_matches_dense_sampling():
 
 def test_resting_penetration_bounded():
     """A settled ball sinks no deeper than the slop plus one step of sag."""
-    w = World(gravity=-9.8, dt=DT)
+    w = World(gravity=(0.0, -9.8), dt=DT)
     flat_floor(w, y=0.0, r=0.1)
     w.add_circle((0.0, 2.0), radius=0.25)
     for _ in range(600):
         w.step()
     rest_y = 0.0 + 0.1 + 0.25
     depth = rest_y - w.pos[0, 1]
-    bound = w.slop + 9.8 * DT * DT / w.baumgarte
+    bound = SLOP + 9.8 * DT * DT / BAUMGARTE
     assert depth <= bound + 1e-6
     assert abs(w.vel[0, 1]) < 1e-6
 
@@ -196,7 +186,7 @@ def test_resting_penetration_bounded():
 def test_restitution_bounce_fraction():
     """Rebound speed is the restitution fraction of impact speed."""
     for e in (0.0, 0.5):
-        w = World(gravity=-9.8, dt=DT, restitution_surface=e)
+        w = World(gravity=(0.0, -9.8), dt=DT, restitution_surface=e)
         flat_floor(w)
         w.add_circle((0.0, 4.0), radius=0.25)
         v_before = None
@@ -216,7 +206,7 @@ def test_restitution_bounce_fraction():
 
 def test_no_bounce_below_threshold():
     """Slow impacts are absorbed even with restitution enabled."""
-    w = World(gravity=-9.8, dt=DT, restitution_surface=0.8, restitution_threshold=1.0)
+    w = World(gravity=(0.0, -9.8), dt=DT, restitution_surface=0.8)
     flat_floor(w)
     drop = 0.35 + 0.04  # rest height plus a shallow gap, impact under 1 m/s
     w.add_circle((0.0, drop), radius=0.25)
@@ -228,7 +218,7 @@ def test_no_bounce_below_threshold():
 def test_friction_sliding_distance():
     """A sliding ball stops after roughly v^2 / (2 mu g)."""
     mu, v0 = 0.5, 4.0
-    w = World(gravity=-9.8, dt=DT, friction=mu)
+    w = World(gravity=(0.0, -9.8), dt=DT, friction=mu)
     flat_floor(w)
     w.add_circle((0.0, 0.35), velocity=(v0, 0.0), radius=0.25)
     for _ in range(300):
@@ -240,7 +230,7 @@ def test_friction_sliding_distance():
 
 def test_friction_clamped_by_normal_impulse():
     """Tangential impulse magnitude never exceeds mu times the normal impulse."""
-    w = World(gravity=-9.8, dt=DT, friction=0.4)
+    w = World(gravity=(0.0, -9.8), dt=DT, friction=0.4)
     flat_floor(w)
     w.add_circle((0.0, 0.3), velocity=(5.0, 0.0), radius=0.25)
     for _ in range(60):
@@ -253,7 +243,7 @@ def test_friction_clamped_by_normal_impulse():
 
 def test_circle_circle_momentum_and_restitution():
     """Equal-mass head-on collision conserves momentum and scales closing speed."""
-    w = World(gravity=0.0, dt=DT, restitution_circle=0.1, friction=0.0)
+    w = World(gravity=(0.0, 0.0), dt=DT, restitution_circle=0.1, friction=0.0)
     w.add_circle((-1.0, 0.0), velocity=(3.0, 0.0), radius=0.5)
     w.add_circle((1.0, 0.0), velocity=(-3.0, 0.0), radius=0.5)
     mass = math.pi * 0.25
@@ -270,7 +260,7 @@ def test_circle_circle_momentum_and_restitution():
 def test_energy_bounded_on_settling_pile():
     """A settling pile dissipates energy; positional correction injects at most
     a small bounded amount per step and the pile comes to rest."""
-    w = World(gravity=-9.8, dt=DT, friction=0.3, restitution_circle=0.1)
+    w = World(gravity=(0.0, -9.8), dt=DT, friction=0.3, restitution_circle=0.1)
     flat_floor(w)
     rng = np.random.default_rng(2)
     for i in range(6):
@@ -293,7 +283,7 @@ def test_energy_bounded_on_settling_pile():
 
 
 def make_tool_world():
-    w = World(gravity=-9.8, dt=DT)
+    w = World(gravity=(0.0, -9.8), dt=DT)
     d = DesignVector(lengths=(1.5, 1.0, 1.0), angles=(0.6, 0.6))
     w.set_tool(build_tool(d, radius=0.1), position=(0.0, 1.0), angle=0.0)
     return w
@@ -327,7 +317,7 @@ def test_tool_pushes_circle():
 
 def test_rotating_tool_imparts_tangential_velocity():
     """Tool spin moves contact points and drags a touching circle along."""
-    w = World(gravity=0.0, dt=DT, friction=1.0)
+    w = World(gravity=(0.0, 0.0), dt=DT, friction=1.0)
     d = DesignVector(lengths=(2.0, 1.0, 1.0), angles=(0.0, 0.0))
     w.set_tool(build_tool(d, radius=0.1), position=(0.0, 0.0), angle=0.0)
     ball = w.add_circle((1.5, 0.34), radius=0.25)
@@ -341,7 +331,7 @@ def test_rotating_tool_imparts_tangential_velocity():
 def test_determinism_bitwise():
     """Identical scenes stepped identically produce identical state."""
     def run():
-        w = World(gravity=-9.8, dt=DT, friction=0.4, restitution_circle=0.1)
+        w = World(gravity=(0.0, -9.8), dt=DT, friction=0.4, restitution_circle=0.1)
         flat_floor(w)
         d = DesignVector(lengths=(1.0, 1.0, 1.0), angles=(0.4, -0.2))
         w.set_tool(build_tool(d, radius=0.1), position=(-1.0, 1.0), angle=0.2)

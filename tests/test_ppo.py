@@ -1,4 +1,5 @@
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -433,6 +434,27 @@ def test_train_resume_matches_straight_run(tmp_path):
         (tmp_path / "c" / "checkpoint.json").read_bytes()
     assert (tmp_path / "a" / "metrics.csv").read_bytes() == \
         (tmp_path / "c" / "metrics.csv").read_bytes()
+
+
+def test_train_resume_drops_rows_logged_after_the_checkpoint(tmp_path):
+    """A run killed after logging a batch past its last checkpoint resumes
+    to the straight run's bytes instead of repeating that batch's rows."""
+    cfg = small_cfg()
+    train("push", cfg, total_steps=1500, out_dir=tmp_path / "a", seed=3, n_envs=2)
+    with open(tmp_path / "a" / "metrics.csv", encoding="utf-8") as fh:
+        steps = [int(line.split(",")[0]) for line in fh.read().splitlines()[1:]]
+    assert len(steps) >= 3
+    # c stops at batch 2; k logs batch 3, then is left with c's checkpoint
+    train("push", cfg, total_steps=steps[1], out_dir=tmp_path / "c", seed=3,
+          n_envs=2)
+    train("push", cfg, total_steps=steps[2], out_dir=tmp_path / "k", seed=3,
+          n_envs=2)
+    shutil.copy(tmp_path / "c" / "checkpoint.json", tmp_path / "k")
+    train("push", cfg, total_steps=1500, out_dir=tmp_path / "k", seed=3,
+          n_envs=2, resume=True)
+    for name in ("metrics.csv", "design_means.csv", "checkpoint.json"):
+        assert (tmp_path / "a" / name).read_bytes() == \
+            (tmp_path / "k" / name).read_bytes(), name
 
 
 def test_train_resume_rejects_config_change(tmp_path):
