@@ -1,7 +1,8 @@
 """Single-trunk ablation: design and control heads on one shared network.
 
-Both phases read the phase-flagged value-style input, pass through one
-shared stack of hidden layers, and branch only at the last affine layer.
+Both phases read the whole phase-flagged value row, pass through one shared
+stack of hidden layers, and branch only at the last affine layer; a designer
+as wide as its controller is how ppo.policy_columns tells a shared trunk.
 The trunk arrays are literally the same objects in the designer and the
 controller, so gradient accumulation and deduplicated optimizer stepping
 fall out of the ordinary update path. The trunk is widened until the
@@ -25,23 +26,16 @@ from toolsmith.neural import (
 from toolsmith.ppo import TASK_POLICY, TrainConfig, policy_for_env, train
 
 
-def shared_features(env):
-    """Both phases consume the phase-flagged input of the value network."""
-    return env.value_input, env.value_input
-
-
 def separate_param_count(env) -> int:
     """Trainable scalar count of the standard two-network method."""
     return param_count(policy_for_env(env, np.random.default_rng(0)))
 
 
-def shared_policy(env, rng: np.random.Generator, hidden=None,
-                  **overrides) -> PolicyParams:
+def shared_policy(env, rng: np.random.Generator) -> PolicyParams:
     """Build the tied-trunk bundle, widening until the size bar is met."""
-    kw = dict(TASK_POLICY[env.task_name])
-    kw.update(overrides)
+    kw = TASK_POLICY[env.task_name]
     floor = separate_param_count(env)
-    widths = tuple(hidden) if hidden is not None else HIDDEN
+    widths = HIDDEN
 
     while True:
         candidate = _build(env, np.random.default_rng(0), widths, kw)
@@ -101,8 +95,7 @@ def shared_arch(task: str, cfg: TrainConfig, total_steps: int, out_dir,
     env = make_env(task_cfg)
     params = shared_policy(env, np.random.default_rng(seed))
     out = train(task, cfg, total_steps, out_dir, seed=seed, task_cfg=task_cfg,
-                n_envs=n_envs, params=params, features=shared_features,
-                **train_kw)
+                n_envs=n_envs, params=params, **train_kw)
     out["param_count"] = param_count(params)
     out["separate_param_count"] = separate_param_count(env)
     return out

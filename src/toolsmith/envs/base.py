@@ -11,13 +11,16 @@ Rewards: the design step earns only the material/control tradeoff term; each
 control step earns task reward + slack + tradeoff. The tradeoff term is
 K * [1 - (alpha * d_used/d_max + (1-alpha) * c_used/c_max)].
 
-Policy inputs: each task class declares task_center and task_scale (one
-entry per task-observation entry) and goal_center and goal_scale (one per
-goal entry); a task or goal entry x enters as (x - center) / scale.
-design_input is the normalized task followed by the normalized goal;
-control_input puts the design echo, in ratio space, between them;
-value_input prepends a phase flag (0 design, 1 control) to the control
-layout.
+Policy inputs: value_input is the one featurization, the row [phase flag
+(0 design, 1 control), task, design echo in ratio space, goal]. Each task
+class declares task_center and task_scale (one entry per task-observation
+entry) and goal_center and goal_scale (one per goal entry); a task or goal
+entry x enters as (x - center) / scale. A policy reads columns of the row
+(ppo.policy_columns): both halves of a shared trunk (a designer as wide as
+its controller) read all of it, a designer with no inputs none; else the
+designer reads design_columns (task, goal) and the controller
+control_columns (all after the flag). design_input and control_input return
+those columns; bench/spans.py wraps them by name.
 """
 
 from __future__ import annotations
@@ -240,6 +243,10 @@ class ToolTaskEnv:
         self.tradeoff = TradeoffConfig(
             k=config.tradeoff_k, alpha=config.tradeoff_alpha,
             d_max=self.space.bounds.d_max, c_max=float(np.linalg.norm(cap)))
+        # value_input columns: the task and goal, and all after the phase flag
+        n = 1 + self.task_obs_dim
+        self.design_columns = np.r_[1:n, n + DESIGN_DIM:self.value_input_dim]
+        self.control_columns = np.arange(1, self.value_input_dim)
         self._rng = np.random.default_rng()
         self._phase: str | None = None
         self._done = True
@@ -367,23 +374,21 @@ class ToolTaskEnv:
             return np.zeros(DESIGN_DIM, dtype=np.float64)
         return self.space.ratio_of(DesignVector.from_array(echo))
 
-    def _normalized(self, obs: Observation) -> tuple:
-        """(task, goal) of an observation as (x - center) / scale."""
-        return ((obs.task - self.task_center) / self.task_scale,
-                (obs.goal - self.goal_center) / self.goal_scale)
-
-    def design_input(self, obs: Observation) -> np.ndarray:
-        return np.concatenate(self._normalized(obs))
-
-    def control_input(self, obs: Observation) -> np.ndarray:
-        task, goal = self._normalized(obs)
-        return np.concatenate([task, self._echo_ratio(obs.design_echo), goal])
+    def _row(self, obs: Observation) -> np.ndarray:
+        flag = 0.0 if obs.phase == DESIGN else 1.0
+        return np.concatenate([[flag],
+                               (obs.task - self.task_center) / self.task_scale,
+                               self._echo_ratio(obs.design_echo),
+                               (obs.goal - self.goal_center) / self.goal_scale])
 
     def value_input(self, obs: Observation) -> np.ndarray:
-        flag = 0.0 if obs.phase == DESIGN else 1.0
-        task, goal = self._normalized(obs)
-        return np.concatenate([[flag], task, self._echo_ratio(obs.design_echo),
-                               goal])
+        return self._row(obs)
+
+    def design_input(self, obs: Observation) -> np.ndarray:
+        return self._row(obs)[self.design_columns]
+
+    def control_input(self, obs: Observation) -> np.ndarray:
+        return self._row(obs)[self.control_columns]
 
     # -- subclass hooks ---------------------------------------------------
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from toolsmith.ppo import default_features, run_episode
+from toolsmith.ppo import run_episode
 
 EVAL_GOAL_SEED = 20000
 EVAL_RESET_SEED = 30000
@@ -31,16 +31,15 @@ def _summarize(episodes) -> dict:
     }
 
 
-def evaluate_policy(env, params, goals, fixed_design=None, controls=None,
-                    features=default_features) -> dict:
+def evaluate_policy(env, params, goals, fixed_design=None,
+                    controls=None) -> dict:
     """Deterministic episodes on each goal; returns aggregate statistics.
 
     fixed_design and controls impose a design or an open-loop control
     schedule in place of the corresponding policy, as in run_episode.
     """
     episodes = [run_episode(env, params, goal=goal, seed=EVAL_RESET_SEED + k,
-                            fixed_design=fixed_design, controls=controls,
-                            features=features)
+                            fixed_design=fixed_design, controls=controls)
                 for k, goal in enumerate(goals)]
     return {**_summarize(episodes), "episodes": episodes}
 

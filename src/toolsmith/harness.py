@@ -17,10 +17,11 @@ _load_for_eval reads it for eval, compare, export-tool and finetune.
 - single_traj: best_plan.json with task, fitness and vector (the design
   action, then every control action).
 
-The loader checks the task. A designer as wide as the value input marks a
-shared trunk, which is re-tied and fed the value features; a fixed_design
-replaces the designer; a plan's vector splits into its design and
-open-loop controls.
+The loader checks the task. Each network's shape decides which columns of
+the value row it reads (ppo.policy_columns): a designer as wide as its
+controller marks a shared trunk, which is re-tied and reads the whole row;
+a designer with no inputs (hwasp) reads none. A fixed_design replaces the
+designer; a plan's vector splits into its design and open-loop controls.
 """
 
 from __future__ import annotations
@@ -28,14 +29,13 @@ from __future__ import annotations
 import csv
 import json
 import os
-from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from toolsmith import __version__
 from toolsmith.baselines import cma_rl, hwasp_minimal, shared_arch, single_traj_cmaes
-from toolsmith.baselines.shared import retie_trunk, shared_features
+from toolsmith.baselines.shared import retie_trunk
 from toolsmith.baselines.single_traj import BEST_PLAN_FILE, split_plan
 from toolsmith.envs import default_config, make_env
 from toolsmith.envs.push import GOAL_HIGH, GOAL_LOW
@@ -52,8 +52,8 @@ from toolsmith.ppo import (
     Optimizers,
     TrainConfig,
     collect_batch,
-    default_features,
     default_train_config,
+    policy_columns,
     policy_for_env,
     ppo_update,
     prepare_batch,
@@ -64,6 +64,8 @@ from toolsmith.ppo import (
 OUTPUT_ROOT_VAR = "TOOLSMITH_OUT"
 ALLOWED_FRACTIONS = (0.0, 0.1, 0.2, 0.4, 0.6, 0.8, 0.9)
 METHODS = ("ours", "single_traj", "cma_rl", "hwasp", "shared")
+# the methods that train on sampled goals, so a cutout sampler reaches them
+CUTOUT_METHODS = ("ours", "hwasp", "shared")
 DEFAULT_ALPHAS = (0.0, 0.3, 0.7, 1.0)
 
 # Desk-scale policy adjustments applied when no explicit overrides are given.
@@ -180,6 +182,11 @@ class ExperimentConfig:
             raise ValueError(
                 f"cutout fraction {self.cutout_fraction} not one of "
                 f"{ALLOWED_FRACTIONS}")
+        if self.cutout_fraction > 0.0 and (self.task != "push"
+                                           or self.method not in CUTOUT_METHODS):
+            raise ValueError(
+                f"cutout_fraction applies to push goals and the methods "
+                f"{CUTOUT_METHODS}, not to {self.task} with {self.method}")
         if self.train is None:
             self.train = default_train_config(self.task, scale=self.scale)
         if self.policy_overrides is None:
@@ -332,7 +339,6 @@ class Artifact:
 
     task: str
     params: PolicyParams | None
-    features: Callable = default_features
     fixed_design: np.ndarray | None = None
     controls: np.ndarray | None = None
 
@@ -342,14 +348,15 @@ class Artifact:
             return "open-loop plan"
         if self.fixed_design is not None:
             return "fixed-design"
-        if self.features is shared_features:
+        env = make_env(self.task)
+        if policy_columns(self.params, env)[0].size == env.value_input_dim:
             return "shared"
         return "policy"
 
     def evaluate(self, env, goals) -> dict:
         return evaluate_policy(env, self.params, goals,
                                fixed_design=self.fixed_design,
-                               controls=self.controls, features=self.features)
+                               controls=self.controls)
 
 
 def _load_for_eval(path, task: str | None = None) -> tuple:
@@ -370,11 +377,10 @@ def _load_for_eval(path, task: str | None = None) -> tuple:
         return env, Artifact(ck_task, None, fixed_design=design,
                              controls=controls)
     art = Artifact(ck_task, params_from_state(state["params"]))
-    if art.params.designer.sizes[0] == env.value_input_dim:
-        art.params = retie_trunk(art.params)
-        art.features = shared_features
     if "fixed_design" in state:
         art.fixed_design = np.asarray(state["fixed_design"], dtype=np.float64)
+    if art.kind == "shared":
+        retie_trunk(art.params)
     return env, art
 
 
@@ -605,7 +611,8 @@ def _export_design(env, art: Artifact, goal, stl_path) -> dict:
     if art.fixed_design is not None:
         mu = art.fixed_design
     else:
-        mu = forward(art.params.designer, art.features(env)[0](obs))
+        design_cols, _ = policy_columns(art.params, env)
+        mu = forward(art.params.designer, env.value_input(obs)[design_cols])
     design = env.space.realize(mu)
     geom = build_tool(design)
     data = export_stl(geom)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,6 +208,21 @@ def clone_params(params: PolicyParams) -> PolicyParams:
     )
 
 
+def copy_params_into(params: PolicyParams, source: PolicyParams) -> None:
+    """Copy source's arrays into params in place, so arrays params shares (a
+    tied trunk) stay shared; raises ValueError, copying nothing, when the
+    shapes differ."""
+    pairs = [(params.designer_head.log_std, source.designer_head.log_std),
+             (params.controller_head.log_std, source.controller_head.log_std)]
+    for name in ("designer", "controller", "value"):
+        pairs += zip(parameters(getattr(params, name)),
+                     parameters(getattr(source, name)), strict=True)
+    if any(a.shape != b.shape for a, b in pairs):
+        raise ValueError("parameter shapes differ from the source's")
+    for a, b in pairs:
+        a[...] = b
+
+
 # ---------------------------------------------------------------------------
 # Optimizer
 # ---------------------------------------------------------------------------
@@ -320,9 +336,20 @@ def save_checkpoint(path, payload: dict) -> None:
     """Write a versioned JSON container with arrays embedded as base64."""
     body = {"version": CHECKPOINT_VERSION}
     body.update(_encode(payload))
-    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    write_atomic(path, json.dumps(body, sort_keys=True, separators=(",", ":")))
+
+
+def write_atomic(path, text: str) -> None:
+    """Replace path's contents with text through a temp file beside it, so
+    a write that dies partway leaves the previous file whole."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path) -> dict:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import math
 import os
 from dataclasses import asdict, dataclass, field
@@ -22,6 +23,7 @@ from .neural import (
     Adam,
     PolicyParams,
     clone_params,
+    copy_params_into,
     forward,
     backward,
     gaussian_entropy,
@@ -35,6 +37,7 @@ from .neural import (
     params_state,
     sample_action,
     save_checkpoint,
+    write_atomic,
 )
 
 METRICS_HEADER = ["env_steps", "mean_return", "success_rate", "approx_kl",
@@ -92,12 +95,10 @@ def default_train_config(task: str, scale: str = "desk", **overrides) -> TrainCo
     return TrainConfig(**kw)
 
 
-def policy_for_env(env, rng: np.random.Generator, hidden=None, **overrides) -> PolicyParams:
+def policy_for_env(env, rng: np.random.Generator, **overrides) -> PolicyParams:
     """Fresh designer/controller/value bundle sized for an environment."""
     kw = dict(TASK_POLICY[env.task_name])
     kw.update(overrides)
-    if hidden is not None:
-        kw["hidden"] = hidden
     return init_policy(
         design_in=env.design_input_dim, design_out=env.design_action_dim,
         control_in=env.control_input_dim, control_out=env.control_action_dim,
@@ -169,9 +170,19 @@ def compute_gae(rewards, values, dones, gamma: float, lam: float):
     return adv, adv + v[:-1]
 
 
-def default_features(env):
-    """The standard per-phase policy featurizations of an environment."""
-    return env.design_input, env.control_input
+def policy_columns(params: PolicyParams, env) -> tuple:
+    """(designer, controller) columns of env.value_input the policies read.
+
+    A designer as wide as its controller is a shared trunk: both read the
+    whole row. A designer with no inputs reads none. Otherwise they read
+    env.design_columns and env.control_columns.
+    """
+    width = params.designer.sizes[0]
+    if width == params.controller.sizes[0]:
+        return np.arange(env.value_input_dim), np.arange(env.value_input_dim)
+    if width == 0:
+        return np.arange(0), env.control_columns
+    return env.design_columns, env.control_columns
 
 
 class _EpisodeBuilder:
@@ -196,12 +207,8 @@ class _EpisodeBuilder:
         di, da, dlp = self.design_row
         return Trajectory(
             design_input=di, design_action=da, design_logp=dlp,
-            control_inputs=(np.asarray(self.control_inputs)
-                            if self.control_inputs else
-                            np.empty((0, env.control_input_dim))),
-            control_actions=(np.asarray(self.control_actions)
-                             if self.control_actions else
-                             np.empty((0, env.control_action_dim))),
+            control_inputs=np.asarray(self.control_inputs),
+            control_actions=np.asarray(self.control_actions),
             control_logps=np.asarray(self.control_logps, dtype=np.float64),
             value_inputs=np.asarray(self.value_inputs),
             rewards=np.asarray(self.rewards, dtype=np.float64),
@@ -216,22 +223,25 @@ class _EpisodeBuilder:
 
 def collect_batch(envs: list, params: PolicyParams, cfg: TrainConfig,
                   rng: np.random.Generator, goal_sampler=None,
-                  fixed_design=None, features=default_features) -> list:
+                  fixed_design=None) -> list:
     """Roll complete episodes in lockstep until batch_size steps are gathered.
 
     All policy queries are batched across environments in a fixed order, so a
-    seeded rng reproduces the batch exactly. With fixed_design set, every
-    episode uses that design action instead of querying the designer.
+    seeded rng reproduces the batch exactly. Each env step is featurized
+    once, by value_input; the policies read their columns of that row. With
+    fixed_design set, every episode uses that design action instead of
+    querying the designer.
     """
     trajs: list = []
-    feats = [features(env) for env in envs]
+    design_cols, control_cols = policy_columns(params, envs[0])
     builders = {i: _EpisodeBuilder(env, goal_sampler, rng)
                 for i, env in enumerate(envs)}
     steps = 0
     while builders:
         ids = sorted(builders)
-        design_ids = [i for i in ids if builders[i].env.phase == DESIGN]
-        control_ids = [i for i in ids if i not in set(design_ids)]
+        in_design = np.array([builders[i].env.phase == DESIGN for i in ids])
+        design_ids = [i for i, d in zip(ids, in_design) if d]
+        control_ids = [i for i, d in zip(ids, in_design) if not d]
 
         val_in = np.stack([builders[i].env.value_input(builders[i].obs) for i in ids])
         vals = forward(params.value, val_in)[:, 0]
@@ -239,26 +249,26 @@ def collect_batch(envs: list, params: PolicyParams, cfg: TrainConfig,
             builders[i].value_inputs.append(val_in[k])
             builders[i].values.append(float(vals[k]))
 
-        if design_ids and fixed_design is not None:
-            action = np.asarray(fixed_design, dtype=np.float64)
-            for i in design_ids:
-                b = builders[i]
-                res = b.env.step_design(action)
-                b.design_row = (np.zeros(b.env.design_input_dim), action.copy(), None)
-                b.rewards.append(res.reward)
-                b.obs = res.observation
-        elif design_ids:
-            X = np.stack([feats[i][0](builders[i].obs) for i in design_ids])
-            mu = forward(params.designer, X)
-            acts, logps = sample_action(params.designer_head, mu, rng)
+        # np.ix_ takes rows and columns as one C-ordered copy; columns taken
+        # from a row subset come out F-ordered, which changes matmul rounding
+        if design_ids:
+            X = val_in[np.ix_(in_design, design_cols)]
+            if fixed_design is None:
+                mu = forward(params.designer, X)
+                acts, logps = sample_action(params.designer_head, mu, rng)
+                logps = [float(lp) for lp in logps]
+            else:
+                acts = np.tile(np.asarray(fixed_design, dtype=np.float64),
+                               (len(design_ids), 1))
+                logps = [None] * len(design_ids)
             for k, i in enumerate(design_ids):
                 b = builders[i]
                 res = b.env.step_design(acts[k])
-                b.design_row = (X[k], acts[k].copy(), float(logps[k]))
+                b.design_row = (X[k], acts[k].copy(), logps[k])
                 b.rewards.append(res.reward)
                 b.obs = res.observation
         if control_ids:
-            X = np.stack([feats[i][1](builders[i].obs) for i in control_ids])
+            X = val_in[np.ix_(~in_design, control_cols)]
             mu = forward(params.controller, X)
             acts, logps = sample_action(params.controller_head, mu, rng)
             for k, i in enumerate(control_ids):
@@ -309,12 +319,8 @@ class Batch:
         return self.design_adv.size
 
     @property
-    def num_control(self) -> int:
-        return self.control_adv.size
-
-    @property
     def num_policy_rows(self) -> int:
-        return self.num_design + self.num_control
+        return self.design_adv.size + self.control_adv.size
 
     @property
     def num_rows(self) -> int:
@@ -402,37 +408,29 @@ def _policy_loss_grads(net, head, X, actions, logp_old, adv, clip_eps, B):
     return float(obj.sum() / B), net_grads, dlog_std, logp
 
 
+def _heads(params: PolicyParams, batch: Batch) -> tuple:
+    """(net, head, inputs, actions, old logps, advantages), designer first."""
+    return ((params.designer, params.designer_head, batch.design_inputs,
+             batch.design_actions, batch.design_logp_old, batch.design_adv),
+            (params.controller, params.controller_head, batch.control_inputs,
+             batch.control_actions, batch.control_logp_old, batch.control_adv))
+
+
 def _mean_kl(params: PolicyParams, batch: Batch) -> float:
     total = 0.0
-    if batch.num_design:
-        mu = forward(params.designer, batch.design_inputs)
-        lp = gaussian_logprob(params.designer_head, mu, batch.design_actions)
-        total += float(np.sum(batch.design_logp_old - lp))
-    if batch.control_adv.size:
-        mu = forward(params.controller, batch.control_inputs)
-        lp = gaussian_logprob(params.controller_head, mu, batch.control_actions)
-        total += float(np.sum(batch.control_logp_old - lp))
+    for net, head, X, actions, logp_old, adv in _heads(params, batch):
+        if adv.size:
+            lp = gaussian_logprob(head, forward(net, X), actions)
+            total += float(np.sum(logp_old - lp))
     return total / batch.num_policy_rows
 
 
 class Optimizers:
-    """Persistent Adam state over the policy heads and the value net.
+    """Persistent Adam state over the policy heads and the value net."""
 
-    Arrays listed in freeze keep their values: their policy gradients are
-    zeroed before each step, which with Adam leaves them bitwise unchanged.
-    """
-
-    def __init__(self, params: PolicyParams, cfg: TrainConfig, freeze=()):
-        self._policy_params = params.trainable()
-        self._frozen = {id(a) for a in freeze}
-        self.policy = Adam(self._policy_params, lr=cfg.policy_lr)
+    def __init__(self, params: PolicyParams, cfg: TrainConfig):
+        self.policy = Adam(params.trainable(), lr=cfg.policy_lr)
         self.value = Adam(parameters(params.value), lr=cfg.value_lr)
-
-    def step_policy(self, grads: list) -> None:
-        if self._frozen:
-            grads = [np.zeros_like(g) if id(a) in self._frozen else g
-                     for a, g in zip(self._policy_params, grads)]
-        self.policy.step(grads)
 
     def step_value(self, grads: list) -> None:
         self.value.step(grads)
@@ -461,25 +459,18 @@ def ppo_update(params: PolicyParams, batch: Batch, cfg: TrainConfig,
 
     snapshot = clone_params(params)
     opt_snapshot = optimizers.state()
-    nd = batch.num_design
-    nc = batch.num_control
+    heads = _heads(params, batch)
+    starts = (0, batch.num_design)
     n = batch.num_rows
     eps = cfg.clip_epsilon
     beta = cfg.entropy_beta
-    d_fixed = params.designer_head.fixed
-    c_fixed = params.controller_head.fixed
 
     def mean_entropy() -> float:
         return 0.5 * (gaussian_entropy(params.designer_head)
                       + gaussian_entropy(params.controller_head))
 
     def restore():
-        for net_name in ("designer", "controller", "value"):
-            for a, b in zip(parameters(getattr(params, net_name)),
-                            parameters(getattr(snapshot, net_name))):
-                a[...] = b
-        params.designer_head.log_std[...] = snapshot.designer_head.log_std
-        params.controller_head.log_std[...] = snapshot.controller_head.log_std
+        copy_params_into(params, snapshot)
         optimizers.load_state(opt_snapshot)
 
     stats = {"approx_kl": 0.0, "entropy": mean_entropy(), "epochs_run": 0,
@@ -491,31 +482,21 @@ def ppo_update(params: PolicyParams, batch: Batch, cfg: TrainConfig,
         for start in range(0, n, cfg.minibatch_size):
             mb = order[start:start + cfg.minibatch_size]
             B = mb.size
-            d_rows = mb[mb < nd]
-            c_rows = mb[(mb >= nd) & (mb < nd + nc)] - nd
 
             policy_grads = {id(a): np.zeros_like(a) for a in params.trainable()}
             surrogate = 0.0
-            if d_rows.size:
+            for (net, head, X, actions, logp_old, adv), lo in zip(heads, starts):
+                rows = mb[(mb >= lo) & (mb < lo + adv.size)] - lo
+                if not rows.size:
+                    continue
                 obj, net_g, dls, _ = _policy_loss_grads(
-                    params.designer, params.designer_head,
-                    batch.design_inputs[d_rows], batch.design_actions[d_rows],
-                    batch.design_logp_old[d_rows], batch.design_adv[d_rows], eps, B)
+                    net, head, X[rows], actions[rows], logp_old[rows],
+                    adv[rows], eps, B)
                 surrogate += obj
-                for a, g in zip(parameters(params.designer), net_g):
+                for a, g in zip(parameters(net), net_g):
                     policy_grads[id(a)] += g
-                if not d_fixed:
-                    policy_grads[id(params.designer_head.log_std)] += dls - beta
-            if c_rows.size:
-                obj, net_g, dls, _ = _policy_loss_grads(
-                    params.controller, params.controller_head,
-                    batch.control_inputs[c_rows], batch.control_actions[c_rows],
-                    batch.control_logp_old[c_rows], batch.control_adv[c_rows], eps, B)
-                surrogate += obj
-                for a, g in zip(parameters(params.controller), net_g):
-                    policy_grads[id(a)] += g
-                if not c_fixed:
-                    policy_grads[id(params.controller_head.log_std)] += dls - beta
+                if not head.fixed:
+                    policy_grads[id(head.log_std)] += dls - beta
 
             v_pred = forward(params.value, batch.value_inputs[mb])[:, 0]
             err = v_pred - batch.returns[mb]
@@ -531,7 +512,7 @@ def ppo_update(params: PolicyParams, batch: Batch, cfg: TrainConfig,
             pol_losses.append(policy_loss)
             val_losses.append(value_loss)
 
-            optimizers.step_policy([policy_grads[id(a)] for a in params.trainable()])
+            optimizers.policy.step([policy_grads[id(a)] for a in params.trainable()])
             optimizers.step_value(value_grads)
 
         stats["epochs_run"] += 1
@@ -579,9 +560,10 @@ def _drop_rows_after(path, env_steps: int) -> None:
         return
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(
-            rows[:1] + [r for r in rows[1:] if int(r[0]) <= env_steps])
+    text = io.StringIO()
+    csv.writer(text).writerows(
+        rows[:1] + [r for r in rows[1:] if int(r[0]) <= env_steps])
+    write_atomic(path, text.getvalue())
 
 
 def seeded_envs(task_cfg: TaskConfig, n_envs: int, seed: int) -> list:
@@ -611,15 +593,14 @@ def checkpoint_record(params: PolicyParams, optimizers: Optimizers,
 def train(task: str, cfg: TrainConfig, total_steps: int, out_dir,
           seed: int = 0, task_cfg: TaskConfig | None = None, n_envs: int = 16,
           goal_sampler=None, params: PolicyParams | None = None,
-          resume: bool = False, freeze=(), features=default_features,
-          policy_overrides=None) -> dict:
+          resume: bool = False, policy_overrides=None) -> dict:
     """Alternate collect/update until total_steps env steps; log and checkpoint.
 
     Writes metrics.csv (fixed header) and design_means.csv under out_dir, plus
-    a resumable checkpoint.json. A resume drops curve rows logged after the
-    checkpoint, so they are not repeated. freeze lists parameter arrays
-    excluded from policy updates; policy_overrides adjusts the freshly built
-    policy when params is None.
+    a resumable checkpoint.json. A resume copies the checkpoint into params
+    in place, so a tied trunk stays tied, and drops curve rows logged after
+    the checkpoint, so they are not repeated. policy_overrides adjusts the
+    freshly built policy when params is None.
     """
     os.makedirs(out_dir, exist_ok=True)
     task_cfg = task_cfg or default_config(task)
@@ -635,30 +616,24 @@ def train(task: str, cfg: TrainConfig, total_steps: int, out_dir,
     env_steps = 0
     if params is None:
         params = policy_for_env(envs[0], rng, **(policy_overrides or {}))
+    optimizers = Optimizers(params, cfg)
 
-    resumed = False
-    state = None
     if resume and os.path.exists(ck_path):
         state = load_checkpoint(ck_path)
         if state["config_hash"] != fingerprint:
             raise ValueError("checkpoint was produced by a different configuration")
-        params = params_from_state(state["params"])
+        copy_params_into(params, params_from_state(state["params"]))
+        optimizers.load_state(state["optimizers"])
         rng.bit_generator.state = state["rng_state"]
         for env, st in zip(envs, state["env_rng_states"]):
             env._rng.bit_generator.state = st
         env_steps = int(state["env_steps"])
-        resumed = True
-    # freeze may be a callable so frozen arrays can be re-identified on the
-    # freshly decoded parameters after a resume
-    freeze_list = list(freeze(params)) if callable(freeze) else list(freeze)
-    optimizers = Optimizers(params, cfg, freeze=freeze_list)
-    for path in (metrics_path, means_path):
-        if resumed:
+        for path in (metrics_path, means_path):
             _drop_rows_after(path, env_steps)
-        elif os.path.exists(path):
-            os.remove(path)
-    if resumed:
-        optimizers.load_state(state["optimizers"])
+    else:
+        for path in (metrics_path, means_path):
+            if os.path.exists(path):
+                os.remove(path)
 
     def save(env_steps: int) -> None:
         save_checkpoint(ck_path, checkpoint_record(
@@ -666,8 +641,7 @@ def train(task: str, cfg: TrainConfig, total_steps: int, out_dir,
 
     batches = 0
     while env_steps < total_steps:
-        trajs = collect_batch(envs, params, cfg, rng, goal_sampler,
-                              features=features)
+        trajs = collect_batch(envs, params, cfg, rng, goal_sampler)
         batch = prepare_batch(trajs, cfg)
         env_steps += batch.env_steps
         params, stats = ppo_update(params, batch, cfg, optimizers, rng)
@@ -696,20 +670,20 @@ def train(task: str, cfg: TrainConfig, total_steps: int, out_dir,
 # ---------------------------------------------------------------------------
 
 def run_episode(env, params: PolicyParams | None, goal=None, seed=None,
-                fixed_design=None, controls=None,
-                features=default_features) -> dict:
+                fixed_design=None, controls=None) -> dict:
     """One deterministic episode, the loop every method is scored by.
 
     The design is fixed_design when given, else the designer's mean; control
     t is controls[t] when an open-loop schedule is given, else the
     controller's mean. params may be None when both are given.
     """
-    design_feat, control_feat = features(env)
+    if params is not None:
+        design_cols, control_cols = policy_columns(params, env)
     obs = env.reset(goal=goal, seed=seed)
     if fixed_design is not None:
         act = np.asarray(fixed_design, dtype=np.float64)
     else:
-        act = forward(params.designer, design_feat(obs))
+        act = forward(params.designer, env.value_input(obs)[design_cols])
     res = env.step_design(act)
     total = res.reward
     obs = res.observation
@@ -718,7 +692,7 @@ def run_episode(env, params: PolicyParams | None, goal=None, seed=None,
         if controls is not None:
             act = controls[len(c_used)]
         else:
-            act = forward(params.controller, control_feat(obs))
+            act = forward(params.controller, env.value_input(obs)[control_cols])
         res = env.step_control(act)
         total += res.reward
         c_used.append(res.info["c_used"])

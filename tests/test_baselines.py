@@ -14,10 +14,8 @@ from toolsmith.baselines import (
     cma_rl,
     cma_tell,
     constant_designer_policy,
-    frozen_design_weights,
     hwasp_minimal,
     shared_arch,
-    shared_features,
     shared_policy,
 )
 from toolsmith.baselines.shared import retie_trunk, separate_param_count
@@ -44,6 +42,7 @@ from toolsmith.ppo import (
     Optimizers,
     collect_batch,
     default_train_config,
+    policy_columns,
     ppo_update,
     prepare_batch,
     run_episode,
@@ -322,15 +321,16 @@ def test_cma_rl_rerun_is_byte_identical(tmp_path):
 # Jointly learned constant design
 # ---------------------------------------------------------------------------
 
-def test_constant_designer_output_ignores_input():
+def test_constant_designer_has_no_inputs():
     env = make_env(default_config("push"))
     params = constant_designer_policy(env, np.random.default_rng(0))
-    rng = np.random.default_rng(1)
-    outs = [forward(params.designer, rng.normal(size=env.design_input_dim))
-            for _ in range(10)]
-    for o in outs[1:]:
-        assert np.array_equal(o, outs[0])
-    assert np.array_equal(outs[0], params.designer.biases[0])
+    assert params.designer.sizes == (0, env.design_action_dim)
+    design_cols, control_cols = policy_columns(params, env)
+    assert design_cols.size == 0
+    assert np.array_equal(control_cols, env.control_columns)
+    params.designer.biases[0][...] = np.arange(env.design_action_dim)
+    assert np.array_equal(forward(params.designer, np.empty(0)),
+                          params.designer.biases[0])
 
 
 def test_constant_designer_mean_moves_under_design_advantages():
@@ -342,12 +342,9 @@ def test_constant_designer_mean_moves_under_design_advantages():
     trajs = collect_batch([env], params, cfg, rng)
     batch = prepare_batch(trajs, cfg)
     assert batch.num_design > 0
-    w_before = params.designer.weights[0].copy()
-    opt = Optimizers(params, cfg, freeze=frozen_design_weights(params))
-    params, stats = ppo_update(params, batch, cfg, opt,
+    params, stats = ppo_update(params, batch, cfg, Optimizers(params, cfg),
                                rng=np.random.default_rng(0))
     assert not stats["aborted"]
-    assert np.array_equal(params.designer.weights[0], w_before)
     assert np.any(params.designer.biases[0] != 0.0)
 
 
@@ -359,7 +356,7 @@ def test_hwasp_matches_direct_train_with_shared_seed(tmp_path):
     env = make_env(default_config("push"))
     params = constant_designer_policy(env, np.random.default_rng(7))
     b = train("push", cfg, 256, tmp_path / "b", seed=7, n_envs=2,
-              params=params, freeze=frozen_design_weights)
+              params=params)
     for name in ("checkpoint.json", "metrics.csv", "design_means.csv"):
         with open(tmp_path / "a" / name, "rb") as fa, \
              open(tmp_path / "b" / name, "rb") as fb:
@@ -370,17 +367,28 @@ def test_hwasp_design_constant_across_goals_after_training(tmp_path):
     cfg = tiny_cfg()
     out = hwasp_minimal("push", cfg, total_steps=512, out_dir=tmp_path,
                         seed=3, n_envs=2)
-    params = out["params"]
-    assert np.array_equal(params.designer.weights[0],
-                          np.zeros_like(params.designer.weights[0]))
     env = make_env(default_config("push"))
-    obs_a = env.reset(goal=env.sample_goal(np.random.default_rng(1)), seed=0)
-    in_a = env.design_input(obs_a)
-    obs_b = env.reset(goal=env.sample_goal(np.random.default_rng(2)), seed=0)
-    in_b = env.design_input(obs_b)
-    assert not np.array_equal(in_a, in_b)
-    assert np.array_equal(forward(params.designer, in_a),
-                          forward(params.designer, in_b))
+    episodes = evaluate_policy(env, out["params"],
+                               evaluation_goals(env, 4))["episodes"]
+    for ep in episodes[1:]:
+        assert np.array_equal(ep["design"], episodes[0]["design"])
+
+
+@pytest.mark.parametrize("method", [shared_arch, hwasp_minimal],
+                         ids=["shared", "hwasp"])
+def test_resume_matches_straight_run(tmp_path, method):
+    """Resume copies the checkpoint into the method's own bundle, so a tied
+    trunk stays tied and the run continues to the straight run's bytes."""
+    cfg = tiny_cfg()
+    method("push", cfg, total_steps=512, out_dir=tmp_path / "a", seed=4,
+           n_envs=2)
+    method("push", cfg, total_steps=1, out_dir=tmp_path / "c", seed=4,
+           n_envs=2)
+    method("push", cfg, total_steps=512, out_dir=tmp_path / "c", seed=4,
+           n_envs=2, resume=True)
+    for name in ("metrics.csv", "design_means.csv", "checkpoint.json"):
+        assert (tmp_path / "a" / name).read_bytes() == \
+            (tmp_path / "c" / name).read_bytes(), name
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +417,7 @@ def test_shared_design_head_has_no_control_phase_channel():
     assert env.phase == "control"
     with pytest.raises(Exception):
         env.step_design(np.zeros(5))
-    ep = run_episode(env, params, seed=1, features=shared_features)
+    ep = run_episode(env, params, seed=1)
     assert math.isfinite(ep["return"])
 
 

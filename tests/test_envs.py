@@ -390,6 +390,35 @@ def test_featurization_dims(task):
     assert env.value_input(obs2)[0] == 1.0
 
 
+@pytest.mark.parametrize("task", TASKS)
+def test_value_row_columns_are_the_per_phase_layouts(task):
+    """design_columns pick [task, goal] at the design step and
+    control_columns [task, echo ratio, goal] at every control step, bitwise,
+    and both inputs are those columns of the value row."""
+    env = make_env(task)
+    obs = env.reset(seed=3)
+    rng = np.random.default_rng(3)
+
+    def normalized(obs):
+        return ((obs.task - env.task_center) / env.task_scale,
+                (obs.goal - env.goal_center) / env.goal_scale)
+
+    row = env.value_input(obs)
+    expect = np.concatenate(normalized(obs))
+    assert np.array_equal(row[env.design_columns], expect)
+    assert np.array_equal(env.design_input(obs), expect)
+    res = env.step_design(rng.normal(scale=0.3, size=5))
+    for _ in range(5):
+        task_x, goal_x = normalized(res.observation)
+        expect = np.concatenate([task_x, env.space.ratio_of(env.design), goal_x])
+        row = env.value_input(res.observation)
+        assert np.array_equal(row[env.control_columns], expect)
+        assert np.array_equal(env.control_input(res.observation), expect)
+        if res.done:
+            break
+        res = env.step_control(rng.normal(size=env.control_action_dim))
+
+
 def test_control_input_echoes_design_in_ratio_space():
     env = make_env("push")
     env.reset(seed=0)

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from toolsmith import geometry
+from toolsmith.envs import default_config
 from toolsmith.geometry import (
     DesignBounds,
     DesignVector,
@@ -131,17 +133,44 @@ def test_ratio_space_bounds_and_realize():
     assert mid.angles == (0.0, 0.0)
 
 
-def test_ratio_of_inverts_realize():
-    """ratio_of recovers the ratio action for in-box actions."""
-    space = RatioDesignSpace(length_init=(6.0, 3.0, 3.0),
-                             length_ratio=(-0.7, 0.2),
-                             angle_ratio=(-0.1, 0.7),
-                             angle_scale=math.pi / 2)
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        u = np.concatenate([rng.uniform(-0.7, 0.2, size=3), rng.uniform(-0.1, 0.7, size=2)])
-        d = space.realize(u)
-        assert np.allclose(space.ratio_of(d), u, atol=1e-12)
+TASK_SPACES = st.sampled_from(("push", "catch", "scoop")).map(
+    lambda task: default_config(task).design_space())
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=300)
+
+
+@st.composite
+def in_box_actions(draw):
+    """A task's design space and a ratio action inside its box."""
+    space = draw(TASK_SPACES)
+    (lo, hi), (alo, ahi) = space.length_ratio, space.angle_ratio
+    u = [draw(st.floats(lo, hi)) for _ in range(3)] \
+        + [draw(st.floats(alo, ahi)) for _ in range(2)]
+    return space, np.array(u)
+
+
+@PROPERTY
+@given(in_box_actions())
+def test_ratio_of_inverts_realize(case):
+    """ratio_of recovers the ratio action for in-box actions of every task."""
+    space, u = case
+    assert np.allclose(space.ratio_of(space.realize(u)), u, rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(TASK_SPACES, st.lists(st.floats(-1e100, 1e100), min_size=5,
+                             max_size=5))
+def test_realize_of_its_own_ratio_is_a_fixed_point(space, u):
+    """Any finite action (kept clear of float overflow) realizes to a design
+    that realizes back to itself through ratio_of, up to rounding: the
+    length ratio l / init - 1 cancels digits, so the round trip may move the
+    last bits, never further."""
+    design = space.realize(u).as_array()
+    again = space.realize(space.ratio_of(DesignVector.from_array(design)))
+    assert np.allclose(again.as_array(), design, rtol=0, atol=1e-14)
+    bounds = space.bounds
+    assert np.all(again.as_array() >= bounds.low())
+    assert np.all(again.as_array() <= bounds.high())
 
 
 def test_material_length():

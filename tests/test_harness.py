@@ -13,6 +13,7 @@ from toolsmith.envs import default_config, make_env
 from toolsmith.evaluation import evaluation_goals, evaluate_policy
 from toolsmith.harness import (
     ALLOWED_FRACTIONS,
+    DEFAULT_FINETUNE_GOALS,
     CutoutSpec,
     ExperimentConfig,
     centered_cutout,
@@ -139,6 +140,17 @@ def test_unknown_method_rejected():
 def test_nonpositive_sizes_rejected(key):
     with pytest.raises(ValueError, match=key):
         config_from_dict({"task": "push", key: 0})
+
+
+@pytest.mark.parametrize("task,method", [("scoop", "ours"), ("catch", "hwasp"),
+                                         ("push", "single_traj"),
+                                         ("push", "cma_rl")])
+def test_cutout_rejected_where_no_sampler_reads_it(task, method):
+    """Only push has the goal rectangle a cutout removes, and only the
+    methods that train on sampled goals receive the cutout sampler."""
+    with pytest.raises(ValueError, match="cutout_fraction"):
+        config_from_dict({"task": task, "method": method,
+                          "cutout_fraction": 0.2})
 
 
 def test_train_keys_route_into_train_config():
@@ -291,6 +303,22 @@ def test_cmd_finetune_rejects_training_region_goals(tmp_path, tiny_checkpoint):
     with pytest.raises(ValueError, match="training region"):
         cmd_finetune(tiny_checkpoint, str(tmp_path / "ft2"),
                      goals=[(8.0, 10.0)], budget=0)
+
+
+def test_cmd_finetune_keeps_the_hwasp_design_goal_independent(tmp_path):
+    from toolsmith.ppo import default_train_config
+    out = cmd_train(tiny_config(tmp_path, method="hwasp"))
+    ck = os.path.join(out["seed_dirs"][0], "checkpoint.json")
+    cfg = default_train_config("push", batch_size=256, minibatch_size=64,
+                               ppo_epochs=2)
+    tuned = cmd_finetune(ck, str(tmp_path / "ft"), budget=2, cfg=cfg)
+    env = make_env(default_config("push"))
+    goals = evaluation_goals(env, 4) + [np.asarray(g, dtype=np.float64)
+                                        for g in DEFAULT_FINETUNE_GOALS]
+    episodes = evaluate_policy(env, tuned["finetuned"]["params"],
+                               goals)["episodes"]
+    for ep in episodes[1:]:
+        assert np.array_equal(ep["design"], episodes[0]["design"])
 
 
 def test_cmd_finetune_report_lists_both_arms(tmp_path, tiny_checkpoint):
@@ -486,6 +514,16 @@ def test_cli_rejects_zero_sizes_before_running(tmp_path, capsys, flag, method):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert flag[2:].replace("-", "_") in err
+    assert not out_dir.exists()
+
+
+def test_cli_rejects_a_scoop_cutout_before_running(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    rc = cli_main(["train", "--task", "scoop", "--seeds", "0",
+                   "--cutout-fraction", "0.2", "--out-dir", str(out_dir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "cutout_fraction" in err
     assert not out_dir.exists()
 
 

@@ -1,15 +1,18 @@
 import math
+import os
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from toolsmith import neural
 from toolsmith.neural import (
     Adam,
     GaussianHead,
     Network,
     backward,
     clone_params,
+    copy_params_into,
     forward,
     gaussian_entropy,
     gaussian_logprob,
@@ -327,6 +330,24 @@ def test_clone_params_independent():
     assert p.designer.weights[0][0, 0] != q.designer.weights[0][0, 0]
 
 
+def test_copy_params_into_keeps_shared_arrays_and_checks_shapes():
+    rng = np.random.default_rng(18)
+    p, src = [init_policy(8, 5, 8, 2, 9, rng, hidden=(4,)) for _ in range(2)]
+    for bundle in (p, src):  # a first layer shared by designer and controller
+        bundle.controller.weights[0] = bundle.designer.weights[0]
+    copy_params_into(p, src)
+    assert p.controller.weights[0] is p.designer.weights[0]
+    for a, b in zip(p.trainable(), src.trainable()):
+        assert np.array_equal(a, b)
+    before = [a.copy() for a in p.trainable()]
+    with pytest.raises(ValueError):
+        copy_params_into(p, init_policy(8, 5, 8, 2, 9, rng, hidden=(6,)))
+    with pytest.raises(ValueError):
+        copy_params_into(p, init_policy(8, 5, 8, 2, 9, rng, hidden=(4, 4)))
+    for a, b in zip(p.trainable(), before):
+        assert np.array_equal(a, b)
+
+
 # -- optimizer --------------------------------------------------------------------
 
 def test_adam_descends_quadratic():
@@ -392,3 +413,33 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     path.write_text('{"version": 99}')
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+def test_checkpoint_write_that_dies_leaves_the_previous_file(tmp_path,
+                                                           monkeypatch):
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(path, {"env_steps": 1, "a": np.arange(3.0)})
+    before = path.read_bytes()
+
+    class DiesHalfway:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:len(text) // 2])
+            raise OSError("no space left on device")
+
+    monkeypatch.setattr(neural, "open", lambda *a, **k: DiesHalfway(open(*a, **k)),
+                        raising=False)
+    with pytest.raises(OSError):
+        save_checkpoint(path, {"env_steps": 2, "a": np.arange(5.0)})
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert load_checkpoint(path)["env_steps"] == 1
+    assert os.listdir(tmp_path) == ["checkpoint.json"]

@@ -3,8 +3,9 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from toolsmith.envs import default_config, make_env
+from toolsmith.envs import ToolTaskEnv, default_config, make_env
 from toolsmith.neural import (
     GaussianHead,
     clone_params,
@@ -99,17 +100,30 @@ def test_gae_lambda_one_gamma_one_telescopes():
     assert np.allclose(ret, tail, atol=1e-12)
 
 
-def test_gae_matches_reference_with_midstream_done():
-    rng = np.random.default_rng(4)
-    rewards = rng.standard_normal(25)
-    values = rng.standard_normal(26)
-    dones = np.zeros(25)
-    dones[9] = 1.0
-    dones[-1] = 1.0
-    adv, ret = compute_gae(rewards, values, dones, 0.97, 0.9)
-    expect = gae_reference(rewards, values, dones, 0.97, 0.9)
-    assert np.allclose(adv, expect, atol=1e-12)
-    assert np.allclose(ret, expect + values[:-1], atol=1e-12)
+finite = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+@st.composite
+def gae_cases(draw):
+    T = draw(st.integers(1, 40))
+    rewards = draw(st.lists(finite, min_size=T, max_size=T))
+    values = draw(st.lists(finite, min_size=T + 1, max_size=T + 1))
+    dones = draw(st.lists(st.booleans(), min_size=T, max_size=T))
+    return (np.array(rewards), np.array(values), np.array(dones, dtype=float),
+            draw(st.floats(0.0, 1.0, exclude_min=True)),
+            draw(st.floats(0.0, 1.0, exclude_min=True)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(gae_cases())
+def test_gae_matches_reference_with_midstream_done(case):
+    """Any length, any done positions (midstream ones included), any gamma
+    and lambda in (0, 1]: the backward fold equals the direct double sum."""
+    rewards, values, dones, gamma, lam = case
+    adv, ret = compute_gae(rewards, values, dones, gamma, lam)
+    expect = gae_reference(rewards, values, dones, gamma, lam)
+    assert np.allclose(adv, expect, rtol=0, atol=1e-10)
+    assert np.allclose(ret, expect + values[:-1], rtol=0, atol=1e-10)
 
 
 def test_gae_zero_rewards_zero_values():
@@ -195,6 +209,25 @@ def test_collect_batch_structure():
         assert np.all(np.isfinite(t.rewards))
         assert t.design_input.shape == (envs[0].design_input_dim,)
         assert t.design_action.shape == (5,)
+
+
+def test_collect_batch_featurizes_each_step_once(monkeypatch):
+    calls = []
+    value_input = ToolTaskEnv.value_input
+
+    def counted(self, obs):
+        calls.append(obs)
+        return value_input(self, obs)
+
+    def forbidden(self, obs):
+        raise AssertionError("collect_batch featurized a step a second time")
+
+    monkeypatch.setattr(ToolTaskEnv, "value_input", counted)
+    monkeypatch.setattr(ToolTaskEnv, "design_input", forbidden)
+    monkeypatch.setattr(ToolTaskEnv, "control_input", forbidden)
+    rng, envs, params, cfg = make_setup()
+    trajs = collect_batch(envs, params, cfg, rng)
+    assert len(calls) == sum(t.length for t in trajs)
 
 
 def test_collect_batch_deterministic():
