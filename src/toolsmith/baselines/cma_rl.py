@@ -24,6 +24,7 @@ from toolsmith.ppo import (
     collect_batch,
     config_fingerprint,
     default_train_config,
+    policy_columns,
     policy_for_env,
     ppo_update,
     prepare_batch,
@@ -37,10 +38,11 @@ def _train_inner(envs, params, cfg, rng, budget: int, design) -> tuple:
     """Control-only updates against one fixed design; returns the steps
     used and the optimizers."""
     optimizers = Optimizers(params, cfg)
+    columns = policy_columns(params, envs[0])
     steps = 0
     while steps < budget:
         trajs = collect_batch(envs, params, cfg, rng, fixed_design=design)
-        batch = prepare_batch(trajs, cfg)
+        batch = prepare_batch(trajs, cfg, columns)
         steps += batch.env_steps
         ppo_update(params, batch, cfg, optimizers, rng)
     return steps, optimizers

@@ -17,13 +17,12 @@ import numpy as np
 from toolsmith.envs import default_config, make_env
 from toolsmith.neural import (
     HIDDEN,
-    GaussianHead,
     Network,
     PolicyParams,
     init_network,
     param_count,
 )
-from toolsmith.ppo import TASK_POLICY, TrainConfig, policy_for_env, train
+from toolsmith.ppo import TrainConfig, policy_for_env, policy_heads, train
 
 
 def separate_param_count(env) -> int:
@@ -31,24 +30,25 @@ def separate_param_count(env) -> int:
     return param_count(policy_for_env(env, np.random.default_rng(0)))
 
 
-def shared_policy(env, rng: np.random.Generator) -> PolicyParams:
-    """Build the tied-trunk bundle, widening until the size bar is met."""
-    kw = TASK_POLICY[env.task_name]
+def shared_policy(env, rng: np.random.Generator, **overrides) -> PolicyParams:
+    """Build the tied-trunk bundle, widening until the size bar is met; the
+    heads come from ppo.policy_heads(env, **overrides)."""
+    heads = policy_heads(env, **overrides)
     floor = separate_param_count(env)
     widths = HIDDEN
 
     while True:
-        candidate = _build(env, np.random.default_rng(0), widths, kw)
+        candidate = _build(env, np.random.default_rng(0), widths, heads)
         if param_count(candidate) >= floor:
             break
         widths = tuple(w + 16 for w in widths)
-    built = _build(env, rng, widths, kw)
+    built = _build(env, rng, widths, heads)
     assert param_count(built) >= floor, \
         f"shared architecture {param_count(built)} params < separate {floor}"
     return built
 
 
-def _build(env, rng, widths, kw) -> PolicyParams:
+def _build(env, rng, widths, heads) -> PolicyParams:
     d_out = env.design_action_dim
     c_out = env.control_action_dim
     v_in = env.value_input_dim
@@ -62,11 +62,9 @@ def _build(env, rng, widths, kw) -> PolicyParams:
     )
     return PolicyParams(
         designer=trunk_and_design,
-        designer_head=GaussianHead(np.full(d_out, float(kw["design_log_std"])),
-                                   kw["fix_std"]),
+        designer_head=heads[0],
         controller=controller,
-        controller_head=GaussianHead(np.full(c_out, float(kw["control_log_std"])),
-                                     kw["fix_std"]),
+        controller_head=heads[1],
         value=init_network((v_in, *widths, 1), rng, output_gain=1.0),
     )
 
@@ -89,13 +87,15 @@ def retie_trunk(params: PolicyParams) -> PolicyParams:
 
 def shared_arch(task: str, cfg: TrainConfig, total_steps: int, out_dir,
                 seed: int = 0, task_cfg=None, n_envs: int = 16,
-                **train_kw) -> dict:
+                policy_overrides=None, **train_kw) -> dict:
     """Train the tied-trunk variant with the standard update machinery."""
     task_cfg = task_cfg or default_config(task)
     env = make_env(task_cfg)
-    params = shared_policy(env, np.random.default_rng(seed))
+    params = shared_policy(env, np.random.default_rng(seed),
+                           **(policy_overrides or {}))
     out = train(task, cfg, total_steps, out_dir, seed=seed, task_cfg=task_cfg,
-                n_envs=n_envs, params=params, **train_kw)
+                n_envs=n_envs, params=params,
+                policy_overrides=policy_overrides, **train_kw)
     out["param_count"] = param_count(params)
     out["separate_param_count"] = separate_param_count(env)
     return out

@@ -19,8 +19,11 @@ entry x enters as (x - center) / scale. A policy reads columns of the row
 (ppo.policy_columns): both halves of a shared trunk (a designer as wide as
 its controller) read all of it, a designer with no inputs none; else the
 designer reads design_columns (task, goal) and the controller
-control_columns (all after the flag). design_input and control_input return
-those columns; bench/spans.py wraps them by name.
+control_columns (all after the flag). Collection and the PPO update keep
+only this row per step (ppo.Trajectory and ppo.Batch value_inputs) and take
+each policy's columns from it. design_input and control_input return those
+columns; nothing in the program calls them, bench/spans.py wraps them by
+name.
 """
 
 from __future__ import annotations

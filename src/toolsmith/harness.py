@@ -68,7 +68,8 @@ METHODS = ("ours", "single_traj", "cma_rl", "hwasp", "shared")
 CUTOUT_METHODS = ("ours", "hwasp", "shared")
 DEFAULT_ALPHAS = (0.0, 0.3, 0.7, 1.0)
 
-# Desk-scale policy adjustments applied when no explicit overrides are given.
+# Desk-scale policy adjustments applied when no explicit overrides are given,
+# to every method that trains a Gaussian designer (ours, hwasp, shared).
 # The catch designer explores with a smaller step so its action mean cannot
 # random-walk past the design clamp bounds within a small-batch budget.
 DESK_POLICY_OVERRIDES = {
@@ -261,11 +262,13 @@ def _run_one_seed(config: ExperimentConfig, seed: int, out_dir) -> dict:
     if config.method == "hwasp":
         return hwasp_minimal(config.task, config.train, config.total_steps,
                              out_dir, seed=seed, task_cfg=task_cfg,
-                             n_envs=config.n_envs, goal_sampler=sampler)
+                             n_envs=config.n_envs, goal_sampler=sampler,
+                             policy_overrides=config.policy_overrides)
     if config.method == "shared":
         return shared_arch(config.task, config.train, config.total_steps,
                            out_dir, seed=seed, task_cfg=task_cfg,
-                           n_envs=config.n_envs, goal_sampler=sampler)
+                           n_envs=config.n_envs, goal_sampler=sampler,
+                           policy_overrides=config.policy_overrides)
     if config.method == "single_traj":
         return single_traj_cmaes(config.task, config.total_steps, out_dir,
                                  seed=seed, task_cfg=task_cfg)
@@ -397,6 +400,9 @@ def cmd_eval(checkpoint_path, out_dir, goals=None, grid: int | None = None,
     env, art = _load_for_eval(checkpoint_path, task)
     ck_task = art.task
     spec = centered_cutout(cutout_fraction)
+    if cutout_fraction > 0.0 and ck_task != "push":
+        raise ValueError(f"cutout_fraction applies to push goals, not to "
+                         f"a {ck_task} checkpoint")
     if goals is None:
         if grid is not None:
             if ck_task != "push":
@@ -486,10 +492,11 @@ def _finetune_arm(env_template, params, cfg, goals, budget: int, seed: int,
     rows = []
     ret0, per_goal = _eval_on_goals(eval_env, params, goal_arr)
     rows.append((0, 0, ret0, float(np.mean(per_goal))))
+    columns = policy_columns(params, eval_env)
     steps = 0
     for update in range(1, budget + 1):
         trajs = collect_batch(envs, params, cfg, rng, goal_sampler=sampler)
-        batch = prepare_batch(trajs, cfg)
+        batch = prepare_batch(trajs, cfg, columns)
         steps += batch.env_steps
         params, _ = ppo_update(params, batch, cfg, optimizers, rng)
         ret, per_goal = _eval_on_goals(eval_env, params, goal_arr)

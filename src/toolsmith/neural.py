@@ -2,7 +2,8 @@
 
 Everything is float64 numpy. A Network is a plain stack of affine layers with
 tanh on hidden layers and a linear output; policies add a diagonal Gaussian
-head whose log-stds are either fixed constants or trainable parameters.
+head whose log-stds are fixed constants set per task, so the networks'
+weights and biases are the only trainable parameters.
 """
 
 from __future__ import annotations
@@ -102,10 +103,10 @@ def backward(net: Network, x, output_grad) -> list:
 
 @dataclass
 class GaussianHead:
-    """Diagonal Gaussian over actions; mean comes from a network's output."""
+    """Diagonal Gaussian over actions; mean comes from a network's output
+    and the log-stds are constants, never trained."""
 
     log_std: np.ndarray
-    fixed: bool = True
 
     def std(self) -> np.ndarray:
         return np.exp(self.log_std)
@@ -120,12 +121,11 @@ def gaussian_logprob(head: GaussianHead, mean, action):
 
 
 def gaussian_logprob_grads(head: GaussianHead, mean, action):
-    """(d logp / d mean, d logp / d log_std), elementwise per row."""
+    """d logp / d mean, elementwise per row."""
     mu = np.asarray(mean, dtype=np.float64)
     a = np.asarray(action, dtype=np.float64)
     std = head.std()
-    z = (a - mu) / std
-    return z / std, z * z - 1.0
+    return (a - mu) / std / std
 
 
 def sample_action(head: GaussianHead, mean, rng: np.random.Generator):
@@ -154,18 +154,13 @@ class PolicyParams:
     value: Network
 
     def trainable(self) -> list:
-        """Flat list of trainable arrays, stable order.
+        """Flat list of the policy networks' arrays, stable order.
 
         Arrays shared between the designer and controller (a common trunk)
         are listed once so optimizers never double-step them.
         """
-        cand = parameters(self.designer) + parameters(self.controller)
-        if not self.designer_head.fixed:
-            cand.append(self.designer_head.log_std)
-        if not self.controller_head.fixed:
-            cand.append(self.controller_head.log_std)
         out, seen = [], set()
-        for a in cand:
+        for a in parameters(self.designer) + parameters(self.controller):
             if id(a) not in seen:
                 seen.add(id(a))
                 out.append(a)
@@ -175,18 +170,18 @@ class PolicyParams:
 def init_policy(design_in: int, design_out: int, control_in: int, control_out: int,
                 value_in: int, rng: np.random.Generator,
                 design_log_std: float = 0.0, control_log_std: float = 0.0,
-                fix_std: bool = True, hidden=HIDDEN) -> PolicyParams:
+                hidden=HIDDEN) -> PolicyParams:
     return PolicyParams(
         designer=init_network((design_in, *hidden, design_out), rng, output_gain=0.01),
-        designer_head=GaussianHead(np.full(design_out, float(design_log_std)), fix_std),
+        designer_head=GaussianHead(np.full(design_out, float(design_log_std))),
         controller=init_network((control_in, *hidden, control_out), rng, output_gain=0.01),
-        controller_head=GaussianHead(np.full(control_out, float(control_log_std)), fix_std),
+        controller_head=GaussianHead(np.full(control_out, float(control_log_std))),
         value=init_network((value_in, *hidden, 1), rng, output_gain=1.0),
     )
 
 
 def param_count(params: PolicyParams) -> int:
-    """Trainable scalar count across designer, controller, heads, and value."""
+    """Trainable scalar count across designer, controller and value."""
     total = sum(a.size for a in params.trainable())
     total += sum(a.size for a in parameters(params.value))
     return total
@@ -199,11 +194,9 @@ def clone_params(params: PolicyParams) -> PolicyParams:
 
     return PolicyParams(
         designer=copy_net(params.designer),
-        designer_head=GaussianHead(params.designer_head.log_std.copy(),
-                                   params.designer_head.fixed),
+        designer_head=GaussianHead(params.designer_head.log_std.copy()),
         controller=copy_net(params.controller),
-        controller_head=GaussianHead(params.controller_head.log_std.copy(),
-                                     params.controller_head.fixed),
+        controller_head=GaussianHead(params.controller_head.log_std.copy()),
         value=copy_net(params.value),
     )
 
@@ -309,25 +302,28 @@ def _net_from_state(state: dict) -> Network:
 
 
 def params_state(params: PolicyParams) -> dict:
+    # the *_fixed keys stay, always true, so the checkpoint format holds
     return {
         "designer": _net_state(params.designer),
         "designer_log_std": params.designer_head.log_std,
-        "designer_fixed": params.designer_head.fixed,
+        "designer_fixed": True,
         "controller": _net_state(params.controller),
         "controller_log_std": params.controller_head.log_std,
-        "controller_fixed": params.controller_head.fixed,
+        "controller_fixed": True,
         "value": _net_state(params.value),
     }
 
 
 def params_from_state(state: dict) -> PolicyParams:
+    for head in ("designer", "controller"):
+        if not state[f"{head}_fixed"]:
+            raise ValueError(f"checkpoint's {head} head trains its log-stds; "
+                             f"only fixed Gaussian heads are supported")
     return PolicyParams(
         designer=_net_from_state(state["designer"]),
-        designer_head=GaussianHead(np.asarray(state["designer_log_std"], dtype=np.float64),
-                                   bool(state["designer_fixed"])),
+        designer_head=GaussianHead(np.asarray(state["designer_log_std"], dtype=np.float64)),
         controller=_net_from_state(state["controller"]),
-        controller_head=GaussianHead(np.asarray(state["controller_log_std"], dtype=np.float64),
-                                     bool(state["controller_fixed"])),
+        controller_head=GaussianHead(np.asarray(state["controller_log_std"], dtype=np.float64)),
         value=_net_from_state(state["value"]),
     )
 

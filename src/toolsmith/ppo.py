@@ -1,10 +1,12 @@
 """Joint PPO training of the designer and controller policies.
 
-Each trajectory spans both phases: one design step, then control steps to
-termination. Advantages come from GAE over the whole trajectory, so the
-design step's advantage depends on downstream control rewards. Updates use
-the clipped surrogate with an entropy bonus, mixed-phase minibatches, and
-epoch-level early stopping on approximate KL.
+Each trajectory is one complete episode: one design step, then control
+steps to termination, each step recorded once as its value row. Advantages
+come from GAE over the whole episode, so the design step's advantage
+depends on downstream control rewards. Updates use the clipped surrogate
+with mixed-phase minibatches and epoch-level early stopping on approximate
+KL. The heads' log-stds are fixed, so the entropy term only offsets the
+reported policy loss.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 from .envs import DESIGN, TaskConfig, default_config, dump_task_config, make_env
 from .neural import (
     Adam,
+    GaussianHead,
     PolicyParams,
     clone_params,
     copy_params_into,
@@ -77,9 +80,9 @@ TASK_TRAIN = {
     "scoop": dict(kl_threshold=0.1, value_lr=3e-4),
 }
 TASK_POLICY = {
-    "push": dict(design_log_std=-2.3, control_log_std=-1.0, fix_std=True),
-    "catch": dict(design_log_std=0.0, control_log_std=0.0, fix_std=True),
-    "scoop": dict(design_log_std=0.0, control_log_std=0.0, fix_std=True),
+    "push": dict(design_log_std=-2.3, control_log_std=-1.0),
+    "catch": dict(design_log_std=0.0, control_log_std=0.0),
+    "scoop": dict(design_log_std=0.0, control_log_std=0.0),
 }
 
 
@@ -95,14 +98,26 @@ def default_train_config(task: str, scale: str = "desk", **overrides) -> TrainCo
     return TrainConfig(**kw)
 
 
+def policy_heads(env, **overrides) -> tuple:
+    """(designer, controller) Gaussian heads at the env task's TASK_POLICY
+    log-stds, updated by overrides; every policy builder takes its heads
+    from here."""
+    kw = dict(TASK_POLICY[env.task_name])
+    if not set(overrides) <= set(kw):
+        raise ValueError(f"policy overrides {sorted(overrides)} not among {sorted(kw)}")
+    kw.update(overrides)
+    return (GaussianHead(np.full(env.design_action_dim, float(kw["design_log_std"]))),
+            GaussianHead(np.full(env.control_action_dim, float(kw["control_log_std"]))))
+
+
 def policy_for_env(env, rng: np.random.Generator, **overrides) -> PolicyParams:
     """Fresh designer/controller/value bundle sized for an environment."""
-    kw = dict(TASK_POLICY[env.task_name])
-    kw.update(overrides)
-    return init_policy(
+    params = init_policy(
         design_in=env.design_input_dim, design_out=env.design_action_dim,
         control_in=env.control_input_dim, control_out=env.control_action_dim,
-        value_in=env.value_input_dim, rng=rng, **kw)
+        value_in=env.value_input_dim, rng=rng)
+    params.designer_head, params.controller_head = policy_heads(env, **overrides)
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -111,23 +126,21 @@ def policy_for_env(env, rng: np.random.Generator, **overrides) -> PolicyParams:
 
 @dataclass
 class Trajectory:
-    """One episode: the design step at index 0, control steps after.
+    """One complete episode: the design step at index 0, control steps after.
 
-    design_logp is None when the design was imposed from outside the policy
-    (a fixed candidate under evaluation); such steps still carry value and
-    return rows but are excluded from the policy update.
+    value_inputs is the only per-step input record. design_logp is None
+    when the design was imposed from outside the policy (a fixed candidate
+    under evaluation); such steps still carry value and return rows but are
+    excluded from the policy update.
     """
 
-    design_input: np.ndarray
     design_action: np.ndarray
     design_logp: float | None
-    control_inputs: np.ndarray
     control_actions: np.ndarray
     control_logps: np.ndarray
     value_inputs: np.ndarray       # one row per step, design row first
     rewards: np.ndarray
     values: np.ndarray
-    dones: np.ndarray
     design_echo: np.ndarray
     success: float
     d_used: float
@@ -148,24 +161,21 @@ class Trajectory:
         return float(self.rewards.sum())
 
 
-def compute_gae(rewards, values, dones, gamma: float, lam: float):
-    """delta_t = r_t + gamma*V_{t+1}*(1-done_t) - V_t, folded backwards.
+def compute_gae(rewards, values, gamma: float, lam: float):
+    """(advantages, returns) over one whole episode, one value per step.
 
-    values carries one bootstrap entry beyond the last reward.
+    delta_t = r_t + gamma*V_{t+1} - V_t with V = 0 after the last step,
+    folded backwards; episodes are never cut, so there is no done mask.
     """
     r = np.asarray(rewards, dtype=np.float64)
-    v = np.asarray(values, dtype=np.float64)
-    d = np.asarray(dones, dtype=np.float64)
+    v = np.append(np.asarray(values, dtype=np.float64), 0.0)
     if v.size != r.size + 1:
-        raise ValueError("values must have one bootstrap entry beyond rewards")
-    if d.size != r.size:
-        raise ValueError("dones must match rewards length")
+        raise ValueError("values must hold one entry per reward")
     adv = np.zeros_like(r)
     acc = 0.0
     for t in range(r.size - 1, -1, -1):
-        keep = 1.0 - d[t]
-        delta = r[t] + gamma * v[t + 1] * keep - v[t]
-        acc = delta + gamma * lam * keep * acc
+        delta = r[t] + gamma * v[t + 1] - v[t]
+        acc = delta + gamma * lam * acc
         adv[t] = acc
     return adv, adv + v[:-1]
 
@@ -190,8 +200,8 @@ class _EpisodeBuilder:
         self.env = env
         goal = goal_sampler(env, rng) if goal_sampler is not None else None
         self.obs = env.reset(goal=goal)
-        self.design_row = None
-        self.control_inputs = []
+        self.design_action = None
+        self.design_logp = None
         self.control_actions = []
         self.control_logps = []
         self.value_inputs = []
@@ -201,19 +211,13 @@ class _EpisodeBuilder:
 
     def finish(self) -> Trajectory:
         env = self.env
-        T = len(self.rewards)
-        dones = np.zeros(T, dtype=np.float64)
-        dones[-1] = 1.0
-        di, da, dlp = self.design_row
         return Trajectory(
-            design_input=di, design_action=da, design_logp=dlp,
-            control_inputs=np.asarray(self.control_inputs),
+            design_action=self.design_action, design_logp=self.design_logp,
             control_actions=np.asarray(self.control_actions),
             control_logps=np.asarray(self.control_logps, dtype=np.float64),
             value_inputs=np.asarray(self.value_inputs),
             rewards=np.asarray(self.rewards, dtype=np.float64),
             values=np.asarray(self.values, dtype=np.float64),
-            dones=dones,
             design_echo=env.design.as_array(),
             success=float(env._success),
             d_used=float(env._d_used),
@@ -252,9 +256,9 @@ def collect_batch(envs: list, params: PolicyParams, cfg: TrainConfig,
         # np.ix_ takes rows and columns as one C-ordered copy; columns taken
         # from a row subset come out F-ordered, which changes matmul rounding
         if design_ids:
-            X = val_in[np.ix_(in_design, design_cols)]
             if fixed_design is None:
-                mu = forward(params.designer, X)
+                mu = forward(params.designer,
+                             val_in[np.ix_(in_design, design_cols)])
                 acts, logps = sample_action(params.designer_head, mu, rng)
                 logps = [float(lp) for lp in logps]
             else:
@@ -264,17 +268,16 @@ def collect_batch(envs: list, params: PolicyParams, cfg: TrainConfig,
             for k, i in enumerate(design_ids):
                 b = builders[i]
                 res = b.env.step_design(acts[k])
-                b.design_row = (X[k], acts[k].copy(), logps[k])
+                b.design_action, b.design_logp = acts[k].copy(), logps[k]
                 b.rewards.append(res.reward)
                 b.obs = res.observation
         if control_ids:
-            X = val_in[np.ix_(~in_design, control_cols)]
-            mu = forward(params.controller, X)
+            mu = forward(params.controller,
+                         val_in[np.ix_(~in_design, control_cols)])
             acts, logps = sample_action(params.controller_head, mu, rng)
             for k, i in enumerate(control_ids):
                 b = builders[i]
                 res = b.env.step_control(acts[k])
-                b.control_inputs.append(X[k])
                 b.control_actions.append(acts[k].copy())
                 b.control_logps.append(float(logps[k]))
                 b.rewards.append(res.reward)
@@ -295,13 +298,14 @@ def collect_batch(envs: list, params: PolicyParams, cfg: TrainConfig,
 @dataclass
 class Batch:
     """Flattened rows: on-policy design rows first, then control rows, then
-    value-only rows for any externally imposed design steps."""
+    value-only rows for any externally imposed design steps. value_inputs is
+    the only input record; columns (from policy_columns) names the columns
+    of it that the designer and the controller read."""
 
-    design_inputs: np.ndarray
+    columns: tuple
     design_actions: np.ndarray
     design_logp_old: np.ndarray
     design_adv: np.ndarray
-    control_inputs: np.ndarray
     control_actions: np.ndarray
     control_logp_old: np.ndarray
     control_adv: np.ndarray
@@ -319,21 +323,17 @@ class Batch:
         return self.design_adv.size
 
     @property
-    def num_policy_rows(self) -> int:
-        return self.design_adv.size + self.control_adv.size
-
-    @property
     def num_rows(self) -> int:
         return self.returns.size
 
 
-def prepare_batch(trajs: list, cfg: TrainConfig) -> Batch:
-    """GAE per trajectory, then flatten with advantages normalized jointly."""
+def prepare_batch(trajs: list, cfg: TrainConfig, columns: tuple) -> Batch:
+    """GAE per trajectory, then flatten with advantages normalized jointly;
+    columns is policy_columns of the policies that collected trajs."""
     d_adv, d_ret, c_adv, c_ret, off_ret = [], [], [], [], []
     on_policy = []
     for t in trajs:
-        values = np.append(t.values, 0.0)
-        adv, ret = compute_gae(t.rewards, values, t.dones, cfg.gamma, cfg.gae_lambda)
+        adv, ret = compute_gae(t.rewards, t.values, cfg.gamma, cfg.gae_lambda)
         if t.design_logp is not None:
             on_policy.append(t)
             d_adv.append(adv[0])
@@ -350,34 +350,24 @@ def prepare_batch(trajs: list, cfg: TrainConfig) -> Batch:
     design_adv = (design_adv - mean) / scale
     control_adv = (control_adv - mean) / scale
 
-    if on_policy:
-        design_inputs = np.stack([t.design_input for t in on_policy])
-        design_actions = np.stack([t.design_action for t in on_policy])
-        design_logp_old = np.asarray([t.design_logp for t in on_policy])
-        design_value_rows = [np.stack([t.value_inputs[0] for t in on_policy])]
-    else:
-        dim = trajs[0].design_input.shape[0]
-        design_inputs = np.empty((0, dim))
-        design_actions = np.empty((0, trajs[0].design_action.shape[0]))
-        design_logp_old = np.empty(0)
-        design_value_rows = []
+    design_actions = np.array([t.design_action for t in on_policy]).reshape(
+        len(on_policy), trajs[0].design_action.size)
+    design_logp_old = np.array([t.design_logp for t in on_policy], dtype=np.float64)
     off_policy = [t for t in trajs if t.design_logp is None]
-    tail_value_rows = [np.stack([t.value_inputs[0] for t in off_policy])] \
-        if off_policy else []
 
     steps = sum(t.length for t in trajs)
     return Batch(
-        design_inputs=design_inputs,
+        columns=columns,
         design_actions=design_actions,
         design_logp_old=design_logp_old,
         design_adv=design_adv,
-        control_inputs=np.concatenate([t.control_inputs for t in trajs]),
         control_actions=np.concatenate([t.control_actions for t in trajs]),
         control_logp_old=np.concatenate([t.control_logps for t in trajs]),
         control_adv=control_adv,
         value_inputs=np.concatenate(
-            design_value_rows + [t.value_inputs[1:] for t in trajs]
-            + tail_value_rows),
+            [t.value_inputs[:1] for t in on_policy]
+            + [t.value_inputs[1:] for t in trajs]
+            + [t.value_inputs[:1] for t in off_policy]),
         returns=np.concatenate([np.asarray(d_ret)] + c_ret
                                + [np.asarray(off_ret)]),
         mean_return=float(np.mean([t.episode_return for t in trajs])),
@@ -402,31 +392,38 @@ def _policy_loss_grads(net, head, X, actions, logp_old, adv, clip_eps, B):
     clipped = np.clip(rho, 1.0 - clip_eps, 1.0 + clip_eps) * adv
     obj = np.minimum(unclipped, clipped)
     g_logp = np.where(unclipped <= clipped, rho * adv, 0.0) / B
-    dmu, dls = gaussian_logprob_grads(head, mu, actions)
-    net_grads = backward(net, X, -(g_logp[:, None] * dmu))
-    dlog_std = -(g_logp[:, None] * dls).sum(axis=0)
-    return float(obj.sum() / B), net_grads, dlog_std, logp
+    dmu = gaussian_logprob_grads(head, mu, actions)
+    return float(obj.sum() / B), backward(net, X, -(g_logp[:, None] * dmu))
 
 
 def _heads(params: PolicyParams, batch: Batch) -> tuple:
-    """(net, head, inputs, actions, old logps, advantages), designer first."""
-    return ((params.designer, params.designer_head, batch.design_inputs,
+    """(net, head, inputs, actions, old logps, advantages), designer first.
+
+    Each head's inputs are its rows and columns of batch.value_inputs,
+    taken with np.ix_ as one C-ordered copy: columns taken after a row
+    slice come out F-ordered, which changes matmul rounding."""
+    nd, nc = batch.num_design, batch.control_adv.size
+    design_cols, control_cols = batch.columns
+    X = batch.value_inputs
+    return ((params.designer, params.designer_head,
+             X[np.ix_(np.arange(nd), design_cols)],
              batch.design_actions, batch.design_logp_old, batch.design_adv),
-            (params.controller, params.controller_head, batch.control_inputs,
+            (params.controller, params.controller_head,
+             X[np.ix_(np.arange(nd, nd + nc), control_cols)],
              batch.control_actions, batch.control_logp_old, batch.control_adv))
 
 
-def _mean_kl(params: PolicyParams, batch: Batch) -> float:
+def _mean_kl(heads: tuple) -> float:
     total = 0.0
-    for net, head, X, actions, logp_old, adv in _heads(params, batch):
+    for net, head, X, actions, logp_old, adv in heads:
         if adv.size:
             lp = gaussian_logprob(head, forward(net, X), actions)
             total += float(np.sum(logp_old - lp))
-    return total / batch.num_policy_rows
+    return total / sum(adv.size for *_, adv in heads)
 
 
 class Optimizers:
-    """Persistent Adam state over the policy heads and the value net."""
+    """Persistent Adam state over the policy networks and the value net."""
 
     def __init__(self, params: PolicyParams, cfg: TrainConfig):
         self.policy = Adam(params.trainable(), lr=cfg.policy_lr)
@@ -464,16 +461,15 @@ def ppo_update(params: PolicyParams, batch: Batch, cfg: TrainConfig,
     n = batch.num_rows
     eps = cfg.clip_epsilon
     beta = cfg.entropy_beta
-
-    def mean_entropy() -> float:
-        return 0.5 * (gaussian_entropy(params.designer_head)
-                      + gaussian_entropy(params.controller_head))
+    # constant: the heads' log-stds are fixed
+    entropy = 0.5 * (gaussian_entropy(params.designer_head)
+                     + gaussian_entropy(params.controller_head))
 
     def restore():
         copy_params_into(params, snapshot)
         optimizers.load_state(opt_snapshot)
 
-    stats = {"approx_kl": 0.0, "entropy": mean_entropy(), "epochs_run": 0,
+    stats = {"approx_kl": 0.0, "entropy": entropy, "epochs_run": 0,
              "policy_loss": 0.0, "value_loss": 0.0, "aborted": False}
 
     for _epoch in range(cfg.ppo_epochs):
@@ -489,14 +485,12 @@ def ppo_update(params: PolicyParams, batch: Batch, cfg: TrainConfig,
                 rows = mb[(mb >= lo) & (mb < lo + adv.size)] - lo
                 if not rows.size:
                     continue
-                obj, net_g, dls, _ = _policy_loss_grads(
+                obj, net_g = _policy_loss_grads(
                     net, head, X[rows], actions[rows], logp_old[rows],
                     adv[rows], eps, B)
                 surrogate += obj
                 for a, g in zip(parameters(net), net_g):
                     policy_grads[id(a)] += g
-                if not head.fixed:
-                    policy_grads[id(head.log_std)] += dls - beta
 
             v_pred = forward(params.value, batch.value_inputs[mb])[:, 0]
             err = v_pred - batch.returns[mb]
@@ -504,7 +498,7 @@ def ppo_update(params: PolicyParams, batch: Batch, cfg: TrainConfig,
             value_grads = backward(params.value, batch.value_inputs[mb],
                                    (err / B)[:, None])
 
-            policy_loss = -surrogate - beta * mean_entropy()
+            policy_loss = -surrogate - beta * entropy
             if not (math.isfinite(policy_loss) and math.isfinite(value_loss)):
                 restore()
                 stats["aborted"] = True
@@ -518,14 +512,13 @@ def ppo_update(params: PolicyParams, batch: Batch, cfg: TrainConfig,
         stats["epochs_run"] += 1
         stats["policy_loss"] = float(np.mean(pol_losses))
         stats["value_loss"] = float(np.mean(val_losses))
-        stats["approx_kl"] = _mean_kl(params, batch)
+        stats["approx_kl"] = _mean_kl(heads)
         if not math.isfinite(stats["approx_kl"]):
             restore()
             stats["aborted"] = True
             return params, stats
         if stats["approx_kl"] > cfg.kl_threshold:
             break
-    stats["entropy"] = mean_entropy()
     return params, stats
 
 
@@ -599,8 +592,9 @@ def train(task: str, cfg: TrainConfig, total_steps: int, out_dir,
     Writes metrics.csv (fixed header) and design_means.csv under out_dir, plus
     a resumable checkpoint.json. A resume copies the checkpoint into params
     in place, so a tied trunk stays tied, and drops curve rows logged after
-    the checkpoint, so they are not repeated. policy_overrides adjusts the
-    freshly built policy when params is None.
+    the checkpoint, so they are not repeated. policy_overrides are the
+    policy_heads overrides: train builds a fresh policy with them when
+    params is None, and the config fingerprint records them either way.
     """
     os.makedirs(out_dir, exist_ok=True)
     task_cfg = task_cfg or default_config(task)
@@ -639,10 +633,11 @@ def train(task: str, cfg: TrainConfig, total_steps: int, out_dir,
         save_checkpoint(ck_path, checkpoint_record(
             params, optimizers, rng, envs, env_steps, fingerprint, task))
 
+    columns = policy_columns(params, envs[0])
     batches = 0
     while env_steps < total_steps:
         trajs = collect_batch(envs, params, cfg, rng, goal_sampler)
-        batch = prepare_batch(trajs, cfg)
+        batch = prepare_batch(trajs, cfg, columns)
         env_steps += batch.env_steps
         params, stats = ppo_update(params, batch, cfg, optimizers, rng)
         batches += 1

@@ -340,7 +340,7 @@ def test_constant_designer_mean_moves_under_design_advantages():
     cfg = tiny_cfg(policy_lr=1e-2)
     rng = np.random.default_rng(5)
     trajs = collect_batch([env], params, cfg, rng)
-    batch = prepare_batch(trajs, cfg)
+    batch = prepare_batch(trajs, cfg, policy_columns(params, env))
     assert batch.num_design > 0
     params, stats = ppo_update(params, batch, cfg, Optimizers(params, cfg),
                                rng=np.random.default_rng(0))
@@ -435,12 +435,11 @@ def test_shared_losses_match_untied_twin_on_same_batch():
     c_act = forward(tied.controller, c_in) \
         + 0.1 * rng.normal(size=(nc, env.control_action_dim))
     batch = Batch(
-        design_inputs=d_in,
+        columns=policy_columns(tied, env),
         design_actions=d_act,
         design_logp_old=gaussian_logprob(tied.designer_head,
                                          forward(tied.designer, d_in), d_act),
         design_adv=rng.normal(size=nd),
-        control_inputs=c_in,
         control_actions=c_act,
         control_logp_old=gaussian_logprob(tied.controller_head,
                                           forward(tied.controller, c_in), c_act),

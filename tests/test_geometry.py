@@ -135,8 +135,6 @@ def test_ratio_space_bounds_and_realize():
 
 TASK_SPACES = st.sampled_from(("push", "catch", "scoop")).map(
     lambda task: default_config(task).design_space())
-PROPERTY = settings(derandomize=True, database=None, deadline=None,
-                    max_examples=300)
 
 
 @st.composite
@@ -149,7 +147,7 @@ def in_box_actions(draw):
     return space, np.array(u)
 
 
-@PROPERTY
+@settings(max_examples=300)
 @given(in_box_actions())
 def test_ratio_of_inverts_realize(case):
     """ratio_of recovers the ratio action for in-box actions of every task."""
@@ -157,7 +155,7 @@ def test_ratio_of_inverts_realize(case):
     assert np.allclose(space.ratio_of(space.realize(u)), u, rtol=0, atol=1e-12)
 
 
-@PROPERTY
+@settings(max_examples=300)
 @given(TASK_SPACES, st.lists(st.floats(-1e100, 1e100), min_size=5,
                              max_size=5))
 def test_realize_of_its_own_ratio_is_a_fixed_point(space, u):

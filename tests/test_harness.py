@@ -28,9 +28,10 @@ from toolsmith.harness import (
     cutout_goal_sampler,
     goal_grid,
     in_cutout,
+    _load_for_eval,
 )
 from toolsmith.envs.push import GOAL_HIGH, GOAL_LOW
-from toolsmith.neural import load_checkpoint, params_from_state
+from toolsmith.neural import load_checkpoint, params_from_state, save_checkpoint
 
 
 def tiny_config(tmp_path, **overrides):
@@ -228,6 +229,17 @@ def test_cmd_train_writes_manifest_without_timestamps(tmp_path):
     assert manifest["config"]["task"] == "push"
     assert manifest["config"]["seeds"] == [0]
     assert "time" not in json.dumps(manifest).lower()
+
+
+def test_desk_catch_override_reaches_every_gaussian_designer(tmp_path):
+    """The desk catch designer log-std reaches ours, hwasp and shared alike,
+    so the methods explore the design with the same noise."""
+    for method in ("ours", "hwasp", "shared"):
+        out = cmd_train(tiny_config(tmp_path / method, task="catch",
+                                    method=method, total_steps=1))
+        ck = load_checkpoint(os.path.join(out["seed_dirs"][0],
+                                          "checkpoint.json"))
+        assert np.all(ck["params"]["designer_log_std"] == -1.2), method
 
 
 def test_cmd_train_cutout_goals_avoid_the_cutout(tmp_path):
@@ -525,6 +537,36 @@ def test_cli_rejects_a_scoop_cutout_before_running(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "cutout_fraction" in err
     assert not out_dir.exists()
+
+
+def test_cli_eval_rejects_a_cutout_off_push(tmp_path, capsys):
+    """Only push goals have a cutout region; a catch artifact evaluated with
+    one exits 2 before anything is written."""
+    env = make_env(default_config("catch"))
+    plan = tmp_path / "best_plan.json"
+    plan.write_text(json.dumps({"task": "catch", "fitness": 0.0,
+                                "vector": [0.0] * plan_dim(env)}))
+    out_dir = tmp_path / "eval"
+    rc = cli_main(["eval", "--checkpoint", str(plan), "--out-dir",
+                   str(out_dir), "--cutout-fraction", "0.2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "cutout_fraction" in err
+    assert not out_dir.exists()
+
+
+def test_cli_eval_rejects_a_trained_log_std_head(tmp_path, capsys,
+                                                 tiny_checkpoint):
+    state = load_checkpoint(tiny_checkpoint)
+    state["params"]["designer_fixed"] = False
+    ck = tmp_path / "checkpoint.json"
+    save_checkpoint(ck, state)
+    with pytest.raises(ValueError, match="designer"):
+        _load_for_eval(ck)
+    rc = cli_main(["eval", "--checkpoint", str(ck),
+                   "--out-dir", str(tmp_path / "eval")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_cli_eval_rejects_truncated_plan(tmp_path, capsys):

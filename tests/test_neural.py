@@ -234,16 +234,12 @@ def test_logprob_grads_match_finite_differences():
         head = GaussianHead(rng.uniform(-1, 0.5, d))
         mu = rng.standard_normal(d)
         a = mu + rng.standard_normal(d)
-        dmu, dls = gaussian_logprob_grads(head, mu, a)
+        dmu = gaussian_logprob_grads(head, mu, a)
         for k in range(d):
             mu2 = mu.copy(); mu2[k] += h
             mu3 = mu.copy(); mu3[k] -= h
             fd = (gaussian_logprob(head, mu2, a) - gaussian_logprob(head, mu3, a)) / (2 * h)
             assert dmu[k] == pytest.approx(float(fd), rel=1e-4, abs=1e-7)
-            up = GaussianHead(head.log_std.copy()); up.log_std[k] += h
-            dn = GaussianHead(head.log_std.copy()); dn.log_std[k] -= h
-            fd = (gaussian_logprob(up, mu, a) - gaussian_logprob(dn, mu, a)) / (2 * h)
-            assert dls[k] == pytest.approx(float(fd), rel=1e-4, abs=1e-7)
 
 
 def test_sample_degenerate_std_returns_mean():
@@ -309,17 +305,13 @@ def test_init_policy_shapes_and_count():
     expected = net_scalars((4, 8, 8, 5)) + net_scalars((9, 8, 8, 2)) \
         + net_scalars((10, 8, 8, 1))
     assert param_count(p) == expected
-    p.designer_head.fixed = False
-    assert param_count(p) == expected + 5
 
 
 def test_trainable_excludes_fixed_log_std():
     rng = np.random.default_rng(14)
-    p = init_policy(3, 5, 8, 2, 9, rng, hidden=(4,), fix_std=True)
+    p = init_policy(3, 5, 8, 2, 9, rng, hidden=(4,))
     assert all(a is not p.designer_head.log_std for a in p.trainable())
-    q = init_policy(3, 5, 8, 2, 9, rng, hidden=(4,), fix_std=False)
-    assert any(a is q.designer_head.log_std for a in q.trainable())
-    assert any(a is q.controller_head.log_std for a in q.trainable())
+    assert all(a is not p.controller_head.log_std for a in p.trainable())
 
 
 def test_clone_params_independent():
@@ -392,7 +384,8 @@ def test_checkpoint_round_trip(tmp_path):
     for a, b in zip(parameters(p.designer), parameters(q.designer)):
         assert np.array_equal(a, b)
     assert np.array_equal(q.designer_head.log_std, p.designer_head.log_std)
-    assert q.controller_head.fixed is True
+    assert loaded["params"]["designer_fixed"] is True
+    assert loaded["params"]["controller_fixed"] is True
     assert loaded["env_steps"] == 1234
     rng2 = np.random.default_rng(0)
     rng2.bit_generator.state = loaded["rng_state"]
@@ -414,6 +407,16 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     with pytest.raises(ValueError):
         load_checkpoint(path)
 
+
+@pytest.mark.parametrize("head", ["designer", "controller"])
+def test_params_from_state_rejects_a_trained_head(tmp_path, head):
+    """Gaussian heads are always fixed: a checkpoint whose head trained its
+    log-stds is refused, not loaded as if fixed."""
+    p = init_policy(3, 5, 8, 2, 9, np.random.default_rng(19), hidden=(4,))
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, {"params": {**params_state(p), f"{head}_fixed": False}})
+    with pytest.raises(ValueError, match=head):
+        params_from_state(load_checkpoint(path)["params"])
 
 def test_checkpoint_write_that_dies_leaves_the_previous_file(tmp_path,
                                                            monkeypatch):

@@ -24,11 +24,14 @@ from toolsmith.ppo import (
     collect_batch,
     compute_gae,
     default_train_config,
+    policy_columns,
     policy_for_env,
+    policy_heads,
     ppo_update,
     prepare_batch,
     run_episode,
     train,
+    _heads,
     _policy_loss_grads,
 )
 
@@ -50,6 +53,11 @@ def make_setup(seed=11, n_envs=2, task="push", **cfg_overrides):
     return rng, envs, params, cfg
 
 
+def collect_and_prepare(envs, params, cfg, rng):
+    trajs = collect_batch(envs, params, cfg, rng)
+    return prepare_batch(trajs, cfg, policy_columns(params, envs[0]))
+
+
 def all_params(params):
     arrs = list(params.trainable()) + list(parameters(params.value))
     return [a.copy() for a in arrs]
@@ -64,25 +72,24 @@ def params_equal(params, snapshot) -> bool:
 # GAE
 # ---------------------------------------------------------------------------
 
-def gae_reference(rewards, values, dones, gamma, lam):
-    """Direct double-sum evaluation of the advantage recursion."""
+def gae_reference(rewards, values, gamma, lam):
+    """Direct double-sum evaluation of the advantage recursion over one
+    whole episode, with a zero value after the last step."""
     T = len(rewards)
-    deltas = [rewards[t] + gamma * values[t + 1] * (1 - dones[t]) - values[t]
-              for t in range(T)]
+    v = list(values) + [0.0]
+    deltas = [rewards[t] + gamma * v[t + 1] - v[t] for t in range(T)]
     adv = []
     for t in range(T):
         total, weight = 0.0, 1.0
         for k in range(t, T):
             total += weight * deltas[k]
-            if dones[k]:
-                break
             weight *= gamma * lam
         adv.append(total)
     return np.array(adv)
 
 
 def test_gae_two_step_example():
-    adv, ret = compute_gae([1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 1.0], 0.5, 0.5)
+    adv, ret = compute_gae([1.0, 1.0], [0.0, 0.0], 0.5, 0.5)
     assert adv[0] == pytest.approx(1.25, abs=0)
     assert adv[1] == pytest.approx(1.0, abs=0)
     assert np.array_equal(ret, adv)
@@ -91,12 +98,10 @@ def test_gae_two_step_example():
 def test_gae_lambda_one_gamma_one_telescopes():
     rng = np.random.default_rng(3)
     rewards = rng.standard_normal(40)
-    values = rng.standard_normal(41)
-    dones = np.zeros(40)
-    dones[-1] = 1.0
-    adv, ret = compute_gae(rewards, values, dones, 1.0, 1.0)
+    values = rng.standard_normal(40)
+    adv, ret = compute_gae(rewards, values, 1.0, 1.0)
     tail = np.cumsum(rewards[::-1])[::-1]
-    assert np.allclose(adv, tail - values[:-1], atol=1e-12)
+    assert np.allclose(adv, tail - values, atol=1e-12)
     assert np.allclose(ret, tail, atol=1e-12)
 
 
@@ -107,46 +112,44 @@ finite = st.floats(-10.0, 10.0, allow_nan=False)
 def gae_cases(draw):
     T = draw(st.integers(1, 40))
     rewards = draw(st.lists(finite, min_size=T, max_size=T))
-    values = draw(st.lists(finite, min_size=T + 1, max_size=T + 1))
-    dones = draw(st.lists(st.booleans(), min_size=T, max_size=T))
-    return (np.array(rewards), np.array(values), np.array(dones, dtype=float),
+    values = draw(st.lists(finite, min_size=T, max_size=T))
+    return (np.array(rewards), np.array(values),
             draw(st.floats(0.0, 1.0, exclude_min=True)),
             draw(st.floats(0.0, 1.0, exclude_min=True)))
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(gae_cases())
-def test_gae_matches_reference_with_midstream_done(case):
-    """Any length, any done positions (midstream ones included), any gamma
-    and lambda in (0, 1]: the backward fold equals the direct double sum."""
-    rewards, values, dones, gamma, lam = case
-    adv, ret = compute_gae(rewards, values, dones, gamma, lam)
-    expect = gae_reference(rewards, values, dones, gamma, lam)
+def test_gae_matches_reference(case):
+    """Any episode length, any gamma and lambda in (0, 1]: the backward
+    fold equals the direct double sum."""
+    rewards, values, gamma, lam = case
+    adv, ret = compute_gae(rewards, values, gamma, lam)
+    expect = gae_reference(rewards, values, gamma, lam)
     assert np.allclose(adv, expect, rtol=0, atol=1e-10)
-    assert np.allclose(ret, expect + values[:-1], rtol=0, atol=1e-10)
+    assert np.allclose(ret, expect + values, rtol=0, atol=1e-10)
 
 
 def test_gae_zero_rewards_zero_values():
-    adv, ret = compute_gae(np.zeros(7), np.zeros(8), np.zeros(7), 0.99, 0.95)
+    adv, ret = compute_gae(np.zeros(7), np.zeros(7), 0.99, 0.95)
     assert np.all(adv == 0.0)
     assert np.all(ret == 0.0)
 
 
 def test_gae_rejects_mismatched_lengths():
     with pytest.raises(ValueError):
-        compute_gae(np.zeros(5), np.zeros(5), np.zeros(5), 0.9, 0.9)
+        compute_gae(np.zeros(5), np.zeros(6), 0.9, 0.9)
     with pytest.raises(ValueError):
-        compute_gae(np.zeros(5), np.zeros(6), np.zeros(4), 0.9, 0.9)
+        compute_gae(np.zeros(5), np.zeros(4), 0.9, 0.9)
 
 
 def test_design_advantage_depends_on_control_rewards():
     rewards = np.array([0.5, 0.1, 0.1, 0.1, 2.0])
-    values = np.zeros(6)
-    dones = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
-    adv_a, _ = compute_gae(rewards, values, dones, 0.99, 0.95)
+    values = np.zeros(5)
+    adv_a, _ = compute_gae(rewards, values, 0.99, 0.95)
     bumped = rewards.copy()
     bumped[-1] += 1.0
-    adv_b, _ = compute_gae(bumped, values, dones, 0.99, 0.95)
+    adv_b, _ = compute_gae(bumped, values, 0.99, 0.95)
     assert adv_b[0] > adv_a[0]
     assert adv_b[0] - adv_a[0] == pytest.approx((0.99 * 0.95) ** 4, rel=1e-12)
 
@@ -184,12 +187,22 @@ def test_task_train_configs():
 
 def test_task_policy_heads_are_fixed_with_published_stds():
     rng, envs, params, _ = make_setup(task="push")
-    assert params.designer_head.fixed and params.controller_head.fixed
+    heads = (params.designer_head.log_std, params.controller_head.log_std)
+    assert all(a is not h for a in params.trainable() for h in heads)
     assert np.all(params.designer_head.log_std == -2.3)
     assert np.all(params.controller_head.log_std == -1.0)
     _, _, params, _ = make_setup(task="catch")
     assert np.all(params.designer_head.log_std == 0.0)
     assert np.all(params.controller_head.log_std == 0.0)
+
+
+def test_policy_heads_apply_overrides_and_reject_unknown_keys():
+    env = make_env(default_config("catch"))
+    design, control = policy_heads(env, design_log_std=-1.2)
+    assert np.array_equal(design.log_std, np.full(env.design_action_dim, -1.2))
+    assert np.array_equal(control.log_std, np.zeros(env.control_action_dim))
+    with pytest.raises(ValueError, match="design_std"):
+        policy_heads(env, design_std=-1.2)
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +216,10 @@ def test_collect_batch_structure():
     assert steps >= cfg.batch_size
     for t in trajs:
         assert t.rewards.size == 1 + t.control_actions.shape[0]
-        assert t.value_inputs.shape[0] == t.rewards.size
+        assert t.value_inputs.shape == (t.rewards.size,
+                                        envs[0].value_input_dim)
         assert t.values.size == t.rewards.size
-        assert t.dones[-1] == 1.0 and np.all(t.dones[:-1] == 0.0)
         assert np.all(np.isfinite(t.rewards))
-        assert t.design_input.shape == (envs[0].design_input_dim,)
         assert t.design_action.shape == (5,)
 
 
@@ -246,12 +258,11 @@ def test_collect_batch_deterministic():
 def test_trajectory_rejects_nonfinite_rewards():
     with pytest.raises(ValueError):
         Trajectory(
-            design_input=np.zeros(4), design_action=np.zeros(5), design_logp=0.0,
-            control_inputs=np.zeros((1, 4)), control_actions=np.zeros((1, 2)),
-            control_logps=np.zeros(1), value_inputs=np.zeros((2, 5)),
+            design_action=np.zeros(5), design_logp=0.0,
+            control_actions=np.zeros((1, 2)), control_logps=np.zeros(1),
+            value_inputs=np.zeros((2, 5)),
             rewards=np.array([0.0, np.nan]), values=np.zeros(2),
-            dones=np.array([0.0, 1.0]), design_echo=np.zeros(5),
-            success=0.0, d_used=0.0, mean_c_used=0.0)
+            design_echo=np.zeros(5), success=0.0, d_used=0.0, mean_c_used=0.0)
 
 
 def test_goal_sampler_overrides_goals():
@@ -269,7 +280,7 @@ def test_goal_sampler_overrides_goals():
 
 def test_prepare_batch_normalizes_advantages_jointly():
     rng, envs, params, cfg = make_setup()
-    batch = prepare_batch(collect_batch(envs, params, cfg, rng), cfg)
+    batch = collect_and_prepare(envs, params, cfg, rng)
     alladv = np.concatenate([batch.design_adv, batch.control_adv])
     assert abs(alladv.mean()) < 1e-10
     assert abs(alladv.std() - 1.0) < 1e-10
@@ -281,13 +292,31 @@ def test_prepare_batch_row_alignment():
     """Value rows must line up with policy rows: designs first, then controls."""
     rng, envs, params, cfg = make_setup()
     trajs = collect_batch(envs, params, cfg, rng)
-    batch = prepare_batch(trajs, cfg)
+    batch = prepare_batch(trajs, cfg, policy_columns(params, envs[0]))
     nd = batch.num_design
     assert nd == len(trajs)
     phase_flag = batch.value_inputs[:, 0]
     assert np.all(phase_flag[:nd] == 0.0)
     assert np.all(phase_flag[nd:] == 1.0)
-    assert batch.control_inputs.shape[0] == batch.num_rows - nd
+    assert batch.control_adv.size == batch.num_rows - nd
+
+
+def test_heads_read_their_columns_of_the_value_rows():
+    """Each head's inputs are its columns of its value rows, in C order (the
+    layout decides the matmul rounding), for every way a policy reads."""
+    from toolsmith.baselines import constant_designer_policy, shared_policy
+    rng, envs, separate, cfg = make_setup()
+    for params in (separate, constant_designer_policy(envs[0], rng),
+                   shared_policy(envs[0], rng)):
+        trajs = collect_batch(envs, params, cfg, rng)
+        design_cols, control_cols = policy_columns(params, envs[0])
+        batch = prepare_batch(trajs, cfg, (design_cols, control_cols))
+        (_, _, X_d, *_), (_, _, X_c, *_) = _heads(params, batch)
+        expect_d = np.stack([t.value_inputs[0] for t in trajs])[:, design_cols]
+        expect_c = np.concatenate([t.value_inputs[1:] for t in trajs])
+        assert np.array_equal(X_d, expect_d)
+        assert np.array_equal(X_c, expect_c[:, control_cols])
+        assert X_d.flags.c_contiguous and X_c.flags.c_contiguous
 
 
 # ---------------------------------------------------------------------------
@@ -303,13 +332,13 @@ def test_surrogate_clipping_zeroes_gradient():
     logp = gaussian_logprob(head, forward(net, X), acts)
 
     # old logp shifted so the ratio exp(+0.5) > 1.2 lands in the clipped band
-    obj, grads, _, _ = _policy_loss_grads(
+    obj, grads = _policy_loss_grads(
         net, head, X, acts, logp - 0.5, np.ones(4), 0.2, 4)
     assert obj == pytest.approx(1.2, rel=1e-12)
     assert all(np.all(g == 0.0) for g in grads)
 
     # unshifted ratio 1 stays unclipped and drives a nonzero gradient
-    obj2, grads2, _, _ = _policy_loss_grads(
+    obj2, grads2 = _policy_loss_grads(
         net, head, X, acts, logp, np.ones(4), 0.2, 4)
     assert obj2 == pytest.approx(1.0, rel=1e-12)
     assert any(np.any(g != 0.0) for g in grads2)
@@ -323,7 +352,7 @@ def test_surrogate_negative_advantage_keeps_gradient_when_ratio_high():
     X = rng.standard_normal((3, 3))
     acts = forward(net, X) + 0.2
     logp = gaussian_logprob(head, forward(net, X), acts)
-    obj, grads, _, _ = _policy_loss_grads(
+    obj, grads = _policy_loss_grads(
         net, head, X, acts, logp - 0.5, -np.ones(3), 0.2, 3)
     rho = math.exp(0.5)
     assert obj == pytest.approx(-rho, rel=1e-12)
@@ -334,7 +363,7 @@ def test_identity_update_zero_lr_keeps_kl_zero():
     rng, envs, params, _ = make_setup()
     cfg = small_cfg(policy_lr=0.0, value_lr=0.0, ppo_epochs=3,
                     kl_threshold=10.0)
-    batch = prepare_batch(collect_batch(envs, params, cfg, rng), cfg)
+    batch = collect_and_prepare(envs, params, cfg, rng)
     params, stats = ppo_update(params, batch, cfg, None, np.random.default_rng(0))
     assert abs(stats["approx_kl"]) < 1e-15
     assert stats["epochs_run"] == 3
@@ -343,7 +372,7 @@ def test_identity_update_zero_lr_keeps_kl_zero():
 def test_zero_advantages_leave_policy_untouched():
     rng, envs, params, cfg = make_setup()
     cfg = small_cfg(entropy_beta=0.0, ppo_epochs=2, kl_threshold=10.0)
-    batch = prepare_batch(collect_batch(envs, params, cfg, rng), cfg)
+    batch = collect_and_prepare(envs, params, cfg, rng)
     batch.design_adv[...] = 0.0
     batch.control_adv[...] = 0.0
     pol_before = [a.copy() for a in params.trainable()]
@@ -357,7 +386,7 @@ def test_zero_advantages_leave_policy_untouched():
 
 def test_kl_early_stop_keeps_epoch_boundary_params():
     rng, envs, params, cfg = make_setup()
-    batch = prepare_batch(collect_batch(envs, params, cfg, rng), cfg)
+    batch = collect_and_prepare(envs, params, cfg, rng)
 
     tight = small_cfg(policy_lr=3e-3, ppo_epochs=6, kl_threshold=1e-7)
     p1 = clone_params(params)
@@ -376,7 +405,7 @@ def test_kl_early_stop_keeps_epoch_boundary_params():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_loss_restores_params_and_optimizer():
     rng, envs, params, cfg = make_setup()
-    batch = prepare_batch(collect_batch(envs, params, cfg, rng), cfg)
+    batch = collect_and_prepare(envs, params, cfg, rng)
     batch.design_adv[0] = np.inf
     opt = Optimizers(params, cfg)
     before = all_params(params)
@@ -389,7 +418,7 @@ def test_nonfinite_loss_restores_params_and_optimizer():
 def test_update_reduces_value_loss():
     rng, envs, params, cfg = make_setup()
     cfg = small_cfg(value_lr=1e-4, ppo_epochs=1, kl_threshold=10.0)
-    batch = prepare_batch(collect_batch(envs, params, cfg, rng), cfg)
+    batch = collect_and_prepare(envs, params, cfg, rng)
 
     def value_loss():
         err = forward(params.value, batch.value_inputs)[:, 0] - batch.returns
@@ -406,7 +435,7 @@ def test_update_routes_design_rows_to_designer_head():
     rng, envs, params, cfg = make_setup()
     cfg = small_cfg(entropy_beta=0.0, ppo_epochs=1, kl_threshold=10.0,
                     policy_lr=1e-3)
-    batch = prepare_batch(collect_batch(envs, params, cfg, rng), cfg)
+    batch = collect_and_prepare(envs, params, cfg, rng)
 
     variants = []
     for sign in (1.0, -1.0):
