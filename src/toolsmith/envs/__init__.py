@@ -12,6 +12,8 @@ from .base import (
     default_config,
     dump_task_config,
     make_env,
+    reset_envs,
+    step_controls,
     tradeoff_reward,
 )
 
@@ -30,5 +32,7 @@ __all__ = [
     "default_config",
     "dump_task_config",
     "make_env",
+    "reset_envs",
+    "step_controls",
     "tradeoff_reward",
 ]

@@ -12,7 +12,10 @@ control step earns task reward + slack + tradeoff. The tradeoff term is
 K * [1 - (alpha * d_used/d_max + (1-alpha) * c_used/c_max)].
 
 Policy inputs: value_input is the one featurization, the row [phase flag
-(0 design, 1 control), task, design echo in ratio space, goal]. Each task
+(0 design, 1 control), task, design echo in ratio space, goal]. The ratio
+echo is computed once per episode, by step_design, and carried in every
+control observation as design_ratio, so the row depends only on the
+observation. Each task
 class declares task_center and task_scale (one entry per task-observation
 entry) and goal_center and goal_scale (one per goal entry); a task or goal
 entry x enters as (x - center) / scale. A policy reads columns of the row
@@ -24,6 +27,16 @@ only this row per step (ppo.Trajectory and ppo.Batch value_inputs) and take
 each policy's columns from it. design_input and control_input return those
 columns; nothing in the program calls them, bench/spans.py wraps them by
 name.
+
+Batched stepping: reset_envs and step_controls advance several envs of one
+task together. Each env does its own bookkeeping (rng draws, clamping,
+control, rewards, observations), while the physics of all of them runs as
+one World.step pass per substep (see physics2d), so every env's results
+are bitwise what its own reset and step_control give. reset_envs builds
+every scene first, each with its own rng in the one-env order, then runs
+the task's settle_steps for all of them at once; scoop lets its balls come
+to rest this way before the design step. reset and step_control are the
+one-env cases.
 """
 
 from __future__ import annotations
@@ -87,13 +100,15 @@ class Observation:
     """Flat task state, phase tag, design echo, and the episode goal.
 
     design_echo holds the realized physical design vector during the control
-    phase and zeros during the design phase.
+    phase and zeros during the design phase; design_ratio holds the same
+    design in ratio space.
     """
 
     phase: str
     task: np.ndarray
     design_echo: np.ndarray
     goal: np.ndarray
+    design_ratio: np.ndarray
 
 
 @dataclass
@@ -224,6 +239,7 @@ class ToolTaskEnv:
     """
 
     task_name: str = ""
+    settle_steps: int = 0  # world steps after building a scene, before design
     goal_dim: int = 0
     control_action_dim: int = 0
     design_action_dim: int = DESIGN_DIM
@@ -267,6 +283,10 @@ class ToolTaskEnv:
     # -- episode protocol -----------------------------------------------------
 
     def reset(self, goal=None, seed=None) -> Observation:
+        return reset_envs([self], [goal], [seed])[0]
+
+    def _start_episode(self, goal, seed) -> None:
+        """Everything of a reset but the settle steps."""
         if seed is not None:
             self._rng = np.random.default_rng(seed)
         if goal is None:
@@ -279,20 +299,26 @@ class ToolTaskEnv:
         self._steps = 0
         self._design: DesignVector | None = None
         self._design_echo = np.zeros(DESIGN_DIM, dtype=np.float64)
+        self._design_ratio = np.zeros(DESIGN_DIM, dtype=np.float64)
         self._d_used = 0.0
         self._success = 0.0
         self._last_c_used = 0.0
-        return self._observation()
 
-    def step_design(self, action) -> StepResult:
+    def _require(self, phase: str) -> None:
         if self._phase is None or self._done:
             raise ProtocolError("episode is finished; call reset first")
-        if self._phase != DESIGN:
-            raise ProtocolError("design step already taken this episode")
+        if self._phase != phase:
+            raise ProtocolError("design step already taken this episode"
+                                if phase == DESIGN else
+                                "control step before the design step")
+
+    def step_design(self, action) -> StepResult:
+        self._require(DESIGN)
         a = np.asarray(action, dtype=np.float64).reshape(DESIGN_DIM)
         design = self.space.realize(a)
         self._design = design
         self._design_echo = design.as_array()
+        self._design_ratio = self.space.ratio_of(design)
         self.world.set_tool(build_tool(design, radius=TOOL_RADIUS),
                             self.cfg.tool_position_init, angle=math.pi)
         self._d_used = float(sum(design.lengths))
@@ -302,18 +328,14 @@ class ToolTaskEnv:
         return StepResult(self._observation(), float(reward), False, self._info())
 
     def step_control(self, action) -> StepResult:
-        if self._phase is None or self._done:
-            raise ProtocolError("episode is finished; call reset first")
-        if self._phase != CONTROL:
-            raise ProtocolError("control step before the design step")
+        return step_controls([self], [action])[0]
+
+    def _clamped(self, action) -> np.ndarray:
         a = np.asarray(action, dtype=np.float64).reshape(self.control_action_dim)
-        a = np.minimum(np.maximum(a, -self._cap), self._cap)
-        c_used = float(np.linalg.norm(a))
-        self._last_c_used = c_used
-        self._apply_control(a)
-        for _ in range(self.cfg.control_steps_per_action):
-            self.world.step()
-            self._after_substep()
+        return np.minimum(np.maximum(a, -self._cap), self._cap)
+
+    def _end_control(self, c_used: float) -> StepResult:
+        """Count the step and score it, after its physics substeps."""
         self._steps += 1
         task_r, done = self._task_reward_done()
         if self._steps >= self.cfg.max_episode_steps:
@@ -340,10 +362,10 @@ class ToolTaskEnv:
         return self._goal.copy()
 
     def _observation(self) -> Observation:
-        echo = (self._design_echo.copy() if self._phase == CONTROL
-                else np.zeros(DESIGN_DIM, dtype=np.float64))
         return Observation(phase=self._phase, task=self._task_obs(),
-                           design_echo=echo, goal=self._goal.copy())
+                           design_echo=self._design_echo.copy(),
+                           goal=self._goal.copy(),
+                           design_ratio=self._design_ratio.copy())
 
     def _info(self) -> dict:
         info = {
@@ -372,16 +394,11 @@ class ToolTaskEnv:
     def value_input_dim(self) -> int:
         return 1 + self.task_obs_dim + DESIGN_DIM + self.goal_dim
 
-    def _echo_ratio(self, echo: np.ndarray) -> np.ndarray:
-        if not echo.any():
-            return np.zeros(DESIGN_DIM, dtype=np.float64)
-        return self.space.ratio_of(DesignVector.from_array(echo))
-
     def _row(self, obs: Observation) -> np.ndarray:
         flag = 0.0 if obs.phase == DESIGN else 1.0
         return np.concatenate([[flag],
                                (obs.task - self.task_center) / self.task_scale,
-                               self._echo_ratio(obs.design_echo),
+                               obs.design_ratio,
                                (obs.goal - self.goal_center) / self.goal_scale])
 
     def value_input(self, obs: Observation) -> np.ndarray:
@@ -424,6 +441,55 @@ class ToolTaskEnv:
 
     def _task_info(self) -> dict:
         return {}
+
+
+def _common(values, what: str):
+    """The one value shared by every env stepped together."""
+    values = set(values)
+    if len(values) != 1:
+        raise ValueError(f"envs stepped together must share {what}")
+    return values.pop()
+
+
+def reset_envs(envs: list, goals=None, seeds=None) -> list:
+    """Reset every env and return their observations.
+
+    goals and seeds give each env's reset arguments (None: all None). The
+    scenes are built in env order, each from its own rng, then the task's
+    settle steps run for all of them as batched World.step passes.
+    """
+    goals = [None] * len(envs) if goals is None else goals
+    seeds = [None] * len(envs) if seeds is None else seeds
+    settle = _common((env.settle_steps for env in envs), "settle_steps")
+    for env, goal, seed in zip(envs, goals, seeds):
+        env._start_episode(goal, seed)
+    worlds = [env.world for env in envs]
+    for _ in range(settle):
+        worlds[0].step(*worlds[1:])
+    return [env._observation() for env in envs]
+
+
+def step_controls(envs: list, actions) -> list:
+    """One control step of every env, actions[i] for envs[i]; returns their
+    StepResults. The physics substeps of all of them run as batched
+    World.step passes, each followed by every env's substep hook."""
+    if len(actions) != len(envs):
+        raise ValueError(f"{len(envs)} envs need as many actions, got {len(actions)}")
+    for env in envs:
+        env._require(CONTROL)
+    substeps = _common((env.cfg.control_steps_per_action for env in envs),
+                       "control_steps_per_action")
+    clamped = [env._clamped(a) for env, a in zip(envs, actions)]
+    c_used = [float(np.linalg.norm(a)) for a in clamped]
+    for env, a, c in zip(envs, clamped, c_used):
+        env._last_c_used = c
+        env._apply_control(a)
+    worlds = [env.world for env in envs]
+    for _ in range(substeps):
+        worlds[0].step(*worlds[1:])
+        for env in envs:
+            env._after_substep()
+    return [env._end_control(c) for env, c in zip(envs, c_used)]
 
 
 def supported_by_tool(world: World) -> np.ndarray:

@@ -25,6 +25,7 @@ _COLS, _ROWS = 8, 5
 class ScoopEnv(ToolTaskEnv):
 
     task_name = "scoop"
+    settle_steps = SETTLE_STEPS  # the balls come to rest before the design
     goal_dim = 1
     control_action_dim = 3
     task_obs_dim = 4 * NUM_BALLS + 4
@@ -63,8 +64,6 @@ class ScoopEnv(ToolTaskEnv):
             for x in xs:
                 jx, jy = rng.uniform(-0.05, 0.05, size=2)
                 w.add_circle((x + jx, y + jy), radius=BALL_RADIUS)
-        for _ in range(SETTLE_STEPS):
-            w.step()
 
     def _apply_control(self, action: np.ndarray) -> None:
         self.world.command_tool(action[:2], action[2])

@@ -55,6 +55,7 @@ from toolsmith.ppo import (
     default_train_config,
     policy_columns,
     policy_for_env,
+    policy_settings,
     ppo_update,
     prepare_batch,
     seeded_envs,
@@ -193,6 +194,7 @@ class ExperimentConfig:
         if self.policy_overrides is None:
             self.policy_overrides = DESK_POLICY_OVERRIDES.get(self.task, {}) \
                 if self.scale == "desk" else {}
+        policy_settings(self.task, self.policy_overrides)
         if not self.out_dir:
             self.out_dir = os.path.join(output_root(),
                                         f"{self.task}_{self.method}")

@@ -7,12 +7,40 @@ resolved with accumulated normal impulses and a Coulomb friction clamp over a
 fixed number of sweeps, then a Baumgarte positional correction. Every
 operation is plain numpy on float64 arrays, so stepping is bit-reproducible
 for identical inputs.
+
+Batched scenes. w.step(*others) advances w and every other world given in
+one numpy pass. The scenes are stacked along a leading env axis: positions
+and velocities (E, N, 2), tool positions (E, 2) with one angle per scene,
+circle-surface detection over (E, N, S) and circle-circle detection over
+(E, P), the P = N (N - 1) / 2 circle pairs. Scenes that share a pass must
+have the same circles (count, radii, masses, damping), the same statics,
+the same tool presence and link count, and the same world constants; step
+raises ValueError otherwise. Circle states, tool links, poses and commands
+may differ. A plain w.step() is the E = 1 case and works on views of the
+world's own arrays. After a batched step each world's pos and vel are views
+of the stacked arrays, until the world is stepped with other worlds or
+gains a circle, a static or a tool.
+
+Each scene comes out bitwise equal to stepping it alone. Three rules keep it
+so:
+- Contact rows are the circle-surface rows of all scenes, env-major, then
+  the circle-circle rows, env-major. Each circle's impulse and correction
+  bincounts then add its rows in the single-scene order.
+- The redundancy scale (ContactBatch.cs_scale) comes from each scene's own
+  nrm @ nrm.T block, since BLAS may fuse multiply-adds differently for
+  another shape, and the tool's cos and sin come from math per scene, not
+  from np.cos over all of them.
+- Impulses and position corrections are added only to scenes that have rows
+  of that kind: adding a zero to a scene without rows would turn a -0.0 into
+  0.0.
+Each world keeps its own contacts: the rows of its scene, with its own
+circle indices, so readers such as supported_by_tool see one scene.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -24,29 +52,47 @@ SLOP = 0.005                  # penetration left uncorrected
 RESTITUTION_THRESHOLD = 1.0   # slower approaches do not bounce
 
 
+# shared by every batch without rows of a kind, so read-only
+_NO_INDEX = np.empty(0, dtype=np.int64)
+_NO_FLAG = np.empty(0, dtype=bool)
+_NO_VALUE = np.empty(0)
+_NO_VECTOR = np.empty((0, 2))
+for _empty in (_NO_INDEX, _NO_FLAG, _NO_VALUE, _NO_VECTOR):
+    _empty.flags.writeable = False
+
+
 @dataclass
 class ContactBatch:
     """Contacts found in the last step, split by pairing."""
 
     # circle vs surface (tool segments first, then static capsules)
-    cs_circle: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    cs_surface: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    cs_is_tool: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
-    cs_normal: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
-    cs_depth: np.ndarray = field(default_factory=lambda: np.empty(0))
-    cs_impulse: np.ndarray = field(default_factory=lambda: np.empty(0))
-    cs_impulse_t: np.ndarray = field(default_factory=lambda: np.empty(0))
+    cs_circle: np.ndarray = field(default_factory=lambda: _NO_INDEX)
+    cs_surface: np.ndarray = field(default_factory=lambda: _NO_INDEX)
+    cs_is_tool: np.ndarray = field(default_factory=lambda: _NO_FLAG)
+    cs_normal: np.ndarray = field(default_factory=lambda: _NO_VECTOR)
+    cs_depth: np.ndarray = field(default_factory=lambda: _NO_VALUE)
+    cs_impulse: np.ndarray = field(default_factory=lambda: _NO_VALUE)
+    cs_impulse_t: np.ndarray = field(default_factory=lambda: _NO_VALUE)
     # redundancy split: rows on one circle with near-parallel normals (e.g. a
     # ball spanning the joint of two collinear links) share the impulse, so
     # simultaneous per-row solves do not double-apply it
-    cs_scale: np.ndarray = field(default_factory=lambda: np.empty(0))
+    cs_scale: np.ndarray = field(default_factory=lambda: _NO_VALUE)
     # circle vs circle
-    cc_a: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    cc_b: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    cc_normal: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
-    cc_depth: np.ndarray = field(default_factory=lambda: np.empty(0))
-    cc_impulse: np.ndarray = field(default_factory=lambda: np.empty(0))
-    cc_impulse_t: np.ndarray = field(default_factory=lambda: np.empty(0))
+    cc_a: np.ndarray = field(default_factory=lambda: _NO_INDEX)
+    cc_b: np.ndarray = field(default_factory=lambda: _NO_INDEX)
+    cc_normal: np.ndarray = field(default_factory=lambda: _NO_VECTOR)
+    cc_depth: np.ndarray = field(default_factory=lambda: _NO_VALUE)
+    cc_impulse: np.ndarray = field(default_factory=lambda: _NO_VALUE)
+    cc_impulse_t: np.ndarray = field(default_factory=lambda: _NO_VALUE)
+
+    def rows(self, cs: slice, cc: slice) -> ContactBatch:
+        """The circle-surface rows cs and the circle-circle rows cc."""
+        return ContactBatch(**{name: getattr(self, name)[cs if name.startswith("cs_") else cc]
+                               for name in _CONTACT_FIELDS})
+
+
+_CONTACT_FIELDS = tuple(f.name for f in fields(ContactBatch))
+_NO_CONTACTS = ContactBatch()
 
 
 class World:
@@ -77,9 +123,9 @@ class World:
         self.tool_velocity = np.zeros(2, dtype=np.float64)
         self.tool_angular_velocity = 0.0
 
-        self.contacts = ContactBatch()
-        self._upper_mask: np.ndarray | None = None
-        self._surf_cache: tuple | None = None
+        self._contacts = ContactBatch()
+        self._rows: tuple | None = None  # (rows of a pass, scene) not split out yet
+        self._scenes: _Scenes | None = None
 
     # -- construction -------------------------------------------------------
 
@@ -94,6 +140,7 @@ class World:
         self.radius = np.append(self.radius, float(radius))
         self.inv_mass = np.append(self.inv_mass, 1.0 / mass)
         self.damping = np.append(self.damping, float(damping))
+        self._scenes = None
         return self.pos.shape[0] - 1
 
     def add_static_capsule(self, a, b, radius: float = 0.1) -> int:
@@ -101,7 +148,7 @@ class World:
         self.static_a = np.vstack([self.static_a, np.asarray(a, dtype=np.float64)])
         self.static_b = np.vstack([self.static_b, np.asarray(b, dtype=np.float64)])
         self.static_r = np.append(self.static_r, float(radius))
-        self._surf_cache = None
+        self._scenes = None
         return self.static_a.shape[0] - 1
 
     def set_tool(self, geometry: ToolGeometry, position, angle: float = 0.0) -> None:
@@ -111,7 +158,7 @@ class World:
         self.tool_angle = float(angle)
         self.tool_velocity = np.zeros(2, dtype=np.float64)
         self.tool_angular_velocity = 0.0
-        self._surf_cache = None
+        self._scenes = None
 
     def command_tool(self, velocity, angular_velocity: float = 0.0) -> None:
         """Set the tool's velocity for subsequent steps; it is followed exactly."""
@@ -124,6 +171,14 @@ class World:
     def num_circles(self) -> int:
         return self.pos.shape[0]
 
+    @property
+    def contacts(self) -> ContactBatch:
+        """Contacts found in the last step, by this world's circle ids."""
+        if self._rows is not None:
+            rows, e = self._rows
+            self._contacts, self._rows = rows.scene(e), None
+        return self._contacts
+
     def circles_touching_tool(self) -> np.ndarray:
         """Boolean mask over circles in contact with the tool in the last step."""
         mask = np.zeros(self.num_circles, dtype=bool)
@@ -134,131 +189,302 @@ class World:
 
     # -- stepping -----------------------------------------------------------
 
-    def step(self) -> None:
-        """Advance the world by one dt."""
-        dt = self.dt
-        if self.num_circles:
-            self.vel += self.gravity * dt
-            keep = np.maximum(0.0, 1.0 - self.damping * dt)
-            self.vel *= keep[:, None]
-            self.pos += self.vel * dt
-        if self.tool_geometry is not None:
-            self.tool_position = self.tool_position + self.tool_velocity * dt
-            self.tool_angle += self.tool_angular_velocity * dt
+    def step(self, *others: World) -> None:
+        """Advance this world, and every other world given, by one dt.
 
-        self.contacts = self._detect_contacts()
-        self._solve_velocity(self.contacts)
-        self._correct_positions(self.contacts)
+        All of them go through one numpy pass; see the module docstring for
+        what they must share.
+        """
+        worlds = (self,) + others
+        scenes = self._scenes
+        if scenes is None or not scenes.holds(worlds):
+            scenes = _Scenes(worlds)
+        scenes.step(worlds)
+
+    def _layout(self) -> tuple:
+        """What worlds stepped together must share, as exact bytes."""
+        links = -1 if self.tool_geometry is None else self.tool_geometry.segments.shape[0]
+        constants = np.array([*self.gravity, self.dt, self.friction,
+                              self.restitution_circle, self.restitution_surface])
+        return (links, constants.tobytes(), self.radius.tobytes(),
+                self.inv_mass.tobytes(), self.damping.tobytes(),
+                self.static_a.tobytes(), self.static_b.tobytes(),
+                self.static_r.tobytes())
+
+
+def _stacked(arrays: list) -> np.ndarray:
+    """The arrays along a new leading axis; a view when there is one."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+@dataclass
+class _Rows:
+    """The contact rows of one pass.
+
+    batch holds the rows of every scene with circles numbered across scenes:
+    circle i of scene e is body e * N + i. cs_env and cc_env give each row's
+    scene; scene e owns rows cs_at[e]:cs_at[e + 1] of the circle-surface
+    rows and cc_at[e]:cc_at[e + 1] of the circle-circle rows.
+    """
+
+    batch: ContactBatch
+    cs_env: np.ndarray
+    cc_env: np.ndarray
+    cs_at: list
+    cc_at: list
+    n: int
+
+    def scene(self, e: int) -> ContactBatch:
+        """Scene e's rows, numbered by its own circles."""
+        cs = slice(self.cs_at[e], self.cs_at[e + 1])
+        cc = slice(self.cc_at[e], self.cc_at[e + 1])
+        if cs.start == cs.stop and cc.start == cc.stop:
+            return _NO_CONTACTS
+        batch = self.batch.rows(cs, cc)
+        first = e * self.n
+        batch.cs_circle = batch.cs_circle - first
+        batch.cc_a = batch.cc_a - first
+        batch.cc_b = batch.cc_b - first
+        return batch
+
+
+def _bounds(env: np.ndarray, scenes: int) -> list:
+    """Where each scene's rows start in rows sorted by scene, then the end."""
+    if scenes == 1:
+        return [0, env.size]
+    return np.searchsorted(env, np.arange(scenes + 1)).tolist()
+
+
+def _scenes_with_rows(*bounds: list) -> list | None:
+    """The scenes that own a row in any of bounds; None when all of them do.
+    Called only when there are rows."""
+    count = len(bounds[0]) - 1
+    if count == 1:
+        return None
+    has = [False] * count
+    for at in bounds:
+        for e in range(count):
+            if at[e] < at[e + 1]:
+                has[e] = True
+    return None if all(has) else [e for e in range(count) if has[e]]
+
+
+def _add(target: np.ndarray, delta: np.ndarray, scenes: list | None,
+         count: int) -> None:
+    """target += delta over bodies of count scenes, in the given scenes only
+    (None: all of them)."""
+    if scenes is None:
+        target += delta
+    else:
+        shape = (count, -1) + target.shape[1:]
+        target.reshape(shape)[scenes] += delta.reshape(shape)[scenes]
+
+
+class _Scenes:
+    """Worlds stepped together: their stacked state and layout constants.
+
+    Built when a tuple of worlds is first stepped together and kept on each
+    of them. A world drops it when it gains a circle, a static or a tool, and
+    the next step builds a new one.
+    """
+
+    def __init__(self, worlds: tuple):
+        w = worlds[0]
+        if len(worlds) > 1:
+            if len({id(o) for o in worlds}) < len(worlds):
+                raise ValueError("a world can be stepped only once per pass")
+            layout = w._layout()
+            for o in worlds[1:]:
+                if o._layout() != layout:
+                    raise ValueError(
+                        "worlds stepped together must share circle count, radii, "
+                        "masses and damping, statics, tool presence and link "
+                        "count, and world constants")
+        if len(worlds) == 1:
+            w.pos, w.vel = np.ascontiguousarray(w.pos), np.ascontiguousarray(w.vel)
+        self.pos = _stacked([o.pos for o in worlds])
+        self.vel = _stacked([o.vel for o in worlds])
+        if len(worlds) > 1:
+            for o, p, v in zip(worlds, self.pos, self.vel):
+                o.pos, o.vel = p, v
+        # the same memory with circle i of scene e at row e * N + i
+        self.flat_pos = self.pos.reshape(-1, 2)
+        self.flat_vel = self.vel.reshape(-1, 2)
+        self.x, self.y = self.pos[:, :, 0], self.pos[:, :, 1]
+        self.views = [(o.pos, o.vel) for o in worlds]
+        for o in worlds:
+            o._scenes = self
+
+        e, n = self.pos.shape[:2]
+        self.n = n
+        self.dt = w.dt
+        self.gravity_dt = w.gravity * w.dt
+        self.keep = np.tile(np.maximum(0.0, 1.0 - w.damping * w.dt), e)[:, None]
+        self.inv_mass = np.tile(w.inv_mass, e)  # by body e * N + i
+        self.friction = w.friction
+        self.restitution_circle = w.restitution_circle
+        self.restitution_surface = w.restitution_surface
+
+        # surface end points (scene, surface, end, axis): tool segments
+        # first, then statics
+        k = 0 if w.tool_geometry is None else w.tool_geometry.segments.shape[0]
+        s = k + w.static_a.shape[0]
+        self.links = k
+        self.ends = np.empty((e, s, 2, 2))
+        self.a, self.b = self.ends[:, :, 0], self.ends[:, :, 1]
+        self.ends[:, k:, 0] = w.static_a
+        self.ends[:, k:, 1] = w.static_b
+        r = np.empty((e, s))
+        r[:, k:] = w.static_r
+        if k:
+            segments = np.stack([o.tool_geometry.segments for o in worlds])
+            self.link_x, self.link_y = segments[..., 0], segments[..., 1]
+            r[:, :k] = np.array([[o.tool_geometry.radius] for o in worlds])
+        self.is_tool = np.arange(s) < k
+        # circle pairs i < j, in the row-major order of the upper triangle
+        self.pair_i, self.pair_j = np.triu_indices(n, k=1)
+        # contact reach of every circle-surface and circle-circle pair
+        self.reach = w.radius[:, None] + r[:, None, :]
+        pair_reach = w.radius[self.pair_i] + w.radius[self.pair_j]
+        self.pair_reach2 = pair_reach * pair_reach
+        self.pair_reach = np.tile(pair_reach, e)
+        # scene, circle body and surface or other circle body of every flat
+        # index into (scene, circle, surface) and (scene, pair), so found
+        # pairs are read off with take
+        env, circle, surface = (i.ravel() for i in np.indices((e, n, s)))
+        self.cs_pairs = (env, env * n + circle, surface)
+        env, pair = (i.ravel() for i in np.indices((e, self.pair_i.size)))
+        self.cc_pairs = (env, env * n + self.pair_i[pair], env * n + self.pair_j[pair])
+
+    def holds(self, worlds: tuple) -> bool:
+        """Whether these are this stack's worlds, in order, still stacked."""
+        if len(worlds) != len(self.views):
+            return False
+        for w, (p, v) in zip(worlds, self.views):
+            if w._scenes is not self or w.pos is not p or w.vel is not v:
+                return False
+        return True
+
+    def step(self, worlds: tuple) -> None:
+        dt = self.dt
+        if self.n:
+            self.flat_vel += self.gravity_dt
+            self.flat_vel *= self.keep
+            self.flat_pos += self.flat_vel * dt
+        tool_pos = tool_vel = None
+        if self.links:
+            tool_vel = _stacked([w.tool_velocity for w in worlds])
+            tool_pos = _stacked([w.tool_position for w in worlds]) + tool_vel * dt
+            for w, p in zip(worlds, tool_pos):
+                w.tool_position = p
+                w.tool_angle += w.tool_angular_velocity * dt
+            self._place_tools(worlds, tool_pos)
+
+        rows = self._detect()
+        if rows is None:
+            for w in worlds:
+                w._contacts, w._rows = _NO_CONTACTS, None
+            return
+        self._solve_velocity(worlds, rows, tool_pos, tool_vel)
+        self._correct_positions(rows)
+        if len(worlds) == 1:  # one scene's rows are its own
+            worlds[0]._contacts, worlds[0]._rows = rows.batch, None
+        else:  # split out when read
+            for e, w in enumerate(worlds):
+                w._rows = (rows, e)
 
     # -- internals ----------------------------------------------------------
 
-    def _surfaces(self):
-        """All capsule surfaces: tool segments first, then statics."""
-        k = 0 if self.tool_geometry is None else self.tool_geometry.segments.shape[0]
-        s = self.static_a.shape[0]
-        if self._surf_cache is None or self._surf_cache[0].shape[0] != k + s:
-            a = np.empty((k + s, 2))
-            b = np.empty((k + s, 2))
-            r = np.empty(k + s)
-            is_tool = np.zeros(k + s, dtype=bool)
-            is_tool[:k] = True
-            a[k:] = self.static_a
-            b[k:] = self.static_b
-            r[k:] = self.static_r
-            if k:
-                r[:k] = self.tool_geometry.radius
-            self._surf_cache = (a, b, r, is_tool)
-        a, b, r, is_tool = self._surf_cache
-        if k:
-            c, sn = math.cos(self.tool_angle), math.sin(self.tool_angle)
-            segs = self.tool_geometry.segments
-            px, py = self.tool_position
-            a[:k, 0] = segs[:, 0, 0] * c - segs[:, 0, 1] * sn + px
-            a[:k, 1] = segs[:, 0, 0] * sn + segs[:, 0, 1] * c + py
-            b[:k, 0] = segs[:, 1, 0] * c - segs[:, 1, 1] * sn + px
-            b[:k, 1] = segs[:, 1, 0] * sn + segs[:, 1, 1] * c + py
-        return a, b, r, is_tool
+    def _place_tools(self, worlds: tuple, tool_pos: np.ndarray) -> None:
+        """Tool segments at each scene's current pose, in surface slots [0:k]."""
+        c = np.array([math.cos(w.tool_angle) for w in worlds])[:, None, None]
+        sn = np.array([math.sin(w.tool_angle) for w in worlds])[:, None, None]
+        x, y, k = self.link_x, self.link_y, self.links
+        self.ends[:, :k, :, 0] = x * c - y * sn + tool_pos[:, 0, None, None]
+        self.ends[:, :k, :, 1] = x * sn + y * c + tool_pos[:, 1, None, None]
 
-    def _detect_contacts(self) -> ContactBatch:
-        batch = ContactBatch()
-        n = self.num_circles
+    def _detect(self) -> _Rows | None:
+        """Every scene's contact rows, or None when no scene has one."""
+        n = self.n
         if n == 0:
-            return batch
-        pos, rad = self.pos, self.radius
+            return None
+        scenes = self.pos.shape[0]
+        found = {}
+        cs_env = cc_env = _NO_INDEX
+        x, y = self.x, self.y
 
-        a, b, r, is_tool = self._surfaces()
-        ns = a.shape[0]
-        if ns:
+        s = self.ends.shape[1]
+        if s:
+            a, b = self.a, self.b
             ab = b - a
-            length2 = np.maximum(ab[:, 0] ** 2 + ab[:, 1] ** 2, 1e-18)
-            dx = pos[:, 0][:, None] - a[:, 0][None, :]
-            dy = pos[:, 1][:, None] - a[:, 1][None, :]
-            t = (dx * ab[:, 0] + dy * ab[:, 1]) / length2
+            abx, aby = ab[:, None, :, 0], ab[:, None, :, 1]
+            length2 = np.maximum(abx ** 2 + aby ** 2, 1e-18)
+            dx = x[:, :, None] - a[:, None, :, 0]
+            dy = y[:, :, None] - a[:, None, :, 1]
+            t = (dx * abx + dy * aby) / length2
             np.maximum(t, 0.0, out=t)
             np.minimum(t, 1.0, out=t)
-            ex = dx - t * ab[:, 0]
-            ey = dy - t * ab[:, 1]
+            ex = dx - t * abx
+            ey = dy - t * aby
             dist = np.sqrt(ex * ex + ey * ey)
-            overlap = (rad[:, None] + r[None, :]) - dist
-            ci, si = np.nonzero(overlap > 0.0)
-            if ci.size:
-                d = dist[ci, si]
+            overlap = self.reach - dist
+            hit = np.flatnonzero(overlap > 0.0)
+            if hit.size:
+                cs_env, body, si = (table.take(hit) for table in self.cs_pairs)
+                d = dist.take(hit)
                 safe = np.maximum(d, 1e-9)
-                nrm = np.stack([ex[ci, si] / safe, ey[ci, si] / safe], axis=1)
+                nrm = np.stack([ex.take(hit) / safe, ey.take(hit) / safe], axis=1)
                 bad = d <= 1e-9
                 if bad.any():
                     nrm[bad] = (0.0, 1.0)
-                batch.cs_circle = ci
-                batch.cs_surface = si
-                batch.cs_is_tool = is_tool[si]
-                batch.cs_normal = nrm
-                batch.cs_depth = overlap[ci, si]
-                if ci.size > 1 and np.any(ci[1:] == ci[:-1]):
-                    same = ci[:, None] == ci[None, :]
-                    agree = np.maximum(nrm @ nrm.T, 0.0)
-                    batch.cs_scale = 1.0 / np.where(same, agree, 0.0).sum(axis=1)
-                else:
-                    batch.cs_scale = np.ones(ci.size)
+                found.update(cs_circle=body, cs_surface=si, cs_is_tool=self.is_tool[si],
+                             cs_normal=nrm, cs_depth=overlap.take(hit))
 
         if n > 1:
-            if self._upper_mask is None or self._upper_mask.shape[0] != n:
-                self._upper_mask = np.triu(np.ones((n, n), dtype=bool), k=1)
-            diffx = pos[:, 0][:, None] - pos[:, 0][None, :]
-            diffy = pos[:, 1][:, None] - pos[:, 1][None, :]
-            rsum = rad[:, None] + rad[None, :]
+            i, j = self.pair_i, self.pair_j
+            diffx = x[:, i] - x[:, j]
+            diffy = y[:, i] - y[:, j]
             dist2 = diffx * diffx + diffy * diffy
-            hit = (dist2 < rsum * rsum) & self._upper_mask
-            ia, ib = np.nonzero(hit)
-            if ia.size:
-                d = np.sqrt(dist2[ia, ib])
+            hit = np.flatnonzero(dist2 < self.pair_reach2)
+            if hit.size:
+                cc_env, body_a, body_b = (table.take(hit) for table in self.cc_pairs)
+                d = np.sqrt(dist2.take(hit))
                 safe = np.maximum(d, 1e-9)
-                nrm = np.stack([diffx[ia, ib] / safe, diffy[ia, ib] / safe], axis=1)
+                nrm = np.stack([diffx.take(hit) / safe, diffy.take(hit) / safe], axis=1)
                 bad = d <= 1e-9
                 if bad.any():
                     nrm[bad] = (0.0, 1.0)
-                batch.cc_a = ia
-                batch.cc_b = ib
-                batch.cc_normal = nrm
-                batch.cc_depth = rsum[ia, ib] - d
-        return batch
+                found.update(cc_a=body_a, cc_b=body_b, cc_normal=nrm,
+                             cc_depth=self.pair_reach.take(hit) - d)
+        if not found:
+            return None
+        cs_at = _bounds(cs_env, scenes)
+        if cs_env.size:
+            found["cs_scale"] = _redundancy_scale(found["cs_circle"], cs_env,
+                                                  found["cs_normal"], cs_at)
+        return _Rows(ContactBatch(**found), cs_env, cc_env, cs_at,
+                     _bounds(cc_env, scenes), n)
 
-    def _surface_point_velocity(self, batch: ContactBatch) -> np.ndarray:
+    def _surface_point_velocity(self, worlds, rows, tool_pos, tool_vel) -> np.ndarray:
         """Velocity of the surface material at each circle-surface contact."""
-        m = batch.cs_circle.size
-        v = np.zeros((m, 2), dtype=np.float64)
-        if m == 0 or self.tool_geometry is None:
+        batch = rows.batch
+        v = np.zeros((batch.cs_circle.size, 2), dtype=np.float64)
+        if not self.links:
             return v
         tool = batch.cs_is_tool
         if np.any(tool):
             # contact point approximated by the circle center projection;
             # for spin we need the offset from the tool origin
-            rel = self.pos[batch.cs_circle[tool]] - self.tool_position
-            w = self.tool_angular_velocity
+            w = np.array([o.tool_angular_velocity for o in worlds])
+            if len(worlds) > 1:  # one scene broadcasts as it is
+                env = rows.cs_env[tool]
+                tool_pos, tool_vel, w = tool_pos[env], tool_vel[env], w[env]
+            rel = self.flat_pos[batch.cs_circle[tool]] - tool_pos
             spin = np.stack([-w * rel[:, 1], w * rel[:, 0]], axis=1)
-            v[tool] = self.tool_velocity + spin
+            v[tool] = tool_vel + spin
         return v
 
-    def _solve_velocity(self, batch: ContactBatch) -> None:
+    def _solve_velocity(self, worlds, rows, tool_pos, tool_vel) -> None:
         """Accumulated-impulse sweeps over all contacts as one constraint batch.
 
         Rows are the circle-surface contacts, then the circle-circle ones.
@@ -266,15 +492,15 @@ class World:
         mass, so both kinds share the same normal/friction arithmetic and a
         single scatter per sweep.
         """
+        batch = rows.batch
         m_cs = batch.cs_circle.size
         m = m_cs + batch.cc_a.size
-        if m == 0:
-            return
-        n = self.num_circles
-        vel = self.vel
+        vel = self.flat_vel
+        scenes = self.pos.shape[0]
+        bodies = vel.shape[0]
 
         ja = np.concatenate([batch.cs_circle, batch.cc_a])
-        jb = np.concatenate([n + np.arange(m_cs), batch.cc_b])
+        jb = np.concatenate([bodies + np.arange(m_cs), batch.cc_b])
         normal = np.concatenate([batch.cs_normal, batch.cc_normal])
         nx, ny = normal[:, 0], normal[:, 1]
         tangent = normal[:, ::-1] * (-1.0, 1.0)
@@ -286,10 +512,12 @@ class World:
         restitution = np.empty(m)
         restitution[:m_cs] = self.restitution_surface
         restitution[m_cs:] = self.restitution_circle
+        moved = _scenes_with_rows(rows.cs_at, rows.cc_at)
 
-        # body velocities: slots [0:n] mirror the circles after each sweep,
-        # slots [n:n+m_cs] hold constant surface velocities
-        v = np.concatenate([vel, self._surface_point_velocity(batch)])
+        # body velocities: slots [0:bodies] mirror the circles after each
+        # sweep, slots past them hold constant surface velocities
+        v = np.concatenate([vel, self._surface_point_velocity(
+            worlds, rows, tool_pos, tool_vel)])
         # every row pushes body a and, oppositely, body b; bins are
         # 2 * body + axis, and what lands on surface slots is dropped
         bins = (2 * np.concatenate([ja, jb])[:, None] + (0, 1)).ravel()
@@ -308,30 +536,36 @@ class World:
             new = np.maximum(acc_n + dj, 0.0)
             dj = new - acc_n
             acc_n = new
-            vt = -rv[:, 0] * ny + rv[:, 1] * nx
+            vt = rv[:, 1] * nx - rv[:, 0] * ny
             djt = -vt * coeff
             cap = mu * acc_n
             newt = np.minimum(np.maximum(acc_t + djt, -cap), cap)
             djt = newt - acc_t
             acc_t = newt
             impulse = dj[:, None] * normal + djt[:, None] * tangent
-            vel += np.bincount(bins, weights=(push * impulse).ravel(),
-                               minlength=2 * n)[:2 * n].reshape(n, 2)
-            v[:n] = vel
+            _add(vel, np.bincount(bins, weights=(push * impulse).ravel(),
+                                  minlength=2 * bodies)[:2 * bodies].reshape(bodies, 2),
+                 moved, scenes)
+            v[:bodies] = vel
 
         batch.cs_impulse = acc_n[:m_cs]
         batch.cs_impulse_t = acc_t[:m_cs]
         batch.cc_impulse = acc_n[m_cs:]
         batch.cc_impulse_t = acc_t[m_cs:]
 
-    def _correct_positions(self, batch: ContactBatch) -> None:
+    def _correct_positions(self, rows) -> None:
         beta, slop = BAUMGARTE, SLOP
-        n = self.num_circles
+        batch, pos = rows.batch, self.flat_pos
+        scenes, bodies = self.pos.shape[0], pos.shape[0]
+        x, y = pos[:, 0], pos[:, 1]
         if batch.cs_circle.size:
             ci = batch.cs_circle
             corr = beta * np.maximum(batch.cs_depth - slop, 0.0) * batch.cs_scale
-            self.pos[:, 0] += np.bincount(ci, weights=corr * batch.cs_normal[:, 0], minlength=n)
-            self.pos[:, 1] += np.bincount(ci, weights=corr * batch.cs_normal[:, 1], minlength=n)
+            moved = _scenes_with_rows(rows.cs_at)
+            _add(x, np.bincount(ci, weights=corr * batch.cs_normal[:, 0],
+                                minlength=bodies), moved, scenes)
+            _add(y, np.bincount(ci, weights=corr * batch.cs_normal[:, 1],
+                                minlength=bodies), moved, scenes)
         if batch.cc_a.size:
             ia, ib = batch.cc_a, batch.cc_b
             wa, wb = self.inv_mass[ia], self.inv_mass[ib]
@@ -339,7 +573,29 @@ class World:
             px = corr * batch.cc_normal[:, 0]
             py = corr * batch.cc_normal[:, 1]
             idx = np.concatenate([ia, ib])
-            self.pos[:, 0] += np.bincount(idx, weights=np.concatenate([px * wa, -px * wb]),
-                                          minlength=n)
-            self.pos[:, 1] += np.bincount(idx, weights=np.concatenate([py * wa, -py * wb]),
-                                          minlength=n)
+            moved = _scenes_with_rows(rows.cc_at)
+            _add(x, np.bincount(idx, weights=np.concatenate([px * wa, -px * wb]),
+                                minlength=bodies), moved, scenes)
+            _add(y, np.bincount(idx, weights=np.concatenate([py * wa, -py * wb]),
+                                minlength=bodies), moved, scenes)
+
+
+def _redundancy_scale(body: np.ndarray, env: np.ndarray, nrm: np.ndarray,
+                      at: list) -> np.ndarray:
+    """ContactBatch.cs_scale of circle-surface rows sorted by scene.
+
+    A scene where some circle has more than one row takes the scale from its
+    own nrm @ nrm.T block; in any other scene every row's scale is 1.
+    """
+    total = np.ones(body.size)
+    repeat = body[1:] == body[:-1]
+    if not repeat.any():
+        return total
+    scenes = np.unique(env[1:][repeat]).tolist() if len(at) > 2 else (0,)
+    for e in scenes:
+        lo, hi = at[e], at[e + 1]
+        c, block = body[lo:hi], nrm[lo:hi]
+        agree = block @ block.T
+        np.maximum(agree, 0.0, out=agree)
+        total[lo:hi] = np.where(c[:, None] == c, agree, 0.0).sum(axis=1)
+    return 1.0 / total

@@ -20,7 +20,15 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .envs import DESIGN, TaskConfig, default_config, dump_task_config, make_env
+from .envs import (
+    DESIGN,
+    TaskConfig,
+    default_config,
+    dump_task_config,
+    make_env,
+    reset_envs,
+    step_controls,
+)
 from .neural import (
     Adam,
     GaussianHead,
@@ -98,14 +106,22 @@ def default_train_config(task: str, scale: str = "desk", **overrides) -> TrainCo
     return TrainConfig(**kw)
 
 
+def policy_settings(task: str, overrides: dict) -> dict:
+    """TASK_POLICY[task] updated by overrides; ValueError for a key it lacks."""
+    if task not in TASK_POLICY:
+        raise ValueError(f"unknown task {task!r}")
+    kw = dict(TASK_POLICY[task])
+    if not set(overrides) <= set(kw):
+        raise ValueError(f"policy overrides {sorted(overrides)} not among {sorted(kw)}")
+    kw.update(overrides)
+    return kw
+
+
 def policy_heads(env, **overrides) -> tuple:
     """(designer, controller) Gaussian heads at the env task's TASK_POLICY
     log-stds, updated by overrides; every policy builder takes its heads
     from here."""
-    kw = dict(TASK_POLICY[env.task_name])
-    if not set(overrides) <= set(kw):
-        raise ValueError(f"policy overrides {sorted(overrides)} not among {sorted(kw)}")
-    kw.update(overrides)
+    kw = policy_settings(env.task_name, overrides)
     return (GaussianHead(np.full(env.design_action_dim, float(kw["design_log_std"]))),
             GaussianHead(np.full(env.control_action_dim, float(kw["control_log_std"]))))
 
@@ -196,10 +212,9 @@ def policy_columns(params: PolicyParams, env) -> tuple:
 
 
 class _EpisodeBuilder:
-    def __init__(self, env, goal_sampler, rng):
+    def __init__(self, env, obs):
         self.env = env
-        goal = goal_sampler(env, rng) if goal_sampler is not None else None
-        self.obs = env.reset(goal=goal)
+        self.obs = obs
         self.design_action = None
         self.design_logp = None
         self.control_actions = []
@@ -225,21 +240,31 @@ class _EpisodeBuilder:
         )
 
 
+def _start_episodes(envs: list, goal_sampler, rng) -> list:
+    """Reset envs together, goals drawn from rng in env order; one
+    _EpisodeBuilder each."""
+    goals = [goal_sampler(env, rng) if goal_sampler is not None else None
+             for env in envs]
+    return [_EpisodeBuilder(env, obs)
+            for env, obs in zip(envs, reset_envs(envs, goals))]
+
+
 def collect_batch(envs: list, params: PolicyParams, cfg: TrainConfig,
                   rng: np.random.Generator, goal_sampler=None,
                   fixed_design=None) -> list:
     """Roll complete episodes in lockstep until batch_size steps are gathered.
 
     All policy queries are batched across environments in a fixed order, so a
-    seeded rng reproduces the batch exactly. Each env step is featurized
-    once, by value_input; the policies read their columns of that row. With
+    seeded rng reproduces the batch exactly. The control-phase envs step
+    together through step_controls, and envs that finish together are reset
+    together through reset_envs. Each env step is featurized once, by
+    value_input; the policies read their columns of that row. With
     fixed_design set, every episode uses that design action instead of
     querying the designer.
     """
     trajs: list = []
     design_cols, control_cols = policy_columns(params, envs[0])
-    builders = {i: _EpisodeBuilder(env, goal_sampler, rng)
-                for i, env in enumerate(envs)}
+    builders = dict(enumerate(_start_episodes(envs, goal_sampler, rng)))
     steps = 0
     while builders:
         ids = sorted(builders)
@@ -275,9 +300,9 @@ def collect_batch(envs: list, params: PolicyParams, cfg: TrainConfig,
             mu = forward(params.controller,
                          val_in[np.ix_(~in_design, control_cols)])
             acts, logps = sample_action(params.controller_head, mu, rng)
-            for k, i in enumerate(control_ids):
+            results = step_controls([builders[i].env for i in control_ids], acts)
+            for k, (i, res) in enumerate(zip(control_ids, results)):
                 b = builders[i]
-                res = b.env.step_control(acts[k])
                 b.control_actions.append(acts[k].copy())
                 b.control_logps.append(float(logps[k]))
                 b.rewards.append(res.reward)
@@ -285,13 +310,11 @@ def collect_batch(envs: list, params: PolicyParams, cfg: TrainConfig,
                 b.obs = res.observation
         steps += len(ids)
 
-        for i in ids:
-            if builders[i].env.done:
-                trajs.append(builders[i].finish())
-                if steps < cfg.batch_size:
-                    builders[i] = _EpisodeBuilder(envs[i], goal_sampler, rng)
-                else:
-                    del builders[i]
+        done = [i for i in ids if builders[i].env.done]
+        trajs.extend(builders.pop(i).finish() for i in done)
+        if done and steps < cfg.batch_size:
+            builders.update(zip(done, _start_episodes(
+                [envs[i] for i in done], goal_sampler, rng)))
     return trajs
 
 
@@ -562,8 +585,7 @@ def _drop_rows_after(path, env_steps: int) -> None:
 def seeded_envs(task_cfg: TaskConfig, n_envs: int, seed: int) -> list:
     """n_envs environments, each reset with its own child of SeedSequence(seed)."""
     envs = [make_env(task_cfg) for _ in range(n_envs)]
-    for env, ss in zip(envs, np.random.SeedSequence(seed).spawn(n_envs)):
-        env.reset(seed=ss)
+    reset_envs(envs, seeds=np.random.SeedSequence(seed).spawn(n_envs))
     return envs
 
 

@@ -12,6 +12,8 @@ from toolsmith.envs import (
     default_config,
     dump_task_config,
     make_env,
+    reset_envs,
+    step_controls,
     tradeoff_reward,
 )
 from toolsmith.envs.base import supported_by_tool
@@ -452,3 +454,92 @@ def test_make_env_overrides_and_unknown_task():
     assert env.cfg.tradeoff_k == 1.0
     with pytest.raises(ValueError):
         default_config("juggle")
+
+
+# -- batched stepping -----------------------------------------------------------
+
+BATCH_GOALS = {
+    "push": [(6.0, 8.0), (10.0, 14.0), (5.0, 5.0), (11.0, 6.0)],
+    # balls over the tool, so streaks build up and balls get caught
+    "catch": [(17.0, 18.0, 19.0, 16.0, 17.0, 18.0), (16.5, 18.5, 24.0, 17.0, 16.0, 20.0),
+              (18.0, 18.4, 15.0, 16.0, 18.0, 22.0), (19.0, 17.0, 21.0, 21.0, 19.0, 17.0)],
+    "scoop": [(3.0,), (1.0,), (7.0,), (4.0,)],
+}
+
+
+def batch_action(task, rng, t):
+    if task == "scoop":  # dive into the tank, then lift
+        base = (0.0, -6.0, 0.0) if t < 10 else (0.0, 5.0, 0.5)
+        return np.asarray(base) + rng.normal(scale=0.5, size=3)
+    scale = 0.3 if task == "catch" else 4.0
+    return rng.normal(scale=scale, size=make_env(task).control_action_dim)
+
+
+def assert_same_result(got, want):
+    for name in ("task", "design_echo", "goal", "design_ratio"):
+        assert np.array_equal(getattr(got.observation, name),
+                              getattr(want.observation, name)), name
+    assert got.observation.phase == want.observation.phase
+    assert (got.reward, got.done, got.info) == (want.reward, want.done, want.info)
+
+
+@pytest.mark.parametrize("task", TASKS)
+def test_step_controls_equals_stepping_each_env_alone(task):
+    """step_controls over four envs gives each env what its own step_control
+    gives: observations, rewards, done and info, with catch's per-substep
+    catch streaks and the supported_by_tool masks scoop counts."""
+    rng = np.random.default_rng(7)
+    together = [make_env(task) for _ in range(4)]
+    alone = [make_env(task) for _ in range(4)]
+    for k, goal in enumerate(BATCH_GOALS[task]):
+        design = rng.normal(scale=0.2, size=5)
+        for env in (together[k], alone[k]):
+            env.reset(goal=goal, seed=k)
+            env.step_design(design)
+    held = 0
+    for t in range(200):
+        live = [k for k in range(4) if not together[k].done]
+        if not live:
+            break
+        actions = [batch_action(task, rng, t) for _ in live]
+        got = step_controls([together[k] for k in live], actions)
+        for k, a, res in zip(live, actions, got):
+            assert_same_result(res, alone[k].step_control(a))
+            mask = supported_by_tool(together[k].world)
+            assert np.array_equal(mask, supported_by_tool(alone[k].world))
+            held += int(mask.sum())
+            if task == "catch":
+                assert np.array_equal(together[k]._streak, alone[k]._streak)
+    assert all(env.done for env in together + alone)
+    if task == "catch":
+        assert sum(r.info["caught"] for r in got) or any(e._caught.any() for e in alone)
+    if task != "push":
+        assert held > 0
+
+
+def test_batched_reset_equals_one_env_resets():
+    """reset_envs over four scoop envs settles every tank as four one-env
+    resets do, bitwise, and leaves each env's rng where they leave it."""
+    goals, seeds = [None, (3.0,), None, (6.0,)], [11, 12, None, 14]
+    together = [make_env("scoop") for _ in range(4)]
+    alone = [make_env("scoop") for _ in range(4)]
+    together[2].reset(seed=13)
+    alone[2].reset(seed=13)
+    observations = reset_envs(together, goals, seeds)
+    for env, twin, obs, goal, seed in zip(together, alone, observations, goals, seeds):
+        want = twin.reset(goal=goal, seed=seed)
+        for name in ("task", "design_echo", "goal", "design_ratio"):
+            assert np.array_equal(getattr(obs, name), getattr(want, name))
+        assert np.array_equal(env.world.pos, twin.world.pos)
+        assert np.array_equal(env.world.vel, twin.world.vel)
+        assert env._rng.bit_generator.state == twin._rng.bit_generator.state
+
+
+def test_step_controls_refuses_envs_out_of_phase():
+    a, b = make_env("push"), make_env("push")
+    a.reset(seed=0)
+    b.reset(seed=1)
+    a.step_design(np.zeros(5))
+    with pytest.raises(ProtocolError):
+        step_controls([a, b], np.zeros((2, 2)))
+    assert a.world.tool_velocity.tolist() == [0.0, 0.0]

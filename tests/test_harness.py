@@ -586,3 +586,17 @@ def test_cli_output_root_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("TOOLSMITH_OUT", str(tmp_path / "root"))
     cfg = config_from_dict({"task": "push"})
     assert cfg.out_dir == str(tmp_path / "root" / "push_ours")
+
+
+def test_cli_rejects_an_unknown_policy_override_before_running(tmp_path, capsys):
+    """A misspelled policy_overrides key exits 2 before the manifest is
+    written, not once training has started."""
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"policy_overrides": {"design_std": -1}}))
+    out_dir = tmp_path / "run"
+    rc = cli_main(["train", "--config", str(config), "--task", "push",
+                   "--method", "hwasp", "--seeds", "0", "--out-dir", str(out_dir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "design_std" in err
+    assert not (out_dir / "manifest.json").exists()

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from _world_oracle import OracleWorld
 from toolsmith.geometry import DesignVector, build_tool
 from toolsmith.physics2d import BAUMGARTE, SLOP, World
 
@@ -427,3 +428,171 @@ def test_ball_settles_in_capsule_corner():
     assert w.pos[0, 1] == pytest.approx(0.5, abs=0.02)
     # inelastic stop against the wall face at x = -(0.4 + 0.1)
     assert w.pos[0, 0] == pytest.approx(-0.5, abs=0.02)
+
+
+# -- batched scenes against the frozen single-scene step ----------------------
+#
+# A scene set shares one layout (circles, statics, tool presence, world
+# constants); each scene has its own circle states, tool and tool pose. A
+# "pile" scene packs its circles into the bottom-left corner of a tank, so a
+# corner circle touches the floor and the wall (two surface rows) and
+# neighbours overlap (circle-circle rows); a "free" scene holds them high
+# above everything, contact-free. Damping of 100 per second stops a circle
+# dead within one step, and a circle that was moving backwards keeps a
+# velocity of -0.0, which a stray "+= 0.0" would turn into 0.0.
+
+TANK = (((0.0, 0.0), (6.0, 0.0)), ((0.0, 0.0), (0.0, 4.0)), ((6.0, 0.0), (6.0, 4.0)))
+CONTACT_FIELDS = ("cs_circle", "cs_surface", "cs_is_tool", "cs_normal", "cs_depth",
+                  "cs_impulse", "cs_impulse_t", "cs_scale", "cc_a", "cc_b",
+                  "cc_normal", "cc_depth", "cc_impulse", "cc_impulse_t")
+
+
+def build_scene(cls, layout, scene):
+    w = cls(gravity=layout["gravity"], dt=DT, friction=layout["friction"],
+            restitution_circle=0.1, restitution_surface=0.2)
+    if layout["tank"]:
+        for a, b in TANK:
+            w.add_static_capsule(a, b, radius=0.1)
+    if layout["tool"]:
+        w.set_tool(build_tool(DesignVector(lengths=scene["lengths"],
+                                           angles=scene["angles"]), radius=0.1),
+                   scene["tool_pos"], angle=scene["angle"])
+        w.command_tool(scene["command"][:2], scene["command"][2])
+    for (x, y), v, r, rho, c in zip(scene["pos"], scene["vel"], layout["radii"],
+                                    layout["density"], layout["damping"]):
+        w.add_circle((x, y), velocity=v, radius=r, density=rho, damping=c)
+    return w
+
+
+def pile_positions(radii, shifts):
+    """Circles from the tank's bottom-left corner rightwards, each sunk into
+    the floor and overlapping the one before; the first also sinks into the
+    wall."""
+    pos, x = [], 0.1 + radii[0] - 0.02
+    for i, (r, (gap, lift)) in enumerate(zip(radii, shifts)):
+        if i:
+            x += gap * (radii[i - 1] + r)
+        pos.append((x, 0.1 + r - 0.02 + lift))
+    return pos
+
+
+ZERO_OR_SPEED = st.sampled_from([0.0, -0.0]) | st.floats(-3.0, 3.0)
+
+
+@st.composite
+def scene_sets(draw):
+    n = draw(st.integers(1, 5))
+    layout = dict(
+        radii=[draw(st.sampled_from([0.25, 0.4, 0.6])) for _ in range(n)],
+        density=[draw(st.floats(0.5, 3.0)) for _ in range(n)],
+        damping=[draw(st.sampled_from([0.0, 1.2, 100.0])) for _ in range(n)],
+        gravity=draw(st.sampled_from([(0.0, 0.0), (0.0, -9.8)])),
+        friction=draw(st.sampled_from([0.0, 0.5])),
+        tank=draw(st.booleans()),
+        tool=draw(st.booleans()))
+    scenes = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):  # pile
+            shifts = [(draw(st.floats(0.4, 0.95)), draw(st.floats(-0.05, 0.1)))
+                      for _ in range(n)]
+            pos = pile_positions(layout["radii"], shifts)
+            tool_pos = (draw(st.floats(0.3, 3.0)), draw(st.floats(0.2, 1.5)))
+        else:  # free
+            pos = [(1.0 + 2.0 * i, 30.0) for i in range(n)]
+            tool_pos = (3.0, 10.0)
+        scenes.append(dict(
+            pos=pos, vel=[(draw(ZERO_OR_SPEED), draw(ZERO_OR_SPEED)) for _ in range(n)],
+            lengths=tuple(draw(st.floats(0.5, 2.0)) for _ in range(3)),
+            angles=tuple(draw(st.floats(-1.0, 1.0)) for _ in range(2)),
+            tool_pos=tool_pos, angle=draw(st.floats(-math.pi, math.pi)),
+            command=(draw(ZERO_OR_SPEED), draw(ZERO_OR_SPEED), draw(ZERO_OR_SPEED))))
+    return layout, scenes, draw(st.integers(1, 3))
+
+
+def assert_same_scene(w, ref):
+    assert np.array_equal(w.pos, ref.pos) and np.array_equal(w.vel, ref.vel)
+    assert np.array_equal(np.signbit(w.pos), np.signbit(ref.pos))
+    assert np.array_equal(np.signbit(w.vel), np.signbit(ref.vel))
+    assert np.array_equal(w.tool_position, ref.tool_position)
+    assert w.tool_angle == ref.tool_angle
+    for name in CONTACT_FIELDS:
+        got, want = getattr(w.contacts, name), getattr(ref.contacts, name)
+        assert got.shape == want.shape and np.array_equal(got, want), name
+
+
+# one tank of four layouts: a corner circle with two surface rows, overlapping
+# circles, tool contacts, and a contact-free scene beside them
+COVERING_SET = (
+    dict(radii=[0.4, 0.4, 0.25], density=[1.0, 2.0, 1.0], damping=[0.0, 0.0, 100.0],
+         gravity=(0.0, -9.8), friction=0.5, tank=True, tool=True),
+    [dict(pos=pile_positions([0.4, 0.4, 0.25], [(0.0, 0.0), (0.8, 0.0), (0.9, 0.05)]),
+          vel=[(-0.0, 0.0), (1.0, -0.5), (0.0, 0.0)], lengths=(1.0, 1.0, 1.0),
+          angles=(0.3, -0.2), tool_pos=(1.8, 0.6), angle=0.1, command=(0.5, 0.0, 0.2)),
+     dict(pos=[(1.0, 30.0), (3.0, 30.0), (5.0, 30.0)],
+          vel=[(-0.0, 0.0), (0.0, -0.0), (-1.0, 0.0)], lengths=(1.0, 1.0, 1.0),
+          angles=(0.0, 0.0), tool_pos=(3.0, 10.0), angle=0.0, command=(0.0, 0.0, 0.0)),
+     dict(pos=pile_positions([0.4, 0.4, 0.25], [(0.0, 0.0), (0.6, 0.0), (0.7, 0.0)]),
+          vel=[(0.0, 0.0), (0.0, 0.0), (0.0, 0.0)], lengths=(2.0, 0.5, 1.5),
+          angles=(-0.5, 0.8), tool_pos=(1.5, 1.2), angle=-2.0, command=(-0.3, 0.1, -0.4))],
+    2)
+
+
+@example(COVERING_SET)
+@example((COVERING_SET[0], COVERING_SET[1][:1], 3))
+@settings(max_examples=150)
+@given(scene_sets())
+def test_batched_step_equals_the_single_scene_oracle(case):
+    """Scenes stepped together through World.step come out bitwise equal to
+    each scene stepped alone by the frozen single-scene step: positions,
+    velocities (signed zeros too), tool pose and every contact row."""
+    layout, scenes, steps = case
+    worlds = [build_scene(World, layout, s) for s in scenes]
+    oracles = [build_scene(OracleWorld, layout, s) for s in scenes]
+    for _ in range(steps):
+        worlds[0].step(*worlds[1:])
+        for ref in oracles:
+            ref.step()
+        for w, ref in zip(worlds, oracles):
+            assert_same_scene(w, ref)
+
+
+def test_covering_set_has_every_row_kind():
+    """The example scene set above holds what the batched step must keep
+    apart: a contact-free scene, holding a -0.0 velocity, beside scenes with
+    contacts, a circle with two surface rows and circle-circle rows."""
+    layout, scenes, _ = COVERING_SET
+    worlds = [build_scene(World, layout, s) for s in scenes]
+    worlds[0].step(*worlds[1:])
+    pile, free, _ = (w.contacts for w in worlds)
+    assert free.cs_circle.size == 0 and free.cc_a.size == 0
+    assert np.any(np.bincount(pile.cs_circle) >= 2)
+    assert pile.cc_a.size > 0 and pile.cs_is_tool.any()
+    assert np.any((worlds[1].vel == 0.0) & np.signbit(worlds[1].vel))
+
+
+@pytest.mark.parametrize("change", [
+    lambda w: w.add_circle((9.0, 9.0)),
+    lambda w: setattr(w, "radius", w.radius * 1.5),
+    lambda w: setattr(w, "inv_mass", w.inv_mass * 2.0),
+    lambda w: setattr(w, "damping", w.damping + 1.0),
+    lambda w: w.add_static_capsule((0.0, -5.0), (1.0, -5.0)),
+    lambda w: w.set_tool(build_tool(DesignVector(lengths=(1.0, 1.0, 1.0),
+                                                 angles=(0.0, 0.0))), (0.0, 5.0)),
+    lambda w: setattr(w, "friction", 0.9),
+    lambda w: setattr(w, "gravity", np.array([0.0, -1.0])),
+], ids=["circle count", "radii", "masses", "damping", "statics", "tool",
+        "friction", "gravity"])
+def test_scenes_that_cannot_share_a_pass_are_refused(change):
+    def scene():
+        w = World(dt=DT)
+        flat_floor(w)
+        w.add_circle((0.0, 2.0), radius=0.5)
+        return w
+    a, b = scene(), scene()
+    a.step(b)
+    change(b)
+    b._scenes = None  # a changed attribute no method resets
+    with pytest.raises(ValueError):
+        a.step(b)
+    with pytest.raises(ValueError):
+        a.step(a)

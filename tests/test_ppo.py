@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toolsmith.envs import ToolTaskEnv, default_config, make_env
+from toolsmith.physics2d import World
 from toolsmith.neural import (
     GaussianHead,
     clone_params,
@@ -253,6 +254,31 @@ def test_collect_batch_deterministic():
         assert np.array_equal(x.design_action, y.design_action)
         assert np.array_equal(x.control_actions, y.control_actions)
         assert np.array_equal(x.design_echo, y.design_echo)
+
+
+def test_scoop_collect_batch_equals_worlds_stepped_one_at_a_time(monkeypatch):
+    """collect_batch steps its scoop envs' worlds together, settles and all;
+    the trajectories are bitwise those of a run that steps each world alone."""
+    def collect():
+        rng, envs, params, _ = make_setup(seed=5, task="scoop")
+        cfg = default_train_config("scoop", batch_size=64, minibatch_size=32)
+        return collect_batch(envs, params, cfg, rng)
+
+    together = collect()
+    step = World.step
+
+    def one_at_a_time(self, *others):
+        for w in (self,) + others:
+            step(w)
+
+    monkeypatch.setattr(World, "step", one_at_a_time)
+    alone = collect()
+    assert len(together) == len(alone) == 4
+    for x, y in zip(together, alone):
+        for name in ("design_action", "design_logp", "control_actions",
+                     "control_logps", "value_inputs", "rewards", "values",
+                     "design_echo", "success", "d_used", "mean_c_used"):
+            assert np.array_equal(getattr(x, name), getattr(y, name)), name
 
 
 def test_trajectory_rejects_nonfinite_rewards():
