@@ -3,9 +3,7 @@
 from .base import (
     CONTROL,
     DESIGN,
-    Observation,
     ProtocolError,
-    StepResult,
     TaskConfig,
     ToolTaskEnv,
     TradeoffConfig,
@@ -22,9 +20,7 @@ TASKS = ("push", "catch", "scoop")
 __all__ = [
     "CONTROL",
     "DESIGN",
-    "Observation",
     "ProtocolError",
-    "StepResult",
     "TASKS",
     "TaskConfig",
     "ToolTaskEnv",

@@ -4,39 +4,43 @@ Every episode starts in the design phase: the first action is a tool design
 vector (in ratio space), realized and clamped to the task's bounds, and the
 built tool is placed at the task's fixed init pose. The episode then switches
 to the control phase, where actions command tool velocities, clamped to
-per-task caps. The control-phase state is the task observation joined with
-the episode's design action, which stays in every control observation.
+per-task caps.
+
+The env's live state is its observation. reset and reset_envs return
+nothing; step_design, step_control and step_controls return the reward(s).
+Everything else is read from the env as it stands: phase, done, goal,
+design, and the episode facts success, d_used and c_used (the last
+control's effort).
 
 Rewards: the design step earns only the material/control tradeoff term; each
 control step earns task reward + slack + tradeoff. The tradeoff term is
 K * [1 - (alpha * d_used/d_max + (1-alpha) * c_used/c_max)].
 
-Policy inputs: value_input is the one featurization, the row [phase flag
-(0 design, 1 control), task, design echo in ratio space, goal]. The ratio
-echo is computed once per episode, by step_design, and carried in every
-control observation as design_ratio, so the row depends only on the
-observation. Each task
-class declares task_center and task_scale (one entry per task-observation
-entry) and goal_center and goal_scale (one per goal entry); a task or goal
-entry x enters as (x - center) / scale. A policy reads columns of the row
-(ppo.policy_columns): both halves of a shared trunk (a designer as wide as
-its controller) read all of it, a designer with no inputs none; else the
-designer reads design_columns (task, goal) and the controller
-control_columns (all after the flag). Collection and the PPO update keep
-only this row per step (ppo.Trajectory and ppo.Batch value_inputs) and take
-each policy's columns from it. design_input and control_input return those
-columns; nothing in the program calls them, bench/spans.py wraps them by
-name.
+Policy inputs: value_input featurizes the env's current state as the one
+row [phase flag (0 design, 1 control), task, design echo in ratio space,
+goal]. The echo is zero in the design phase; step_design computes it once
+per episode. Each task class declares task_center and task_scale (one entry
+per task-observation entry) and goal_center and goal_scale (one per goal
+entry); a task or goal entry x enters as (x - center) / scale. A policy
+reads columns of the row (ppo.policy_columns): both halves of a shared trunk
+(a designer as wide as its controller) read all of it, a designer with no
+inputs none; else the designer reads design_columns (task, goal) and the
+controller control_columns (all after the flag). Collection and the PPO
+update keep only this row per step (ppo.Trajectory and ppo.Batch
+value_inputs) and take each policy's columns from it. design_input and
+control_input return those columns; nothing in the program calls them,
+bench/spans.py wraps them by name.
 
 Batched stepping: reset_envs and step_controls advance several envs of one
 task together. Each env does its own bookkeeping (rng draws, clamping,
-control, rewards, observations), while the physics of all of them runs as
-one World.step pass per substep (see physics2d), so every env's results
-are bitwise what its own reset and step_control give. reset_envs builds
-every scene first, each with its own rng in the one-env order, then runs
-the task's settle_steps for all of them at once; scoop lets its balls come
-to rest this way before the design step. reset and step_control are the
-one-env cases.
+control, rewards), while the physics of all of them runs as one World.step
+pass per substep (see physics2d), so every env ends bitwise where its own
+reset and step_control leave it. reset_envs builds every scene first, each
+with its own rng in the one-env order, then runs the task's settle_steps
+for all of them at once. reset and step_control are the one-env cases.
+Scoop's settle lets its balls fall from their jittered grid for a fixed
+number of steps; they are still moving, and still sinking into each other,
+when the design step comes.
 """
 
 from __future__ import annotations
@@ -93,30 +97,6 @@ def tradeoff_reward(cfg: TradeoffConfig, d_used: float, c_used: float) -> float:
     material = cfg.alpha * (d_used / cfg.d_max)
     effort = (1.0 - cfg.alpha) * (c_used / cfg.c_max)
     return cfg.k * (1.0 - (material + effort))
-
-
-@dataclass
-class Observation:
-    """Flat task state, phase tag, design echo, and the episode goal.
-
-    design_echo holds the realized physical design vector during the control
-    phase and zeros during the design phase; design_ratio holds the same
-    design in ratio space.
-    """
-
-    phase: str
-    task: np.ndarray
-    design_echo: np.ndarray
-    goal: np.ndarray
-    design_ratio: np.ndarray
-
-
-@dataclass
-class StepResult:
-    observation: Observation
-    reward: float
-    done: bool
-    info: dict
 
 
 @dataclass(frozen=True)
@@ -282,8 +262,8 @@ class ToolTaskEnv:
 
     # -- episode protocol -----------------------------------------------------
 
-    def reset(self, goal=None, seed=None) -> Observation:
-        return reset_envs([self], [goal], [seed])[0]
+    def reset(self, goal=None, seed=None) -> None:
+        reset_envs([self], [goal], [seed])
 
     def _start_episode(self, goal, seed) -> None:
         """Everything of a reset but the settle steps."""
@@ -298,11 +278,10 @@ class ToolTaskEnv:
         self._done = False
         self._steps = 0
         self._design: DesignVector | None = None
-        self._design_echo = np.zeros(DESIGN_DIM, dtype=np.float64)
         self._design_ratio = np.zeros(DESIGN_DIM, dtype=np.float64)
         self._d_used = 0.0
         self._success = 0.0
-        self._last_c_used = 0.0
+        self._c_used = 0.0
 
     def _require(self, phase: str) -> None:
         if self._phase is None or self._done:
@@ -312,38 +291,37 @@ class ToolTaskEnv:
                                 if phase == DESIGN else
                                 "control step before the design step")
 
-    def step_design(self, action) -> StepResult:
+    def step_design(self, action) -> float:
+        """Realize and build the design; returns the design step's reward."""
         self._require(DESIGN)
         a = np.asarray(action, dtype=np.float64).reshape(DESIGN_DIM)
         design = self.space.realize(a)
         self._design = design
-        self._design_echo = design.as_array()
         self._design_ratio = self.space.ratio_of(design)
         self.world.set_tool(build_tool(design, radius=TOOL_RADIUS),
                             self.cfg.tool_position_init, angle=math.pi)
         self._d_used = float(sum(design.lengths))
         self._phase = CONTROL
         self._post_design()
-        reward = tradeoff_reward(self.tradeoff, self._d_used, 0.0)
-        return StepResult(self._observation(), float(reward), False, self._info())
+        return float(tradeoff_reward(self.tradeoff, self._d_used, 0.0))
 
-    def step_control(self, action) -> StepResult:
+    def step_control(self, action) -> float:
+        """One control step; returns its reward."""
         return step_controls([self], [action])[0]
 
     def _clamped(self, action) -> np.ndarray:
         a = np.asarray(action, dtype=np.float64).reshape(self.control_action_dim)
         return np.minimum(np.maximum(a, -self._cap), self._cap)
 
-    def _end_control(self, c_used: float) -> StepResult:
+    def _end_control(self) -> float:
         """Count the step and score it, after its physics substeps."""
         self._steps += 1
         task_r, done = self._task_reward_done()
         if self._steps >= self.cfg.max_episode_steps:
             done = True
         self._done = bool(done)
-        reward = (task_r + self.cfg.slack_reward
-                  + tradeoff_reward(self.tradeoff, self._d_used, c_used))
-        return StepResult(self._observation(), float(reward), self._done, self._info())
+        return float(task_r + self.cfg.slack_reward
+                     + tradeoff_reward(self.tradeoff, self._d_used, self._c_used))
 
     @property
     def phase(self) -> str | None:
@@ -361,22 +339,20 @@ class ToolTaskEnv:
     def goal(self) -> np.ndarray:
         return self._goal.copy()
 
-    def _observation(self) -> Observation:
-        return Observation(phase=self._phase, task=self._task_obs(),
-                           design_echo=self._design_echo.copy(),
-                           goal=self._goal.copy(),
-                           design_ratio=self._design_ratio.copy())
+    @property
+    def success(self) -> float:
+        """The episode's success so far: 1 or 0, or catch's caught share."""
+        return float(self._success)
 
-    def _info(self) -> dict:
-        info = {
-            "phase": self._phase,
-            "steps": self._steps,
-            "success": float(self._success),
-            "d_used": float(self._d_used),
-            "c_used": float(self._last_c_used),
-        }
-        info.update(self._task_info())
-        return info
+    @property
+    def d_used(self) -> float:
+        """Material of the built design: its link lengths summed; 0 before."""
+        return float(self._d_used)
+
+    @property
+    def c_used(self) -> float:
+        """Effort of the last control: the clamped action's norm; 0 before."""
+        return float(self._c_used)
 
     # -- policy featurization -------------------------------------------------
     # Inputs are affinely normalized with the class's declared constants; the
@@ -394,21 +370,19 @@ class ToolTaskEnv:
     def value_input_dim(self) -> int:
         return 1 + self.task_obs_dim + DESIGN_DIM + self.goal_dim
 
-    def _row(self, obs: Observation) -> np.ndarray:
-        flag = 0.0 if obs.phase == DESIGN else 1.0
+    def value_input(self) -> np.ndarray:
+        """The env as it stands: [phase flag, task, design ratio, goal]."""
+        flag = 0.0 if self._phase == DESIGN else 1.0
         return np.concatenate([[flag],
-                               (obs.task - self.task_center) / self.task_scale,
-                               obs.design_ratio,
-                               (obs.goal - self.goal_center) / self.goal_scale])
+                               (self._task_obs() - self.task_center) / self.task_scale,
+                               self._design_ratio,
+                               (self._goal - self.goal_center) / self.goal_scale])
 
-    def value_input(self, obs: Observation) -> np.ndarray:
-        return self._row(obs)
+    def design_input(self) -> np.ndarray:
+        return self.value_input()[self.design_columns]
 
-    def design_input(self, obs: Observation) -> np.ndarray:
-        return self._row(obs)[self.design_columns]
-
-    def control_input(self, obs: Observation) -> np.ndarray:
-        return self._row(obs)[self.control_columns]
+    def control_input(self) -> np.ndarray:
+        return self.value_input()[self.control_columns]
 
     # -- subclass hooks ---------------------------------------------------
 
@@ -439,9 +413,6 @@ class ToolTaskEnv:
     def _task_obs(self) -> np.ndarray:
         raise NotImplementedError
 
-    def _task_info(self) -> dict:
-        return {}
-
 
 def _common(values, what: str):
     """The one value shared by every env stepped together."""
@@ -451,8 +422,8 @@ def _common(values, what: str):
     return values.pop()
 
 
-def reset_envs(envs: list, goals=None, seeds=None) -> list:
-    """Reset every env and return their observations.
+def reset_envs(envs: list, goals=None, seeds=None) -> None:
+    """Reset every env.
 
     goals and seeds give each env's reset arguments (None: all None). The
     scenes are built in env order, each from its own rng, then the task's
@@ -466,12 +437,11 @@ def reset_envs(envs: list, goals=None, seeds=None) -> list:
     worlds = [env.world for env in envs]
     for _ in range(settle):
         worlds[0].step(*worlds[1:])
-    return [env._observation() for env in envs]
 
 
 def step_controls(envs: list, actions) -> list:
     """One control step of every env, actions[i] for envs[i]; returns their
-    StepResults. The physics substeps of all of them run as batched
+    rewards. The physics substeps of all of them run as batched
     World.step passes, each followed by every env's substep hook."""
     if len(actions) != len(envs):
         raise ValueError(f"{len(envs)} envs need as many actions, got {len(actions)}")
@@ -480,16 +450,15 @@ def step_controls(envs: list, actions) -> list:
     substeps = _common((env.cfg.control_steps_per_action for env in envs),
                        "control_steps_per_action")
     clamped = [env._clamped(a) for env, a in zip(envs, actions)]
-    c_used = [float(np.linalg.norm(a)) for a in clamped]
-    for env, a, c in zip(envs, clamped, c_used):
-        env._last_c_used = c
+    for env, a in zip(envs, clamped):
+        env._c_used = float(np.linalg.norm(a))
         env._apply_control(a)
     worlds = [env.world for env in envs]
     for _ in range(substeps):
         worlds[0].step(*worlds[1:])
         for env in envs:
             env._after_substep()
-    return [env._end_control(c) for env, c in zip(envs, c_used)]
+    return [env._end_control() for env in envs]
 
 
 def supported_by_tool(world: World) -> np.ndarray:

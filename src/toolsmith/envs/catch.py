@@ -94,7 +94,3 @@ class CatchEnv(ToolTaskEnv):
     def _task_obs(self) -> np.ndarray:
         w = self.world
         return np.concatenate([w.pos.ravel(), w.vel.ravel(), w.tool_position])
-
-    def _task_info(self) -> dict:
-        return {"caught": int(np.count_nonzero(self._caught)),
-                "lost": int(np.count_nonzero(self._lost))}

@@ -77,6 +77,3 @@ class PushEnv(ToolTaskEnv):
     def _task_obs(self) -> np.ndarray:
         w = self.world
         return np.concatenate([w.pos[self._puck], w.vel[self._puck], w.tool_position])
-
-    def _task_info(self) -> dict:
-        return {"goal_dist": self._goal_dist()}

@@ -1,6 +1,6 @@
 """Scooping: lift an exact count of balls out of a tank.
 
-Forty small balls rest in a walled tank. The tool is velocity-controlled in
+Forty small balls fill a walled tank. The tool is velocity-controlled in
 x, y, and rotation. The episode is a fixed horizon; only the final step is
 rewarded, by how close the number of lifted balls (above the rim and
 supported by the tool) is to the goal count, with a bonus for an exact match.
@@ -25,7 +25,9 @@ _COLS, _ROWS = 8, 5
 class ScoopEnv(ToolTaskEnv):
 
     task_name = "scoop"
-    settle_steps = SETTLE_STEPS  # the balls come to rest before the design
+    # world steps in which the balls fall from their grid before the design;
+    # they are still moving when it comes
+    settle_steps = SETTLE_STEPS
     goal_dim = 1
     control_action_dim = 3
     task_obs_dim = 4 * NUM_BALLS + 4
@@ -88,6 +90,3 @@ class ScoopEnv(ToolTaskEnv):
         w = self.world
         return np.concatenate([w.pos.ravel(), w.vel.ravel(), w.tool_position,
                                [np.cos(w.tool_angle), np.sin(w.tool_angle)]])
-
-    def _task_info(self) -> dict:
-        return {"scooped": self._scooped_count()}

@@ -175,6 +175,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown method {self.method!r}; expected {METHODS}")
         if len(self.seeds) == 0:
             raise ValueError("at least one seed is required")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds {list(self.seeds)} repeat a seed")
         if self.n_envs < 1:
             raise ValueError(f"n_envs must be at least 1, got {self.n_envs}")
         if self.total_steps < 1:
@@ -412,6 +414,8 @@ def cmd_eval(checkpoint_path, out_dir, goals=None, grid: int | None = None,
             goals = goal_grid(grid)
         else:
             goals = evaluation_goals(env, 16)
+    if len(goals) == 0:
+        raise ValueError("the goal set to evaluate is empty")
     write_manifest(out_dir, "eval", {
         "checkpoint": str(checkpoint_path),
         "task": ck_task,
@@ -522,6 +526,8 @@ def cmd_finetune(checkpoint_path, out_dir, goals=None, budget: int = 50,
     ck_task, params = art.task, art.params
     goals = [np.asarray(g, dtype=np.float64)
              for g in (goals if goals is not None else DEFAULT_FINETUNE_GOALS)]
+    if not goals:
+        raise ValueError("the goal set to fine-tune on is empty")
     if ck_task == "push":
         for g in goals:
             if classify_goal(centered_cutout(0.0), g) == "training":
@@ -616,12 +622,12 @@ def cmd_alpha_sweep(out_dir, task: str = "catch", alphas=DEFAULT_ALPHAS,
 # ---------------------------------------------------------------------------
 
 def _export_design(env, art: Artifact, goal, stl_path) -> dict:
-    obs = env.reset(goal=goal, seed=EVAL_RESET_SEED)
+    env.reset(goal=goal, seed=EVAL_RESET_SEED)
     if art.fixed_design is not None:
         mu = art.fixed_design
     else:
         design_cols, _ = policy_columns(art.params, env)
-        mu = forward(art.params.designer, env.value_input(obs)[design_cols])
+        mu = forward(art.params.designer, env.value_input()[design_cols])
     design = env.space.realize(mu)
     geom = build_tool(design)
     data = export_stl(geom)
@@ -658,6 +664,8 @@ def cmd_export_tool(checkpoint_path, goal, out_dir) -> dict:
 
 def cmd_compare(run_dirs: list, out_dir, task: str, n_goals: int = 16) -> list:
     """Score trained artifacts from several runs on one shared goal set."""
+    if n_goals < 1:
+        raise ValueError(f"n_goals must be at least 1, got {n_goals}")
     env = make_env(default_config(task))
     goals = evaluation_goals(env, n_goals)
     write_manifest(out_dir, "compare", {

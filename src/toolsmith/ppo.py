@@ -212,9 +212,8 @@ def policy_columns(params: PolicyParams, env) -> tuple:
 
 
 class _EpisodeBuilder:
-    def __init__(self, env, obs):
+    def __init__(self, env):
         self.env = env
-        self.obs = obs
         self.design_action = None
         self.design_logp = None
         self.control_actions = []
@@ -234,8 +233,8 @@ class _EpisodeBuilder:
             rewards=np.asarray(self.rewards, dtype=np.float64),
             values=np.asarray(self.values, dtype=np.float64),
             design_echo=env.design.as_array(),
-            success=float(env._success),
-            d_used=float(env._d_used),
+            success=env.success,
+            d_used=env.d_used,
             mean_c_used=float(np.mean(self.c_used)) if self.c_used else 0.0,
         )
 
@@ -245,8 +244,8 @@ def _start_episodes(envs: list, goal_sampler, rng) -> list:
     _EpisodeBuilder each."""
     goals = [goal_sampler(env, rng) if goal_sampler is not None else None
              for env in envs]
-    return [_EpisodeBuilder(env, obs)
-            for env, obs in zip(envs, reset_envs(envs, goals))]
+    reset_envs(envs, goals)
+    return [_EpisodeBuilder(env) for env in envs]
 
 
 def collect_batch(envs: list, params: PolicyParams, cfg: TrainConfig,
@@ -272,7 +271,7 @@ def collect_batch(envs: list, params: PolicyParams, cfg: TrainConfig,
         design_ids = [i for i, d in zip(ids, in_design) if d]
         control_ids = [i for i, d in zip(ids, in_design) if not d]
 
-        val_in = np.stack([builders[i].env.value_input(builders[i].obs) for i in ids])
+        val_in = np.stack([builders[i].env.value_input() for i in ids])
         vals = forward(params.value, val_in)[:, 0]
         for k, i in enumerate(ids):
             builders[i].value_inputs.append(val_in[k])
@@ -292,22 +291,19 @@ def collect_batch(envs: list, params: PolicyParams, cfg: TrainConfig,
                 logps = [None] * len(design_ids)
             for k, i in enumerate(design_ids):
                 b = builders[i]
-                res = b.env.step_design(acts[k])
+                b.rewards.append(b.env.step_design(acts[k]))
                 b.design_action, b.design_logp = acts[k].copy(), logps[k]
-                b.rewards.append(res.reward)
-                b.obs = res.observation
         if control_ids:
             mu = forward(params.controller,
                          val_in[np.ix_(~in_design, control_cols)])
             acts, logps = sample_action(params.controller_head, mu, rng)
-            results = step_controls([builders[i].env for i in control_ids], acts)
-            for k, (i, res) in enumerate(zip(control_ids, results)):
+            rewards = step_controls([builders[i].env for i in control_ids], acts)
+            for k, (i, reward) in enumerate(zip(control_ids, rewards)):
                 b = builders[i]
                 b.control_actions.append(acts[k].copy())
                 b.control_logps.append(float(logps[k]))
-                b.rewards.append(res.reward)
-                b.c_used.append(res.info["c_used"])
-                b.obs = res.observation
+                b.rewards.append(reward)
+                b.c_used.append(b.env.c_used)
         steps += len(ids)
 
         done = [i for i in ids if builders[i].env.done]
@@ -570,22 +566,37 @@ def _append_csv(path, header, row) -> None:
         w.writerow(row)
 
 
+def _whole_row(row: list, width: int) -> bool:
+    """Whether a curve CSV row has all its fields and each parses."""
+    try:
+        values = [float(x) for x in row]
+    except ValueError:
+        return False
+    return len(values) == width
+
+
 def _drop_rows_after(path, env_steps: int) -> None:
-    """Remove the rows of a curve CSV logged past env_steps."""
+    """Remove the rows of a curve CSV logged past env_steps, and any row
+    torn by a kill partway through writing it."""
     if not os.path.exists(path):
         return
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+        header, *rows = csv.reader(fh)
     text = io.StringIO()
-    csv.writer(text).writerows(
-        rows[:1] + [r for r in rows[1:] if int(r[0]) <= env_steps])
+    csv.writer(text).writerows([header] + [
+        r for r in rows
+        if _whole_row(r, len(header)) and int(r[0]) <= env_steps])
     write_atomic(path, text.getvalue())
 
 
 def seeded_envs(task_cfg: TaskConfig, n_envs: int, seed: int) -> list:
-    """n_envs environments, each reset with its own child of SeedSequence(seed)."""
+    """n_envs environments, each seeded with its own child of
+    SeedSequence(seed) and started on an episode, which draws its goal and
+    scene from that rng. The settle steps are left out: collect_batch resets
+    every env before its first step, so only the draws carry over."""
     envs = [make_env(task_cfg) for _ in range(n_envs)]
-    reset_envs(envs, seeds=np.random.SeedSequence(seed).spawn(n_envs))
+    for env, child in zip(envs, np.random.SeedSequence(seed).spawn(n_envs)):
+        env._start_episode(None, child)
     return envs
 
 
@@ -696,29 +707,25 @@ def run_episode(env, params: PolicyParams | None, goal=None, seed=None,
     """
     if params is not None:
         design_cols, control_cols = policy_columns(params, env)
-    obs = env.reset(goal=goal, seed=seed)
+    env.reset(goal=goal, seed=seed)
     if fixed_design is not None:
         act = np.asarray(fixed_design, dtype=np.float64)
     else:
-        act = forward(params.designer, env.value_input(obs)[design_cols])
-    res = env.step_design(act)
-    total = res.reward
-    obs = res.observation
+        act = forward(params.designer, env.value_input()[design_cols])
+    total = env.step_design(act)
     c_used = []
     while not env.done:
         if controls is not None:
             act = controls[len(c_used)]
         else:
-            act = forward(params.controller, env.value_input(obs)[control_cols])
-        res = env.step_control(act)
-        total += res.reward
-        c_used.append(res.info["c_used"])
-        obs = res.observation
+            act = forward(params.controller, env.value_input()[control_cols])
+        total += env.step_control(act)
+        c_used.append(env.c_used)
     return {
         "return": float(total),
-        "success": float(res.info["success"]),
+        "success": env.success,
         "steps": len(c_used),
         "design": env.design.as_array(),
-        "d_used": float(res.info["d_used"]),
+        "d_used": env.d_used,
         "mean_c_used": float(np.mean(c_used)) if c_used else 0.0,
     }

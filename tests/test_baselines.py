@@ -412,8 +412,8 @@ def test_shared_policy_parameter_floor_and_tying():
 def test_shared_design_head_has_no_control_phase_channel():
     env = make_env(default_config("push"))
     params = shared_policy(env, np.random.default_rng(0))
-    obs = env.reset(seed=0)
-    env.step_design(forward(params.designer, env.value_input(obs)))
+    env.reset(seed=0)
+    env.step_design(forward(params.designer, env.value_input()))
     assert env.phase == "control"
     with pytest.raises(Exception):
         env.step_design(np.zeros(5))

@@ -25,8 +25,7 @@ TASKS = ("push", "catch", "scoop")
 
 def run_out(env, action):
     while not env.done:
-        res = env.step_control(action)
-    return res
+        env.step_control(action)
 
 
 # -- protocol ---------------------------------------------------------------
@@ -34,11 +33,14 @@ def run_out(env, action):
 @pytest.mark.parametrize("task", TASKS)
 def test_reset_starts_design_phase(task):
     env = make_env(task)
-    obs = env.reset(seed=0)
-    assert obs.phase == DESIGN
-    assert not obs.design_echo.any()
-    assert obs.goal.shape == (env.goal_dim,)
-    assert obs.task.shape == (env.task_obs_dim,)
+    assert env.reset(seed=0) is None
+    assert env.phase == DESIGN and not env.done
+    assert env.design is None
+    assert (env.success, env.d_used, env.c_used) == (0.0, 0.0, 0.0)
+    assert env.goal.shape == (env.goal_dim,)
+    assert env._task_obs().shape == (env.task_obs_dim,)
+    row = env.value_input()
+    assert not row[1 + env.task_obs_dim:1 + env.task_obs_dim + 5].any()
 
 
 @pytest.mark.parametrize("task", TASKS)
@@ -46,29 +48,31 @@ def test_design_step_switches_phase_and_echoes(task):
     env = make_env(task)
     env.reset(seed=0)
     u = np.full(5, 0.1)
-    res = env.step_design(u)
+    env.step_design(u)
     assert env.phase == CONTROL
-    assert not res.done
+    assert not env.done
     expected = env.space.realize(u).as_array()
-    assert np.array_equal(res.observation.design_echo, expected)
     assert np.array_equal(env.design.as_array(), expected)
+    assert env.d_used == float(sum(expected[:3]))
 
 
 def test_design_echo_constant_through_episode():
     env = make_env("push")
     env.reset(seed=0)
-    echo = env.step_design(np.full(5, 0.3)).observation.design_echo
+    env.step_design(np.full(5, 0.3))
+    echo = env.control_input()[env.task_obs_dim:env.task_obs_dim + 5]
     for _ in range(5):
-        res = env.step_control((1.0, 0.5))
-        assert np.array_equal(res.observation.design_echo, echo)
+        env.step_control((1.0, 0.5))
+        assert np.array_equal(
+            env.control_input()[env.task_obs_dim:env.task_obs_dim + 5], echo)
 
 
 def test_design_clamped_to_bounds():
     env = make_env("push")
     env.reset(seed=0)
-    res = env.step_design(np.full(5, 99.0))
+    env.step_design(np.full(5, 99.0))
     high = env.space.bounds.high()
-    assert np.array_equal(res.observation.design_echo, high)
+    assert np.array_equal(env.design.as_array(), high)
     assert np.allclose(high[:3], 3.0) and np.allclose(high[3:], math.pi / 2)
 
 
@@ -91,8 +95,8 @@ def test_step_after_done_raises():
     env = make_env("push")
     env.reset(seed=0)
     env.step_design(np.zeros(5))
-    res = run_out(env, (0.0, 0.0))
-    assert res.done
+    run_out(env, (0.0, 0.0))
+    assert env.done
     with pytest.raises(ProtocolError):
         env.step_control((0.0, 0.0))
     with pytest.raises(ProtocolError):
@@ -108,10 +112,9 @@ def test_episode_truncates_at_budget():
     env.step_design(np.zeros(5))
     steps = 0
     while not env.done:
-        res = env.step_control((0.0, 0.0))
+        env.step_control((0.0, 0.0))
         steps += 1
-    assert steps == env.cfg.max_episode_steps
-    assert res.info["steps"] == 150
+    assert steps == env.cfg.max_episode_steps == 150
 
 
 # -- reward composition -----------------------------------------------------
@@ -139,16 +142,16 @@ def test_tradeoff_config_validation():
 def test_design_reward_is_tradeoff_only():
     env = make_env("push", tradeoff_k=2.0, tradeoff_alpha=0.4)
     env.reset(seed=0)
-    res = env.step_design(np.zeros(5))
+    reward = env.step_design(np.zeros(5))
     # init lengths (2,2,2) at zero ratio, d_max 9, no control used yet
-    assert res.info["d_used"] == 6.0
-    assert res.reward == 2.0 * (1.0 - (0.4 * (6.0 / 9.0) + 0.6 * 0.0))
+    assert env.d_used == 6.0
+    assert reward == 2.0 * (1.0 - (0.4 * (6.0 / 9.0) + 0.6 * 0.0))
 
 
 def test_design_reward_zero_when_k_zero():
     env = make_env("push")
     env.reset(seed=0)
-    assert env.step_design(np.full(5, 0.5)).reward == 0.0
+    assert env.step_design(np.full(5, 0.5)) == 0.0
 
 
 def test_control_reward_composition():
@@ -156,9 +159,9 @@ def test_control_reward_composition():
     env.reset(goal=(8.0, 10.0), seed=0)
     env.step_design(np.zeros(5))
     # zero action: puck static, shaping is exactly 0, c_used is 0
-    res = env.step_control((0.0, 0.0))
+    reward = env.step_control((0.0, 0.0))
     expected = 0.0 + -0.001 + 3.0 * (1.0 - (0.25 * (6.0 / 9.0) + 0.75 * 0.0))
-    assert res.reward == expected
+    assert reward == expected
 
 
 def test_slack_sum_exact():
@@ -167,7 +170,7 @@ def test_slack_sum_exact():
     env.step_design(np.zeros(5))
     rewards = []
     while not env.done:
-        rewards.append(env.step_control((0.0, 0.0)).reward)
+        rewards.append(env.step_control((0.0, 0.0)))
     assert all(r == -0.001 for r in rewards)
     assert math.fsum(rewards) == pytest.approx(-0.15, abs=1e-12)
 
@@ -176,10 +179,10 @@ def test_k_zero_rewards_bitwise_alpha_independent():
     def episode(alpha):
         env = make_env("catch", tradeoff_alpha=alpha)
         env.reset(goal=(16.8, 18.2, 19.4, 16.0, 17.0, 16.5), seed=4)
-        rs = [env.step_design(np.full(5, 0.2)).reward]
+        rs = [env.step_design(np.full(5, 0.2))]
         rng = np.random.default_rng(9)
         while not env.done:
-            rs.append(env.step_control(rng.uniform(-2, 2, 1)).reward)
+            rs.append(env.step_control(rng.uniform(-2, 2, 1)))
         return np.asarray(rs)
 
     assert np.array_equal(episode(0.1), episode(0.9))
@@ -189,11 +192,13 @@ def test_c_used_is_clamped_norm():
     env = make_env("push")
     env.reset(seed=0)
     env.step_design(np.zeros(5))
-    assert env.step_control((100.0, 0.0)).info["c_used"] == 12.0
+    env.step_control((100.0, 0.0))
+    assert env.c_used == 12.0
     env = make_env("scoop")
     env.reset(seed=0)
     env.step_design(np.zeros(5))
-    assert env.step_control((10.0, 10.0, 10.0)).info["c_used"] == 9.0
+    env.step_control((10.0, 10.0, 10.0))
+    assert env.c_used == 9.0
 
 
 # -- push -------------------------------------------------------------------
@@ -208,13 +213,12 @@ def test_push_scripted_success_and_telescoping():
     while not env.done:
         dist = env.world.pos[0][0] - goal[0]
         act = (-1.0, 0.0) if dist > 0.7 else (0.0, 0.0)
-        res = env.step_control(act)
-        total += res.reward
+        total += env.step_control(act)
         steps += 1
-    assert res.info["success"] == 1.0
+    assert env.success == 1.0
     assert steps < env.cfg.max_episode_steps
-    assert res.info["goal_dist"] < 0.8
-    expected = d0 - res.info["goal_dist"] + 10.0 + steps * -0.001
+    assert env._goal_dist() < 0.8
+    expected = d0 - env._goal_dist() + 10.0 + steps * -0.001
     assert total == pytest.approx(expected, abs=1e-9)
 
 
@@ -238,11 +242,10 @@ def test_catch_scripted_full_catch():
     env.step_design(np.zeros(5))
     total, steps = 0.0, 0
     while not env.done:
-        res = env.step_control((0.0,))
-        total += res.reward
+        total += env.step_control((0.0,))
         steps += 1
-    assert res.info["caught"] == 3
-    assert res.info["success"] == 1.0
+    assert env._caught.sum() == 3
+    assert env.success == 1.0
     assert steps < env.cfg.max_episode_steps
     assert total == pytest.approx(3.0 + 10.0 + steps * -0.001, abs=1e-9)
 
@@ -253,11 +256,10 @@ def test_catch_missed_balls_lost():
     env.step_design(np.zeros(5))
     total, steps = 0.0, 0
     while not env.done:
-        res = env.step_control((0.0,))
-        total += res.reward
+        total += env.step_control((0.0,))
         steps += 1
-    assert res.info["lost"] == 3 and res.info["caught"] == 0
-    assert res.info["success"] == 0.0
+    assert env._lost.sum() == 3 and env._caught.sum() == 0
+    assert env.success == 0.0
     assert steps < env.cfg.max_episode_steps
     assert total == pytest.approx(steps * -0.001, abs=1e-9)
 
@@ -280,12 +282,11 @@ def test_scoop_zero_policy_terminal_reward():
     env.step_design(np.zeros(5))
     total, steps = 0.0, 0
     while not env.done:
-        res = env.step_control((0.0, 0.0, 0.0))
-        total += res.reward
+        total += env.step_control((0.0, 0.0, 0.0))
         steps += 1
     assert steps == 30
-    assert res.info["scooped"] == 0
-    assert res.info["success"] == 0.0
+    assert env._scooped_count() == 0
+    assert env.success == 0.0
     assert total == pytest.approx((1.0 - 6.0 / 7.0) + 30 * -0.001, abs=1e-9)
 
 
@@ -296,10 +297,10 @@ def test_scoop_exact_match_bonus():
     for _ in range(29):
         env.step_control((0.0, 0.0, 0.0))
     env._scooped_count = lambda: 4
-    res = env.step_control((0.0, 0.0, 0.0))
-    assert res.done
-    assert res.info["success"] == 1.0
-    assert res.reward == pytest.approx(1.0 + 10.0 - 0.001, abs=1e-12)
+    reward = env.step_control((0.0, 0.0, 0.0))
+    assert env.done
+    assert env.success == 1.0
+    assert reward == pytest.approx(1.0 + 10.0 - 0.001, abs=1e-12)
 
 
 def test_scoop_goal_validation():
@@ -336,25 +337,24 @@ def test_reset_seed_determinism(task, act):
         env.reset(seed=42)
         env.step_design(np.full(5, 0.1))
         for _ in range(8):
-            res = env.step_control(act)
-        return res.observation
+            env.step_control(act)
+        return env.value_input()
 
-    a, b = rollout(), rollout()
-    assert np.array_equal(a.task, b.task)
-    assert np.array_equal(a.goal, b.goal)
+    assert np.array_equal(rollout(), rollout())
 
 
 def test_different_seed_different_goal():
     env = make_env("push")
-    g1 = env.reset(seed=1).goal
-    g2 = env.reset(seed=2).goal
+    env.reset(seed=1)
+    g1 = env.goal
+    env.reset(seed=2)
+    g2 = env.goal
     assert not np.array_equal(g1, g2)
 
 
 def test_reset_uses_provided_goal():
     env = make_env("push")
-    obs = env.reset(goal=(7.0, 9.0), seed=0)
-    assert np.array_equal(obs.goal, [7.0, 9.0])
+    env.reset(goal=(7.0, 9.0), seed=0)
     assert np.array_equal(env.goal, [7.0, 9.0])
 
 
@@ -383,13 +383,13 @@ def test_goal_sampling_ranges():
 @pytest.mark.parametrize("task", TASKS)
 def test_featurization_dims(task):
     env = make_env(task)
-    obs = env.reset(seed=0)
-    assert env.design_input(obs).shape == (env.design_input_dim,)
-    assert env.control_input(obs).shape == (env.control_input_dim,)
-    assert env.value_input(obs).shape == (env.value_input_dim,)
-    assert env.value_input(obs)[0] == 0.0
-    obs2 = env.step_design(np.zeros(5)).observation
-    assert env.value_input(obs2)[0] == 1.0
+    env.reset(seed=0)
+    assert env.design_input().shape == (env.design_input_dim,)
+    assert env.control_input().shape == (env.control_input_dim,)
+    assert env.value_input().shape == (env.value_input_dim,)
+    assert env.value_input()[0] == 0.0
+    env.step_design(np.zeros(5))
+    assert env.value_input()[0] == 1.0
 
 
 @pytest.mark.parametrize("task", TASKS)
@@ -398,35 +398,35 @@ def test_value_row_columns_are_the_per_phase_layouts(task):
     control_columns [task, echo ratio, goal] at every control step, bitwise,
     and both inputs are those columns of the value row."""
     env = make_env(task)
-    obs = env.reset(seed=3)
+    env.reset(seed=3)
     rng = np.random.default_rng(3)
 
-    def normalized(obs):
-        return ((obs.task - env.task_center) / env.task_scale,
-                (obs.goal - env.goal_center) / env.goal_scale)
+    def normalized():
+        return ((env._task_obs() - env.task_center) / env.task_scale,
+                (env.goal - env.goal_center) / env.goal_scale)
 
-    row = env.value_input(obs)
-    expect = np.concatenate(normalized(obs))
+    row = env.value_input()
+    expect = np.concatenate(normalized())
     assert np.array_equal(row[env.design_columns], expect)
-    assert np.array_equal(env.design_input(obs), expect)
-    res = env.step_design(rng.normal(scale=0.3, size=5))
+    assert np.array_equal(env.design_input(), expect)
+    env.step_design(rng.normal(scale=0.3, size=5))
     for _ in range(5):
-        task_x, goal_x = normalized(res.observation)
+        task_x, goal_x = normalized()
         expect = np.concatenate([task_x, env.space.ratio_of(env.design), goal_x])
-        row = env.value_input(res.observation)
+        row = env.value_input()
         assert np.array_equal(row[env.control_columns], expect)
-        assert np.array_equal(env.control_input(res.observation), expect)
-        if res.done:
+        assert np.array_equal(env.control_input(), expect)
+        if env.done:
             break
-        res = env.step_control(rng.normal(size=env.control_action_dim))
+        env.step_control(rng.normal(size=env.control_action_dim))
 
 
 def test_control_input_echoes_design_in_ratio_space():
     env = make_env("push")
     env.reset(seed=0)
     u = np.array([0.2, -0.1, 0.3, 0.4, -0.25])
-    obs = env.step_design(u).observation
-    feat = env.control_input(obs)
+    env.step_design(u)
+    feat = env.control_input()
     echo = feat[env.task_obs_dim:env.task_obs_dim + 5]
     assert np.allclose(echo, u, atol=1e-12)
 
@@ -475,18 +475,17 @@ def batch_action(task, rng, t):
     return rng.normal(scale=scale, size=make_env(task).control_action_dim)
 
 
-def assert_same_result(got, want):
-    for name in ("task", "design_echo", "goal", "design_ratio"):
-        assert np.array_equal(getattr(got.observation, name),
-                              getattr(want.observation, name)), name
-    assert got.observation.phase == want.observation.phase
-    assert (got.reward, got.done, got.info) == (want.reward, want.done, want.info)
+def assert_same_state(got, want):
+    """Two envs read the same: value row and every public episode fact."""
+    assert np.array_equal(got.value_input(), want.value_input())
+    for name in ("phase", "done", "success", "d_used", "c_used"):
+        assert getattr(got, name) == getattr(want, name), name
 
 
 @pytest.mark.parametrize("task", TASKS)
 def test_step_controls_equals_stepping_each_env_alone(task):
     """step_controls over four envs gives each env what its own step_control
-    gives: observations, rewards, done and info, with catch's per-substep
+    gives: rewards and the state it leaves, with catch's per-substep
     catch streaks and the supported_by_tool masks scoop counts."""
     rng = np.random.default_rng(7)
     together = [make_env(task) for _ in range(4)]
@@ -503,8 +502,9 @@ def test_step_controls_equals_stepping_each_env_alone(task):
             break
         actions = [batch_action(task, rng, t) for _ in live]
         got = step_controls([together[k] for k in live], actions)
-        for k, a, res in zip(live, actions, got):
-            assert_same_result(res, alone[k].step_control(a))
+        for k, a, reward in zip(live, actions, got):
+            assert reward == alone[k].step_control(a)
+            assert_same_state(together[k], alone[k])
             mask = supported_by_tool(together[k].world)
             assert np.array_equal(mask, supported_by_tool(alone[k].world))
             held += int(mask.sum())
@@ -512,7 +512,7 @@ def test_step_controls_equals_stepping_each_env_alone(task):
                 assert np.array_equal(together[k]._streak, alone[k]._streak)
     assert all(env.done for env in together + alone)
     if task == "catch":
-        assert sum(r.info["caught"] for r in got) or any(e._caught.any() for e in alone)
+        assert any(e._caught.any() for e in alone)
     if task != "push":
         assert held > 0
 
@@ -525,11 +525,10 @@ def test_batched_reset_equals_one_env_resets():
     alone = [make_env("scoop") for _ in range(4)]
     together[2].reset(seed=13)
     alone[2].reset(seed=13)
-    observations = reset_envs(together, goals, seeds)
-    for env, twin, obs, goal, seed in zip(together, alone, observations, goals, seeds):
-        want = twin.reset(goal=goal, seed=seed)
-        for name in ("task", "design_echo", "goal", "design_ratio"):
-            assert np.array_equal(getattr(obs, name), getattr(want, name))
+    assert reset_envs(together, goals, seeds) is None
+    for env, twin, goal, seed in zip(together, alone, goals, seeds):
+        twin.reset(goal=goal, seed=seed)
+        assert_same_state(env, twin)
         assert np.array_equal(env.world.pos, twin.world.pos)
         assert np.array_equal(env.world.vel, twin.world.vel)
         assert env._rng.bit_generator.state == twin._rng.bit_generator.state

@@ -600,3 +600,32 @@ def test_cli_rejects_an_unknown_policy_override_before_running(tmp_path, capsys)
     err = capsys.readouterr().err
     assert err.startswith("error:") and "design_std" in err
     assert not (out_dir / "manifest.json").exists()
+
+
+def test_cli_rejects_repeated_seeds_before_running(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    rc = cli_main(["train", "--task", "push", "--seeds", "0,0",
+                   "--total-steps", "1", "--out-dir", str(out_dir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command,flag", [("eval", "--goals-file"),
+                                          ("eval", "--grid"),
+                                          ("finetune", "--goals-file"),
+                                          ("compare", "--n-goals")])
+def test_cli_rejects_an_empty_goal_set_before_running(tmp_path, capsys,
+                                                      tiny_checkpoint,
+                                                      command, flag):
+    empty = tmp_path / "goals.json"
+    empty.write_text("[]")
+    value = str(empty) if flag == "--goals-file" else "0"
+    source = ["--checkpoint", tiny_checkpoint] if command != "compare" else \
+        [os.path.dirname(tiny_checkpoint), "--task", "push"]
+    out_dir = tmp_path / "out"
+    rc = cli_main([command, *source, "--out-dir", str(out_dir), flag, value])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out_dir.exists()

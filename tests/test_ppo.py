@@ -228,11 +228,11 @@ def test_collect_batch_featurizes_each_step_once(monkeypatch):
     calls = []
     value_input = ToolTaskEnv.value_input
 
-    def counted(self, obs):
-        calls.append(obs)
-        return value_input(self, obs)
+    def counted(self):
+        calls.append(self)
+        return value_input(self)
 
-    def forbidden(self, obs):
+    def forbidden(self):
         raise AssertionError("collect_batch featurized a step a second time")
 
     monkeypatch.setattr(ToolTaskEnv, "value_input", counted)
@@ -543,6 +543,22 @@ def test_train_resume_drops_rows_logged_after_the_checkpoint(tmp_path):
     for name in ("metrics.csv", "design_means.csv", "checkpoint.json"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "k" / name).read_bytes(), name
+
+
+def test_train_resume_drops_a_torn_last_row(tmp_path):
+    """A kill partway through appending a row leaves a fragment; resume
+    drops it, so the curves match the straight run's bytes."""
+    cfg = small_cfg()
+    train("push", cfg, total_steps=600, out_dir=tmp_path / "a", seed=3, n_envs=2)
+    train("push", cfg, total_steps=1, out_dir=tmp_path / "c", seed=3, n_envs=2)
+    for name, fragment in (("metrics.csv", "6"), ("design_means.csv", "6,1.5")):
+        with open(tmp_path / "c" / name, "a", encoding="utf-8") as fh:
+            fh.write(fragment)
+    train("push", cfg, total_steps=600, out_dir=tmp_path / "c", seed=3, n_envs=2,
+          resume=True)
+    for name in ("metrics.csv", "design_means.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == \
+            (tmp_path / "c" / name).read_bytes(), name
 
 
 def test_train_resume_rejects_config_change(tmp_path):
