@@ -2,8 +2,8 @@
 
 from toolsmith.baselines.cma import CmaState, cma_init, cma_ask, cma_tell
 from toolsmith.baselines.cma_rl import cma_rl
-from toolsmith.baselines.hwasp import constant_designer_policy, hwasp_minimal
-from toolsmith.baselines.shared import shared_arch, shared_policy
+from toolsmith.baselines.hwasp import constant_designer_policy
+from toolsmith.baselines.shared import shared_policy
 from toolsmith.baselines.single_traj import (
     plan_dim,
     single_traj_cmaes,
@@ -16,9 +16,7 @@ __all__ = [
     "cma_rl",
     "cma_tell",
     "constant_designer_policy",
-    "hwasp_minimal",
     "plan_dim",
-    "shared_arch",
     "shared_policy",
     "single_traj_cmaes",
 ]

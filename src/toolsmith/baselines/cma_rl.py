@@ -14,7 +14,7 @@ import os
 import numpy as np
 
 from toolsmith.baselines.cma import cma_search
-from toolsmith.envs import default_config, make_env
+from toolsmith.envs import TaskConfig, make_env
 from toolsmith.evaluation import evaluate_policy, evaluation_goals
 from toolsmith.neural import save_checkpoint
 from toolsmith.ppo import (
@@ -48,18 +48,17 @@ def _train_inner(envs, params, cfg, rng, budget: int, design) -> tuple:
     return steps, optimizers
 
 
-def cma_rl(task: str, total_steps: int, out_dir, seed: int = 0,
-           task_cfg=None, cfg: TrainConfig | None = None,
+def cma_rl(task_cfg: TaskConfig, total_steps: int, out_dir, n_envs: int,
+           seed: int = 0, cfg: TrainConfig | None = None,
            population_size: int = 24, sigma0: float = 0.1,
-           inner_steps: int = 20000, n_eval_goals: int = 16,
-           n_envs: int = 8) -> dict:
-    """Run the outer loop until the total env-step budget is spent.
+           inner_steps: int = 20000, n_eval_goals: int = 16) -> dict:
+    """Run the outer loop until the total env-step budget is spent; each
+    candidate's inner training collects from n_envs environments.
 
     Saves the best candidate as checkpoint.json: ppo.checkpoint_record plus
     fixed_design (the searched design action) and fitness.
     """
-    task_cfg = task_cfg or default_config(task)
-    cfg = cfg or default_train_config(task, scale="desk")
+    cfg = cfg or default_train_config(task_cfg.task, scale="desk")
     rng = np.random.default_rng(seed)
     envs = seeded_envs(task_cfg, n_envs, seed)
     eval_env = make_env(task_cfg)

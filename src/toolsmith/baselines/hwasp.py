@@ -7,15 +7,17 @@ no inputs: one affine layer whose output is exactly its bias, which the
 usual policy-gradient update moves through the design-step
 log-probabilities. Having no inputs, it reads no columns of the value row
 (ppo.policy_columns), and no update can make it goal-dependent.
+
+The method is this starting policy and nothing else: ppo.train runs it
+when given constant_designer_policy's bundle as params.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from toolsmith.envs import default_config, make_env
 from toolsmith.neural import HIDDEN, Network, PolicyParams, init_network
-from toolsmith.ppo import TrainConfig, policy_heads, train
+from toolsmith.ppo import policy_heads
 
 
 def constant_designer_policy(env, rng: np.random.Generator,
@@ -41,16 +43,3 @@ def constant_designer_policy(env, rng: np.random.Generator,
         value=init_network((env.value_input_dim, *HIDDEN, 1), rng,
                            output_gain=1.0),
     )
-
-
-def hwasp_minimal(task: str, cfg: TrainConfig, total_steps: int, out_dir,
-                  seed: int = 0, task_cfg=None, n_envs: int = 16,
-                  policy_overrides=None, **train_kw) -> dict:
-    """Train the shared-design variant with the standard update machinery."""
-    task_cfg = task_cfg or default_config(task)
-    env = make_env(task_cfg)
-    params = constant_designer_policy(env, np.random.default_rng(seed),
-                                      **(policy_overrides or {}))
-    return train(task, cfg, total_steps, out_dir, seed=seed,
-                 task_cfg=task_cfg, n_envs=n_envs, params=params,
-                 policy_overrides=policy_overrides, **train_kw)

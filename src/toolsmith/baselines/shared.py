@@ -8,13 +8,15 @@ controller, so gradient accumulation and deduplicated optimizer stepping
 fall out of the ordinary update path. The trunk is widened until the
 trainable parameter count at least matches the separate-network method,
 which keeps the comparison fair.
+
+The method is this starting policy and nothing else: ppo.train runs it
+when given shared_policy's bundle as params.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from toolsmith.envs import default_config, make_env
 from toolsmith.neural import (
     HIDDEN,
     Network,
@@ -22,7 +24,7 @@ from toolsmith.neural import (
     init_network,
     param_count,
 )
-from toolsmith.ppo import TrainConfig, policy_for_env, policy_heads, train
+from toolsmith.ppo import policy_for_env, policy_heads
 
 
 def separate_param_count(env) -> int:
@@ -83,19 +85,3 @@ def retie_trunk(params: PolicyParams) -> PolicyParams:
         params.controller.weights[i] = params.designer.weights[i]
         params.controller.biases[i] = params.designer.biases[i]
     return params
-
-
-def shared_arch(task: str, cfg: TrainConfig, total_steps: int, out_dir,
-                seed: int = 0, task_cfg=None, n_envs: int = 16,
-                policy_overrides=None, **train_kw) -> dict:
-    """Train the tied-trunk variant with the standard update machinery."""
-    task_cfg = task_cfg or default_config(task)
-    env = make_env(task_cfg)
-    params = shared_policy(env, np.random.default_rng(seed),
-                           **(policy_overrides or {}))
-    out = train(task, cfg, total_steps, out_dir, seed=seed, task_cfg=task_cfg,
-                n_envs=n_envs, params=params,
-                policy_overrides=policy_overrides, **train_kw)
-    out["param_count"] = param_count(params)
-    out["separate_param_count"] = separate_param_count(env)
-    return out

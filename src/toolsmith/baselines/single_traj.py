@@ -14,7 +14,7 @@ import os
 import numpy as np
 
 from toolsmith.baselines.cma import cma_search
-from toolsmith.envs import default_config, make_env
+from toolsmith.envs import TaskConfig, make_env
 from toolsmith.evaluation import evaluate_plan, evaluation_goals
 
 BEST_PLAN_FILE = "best_plan.json"
@@ -43,14 +43,14 @@ def plan_fitness(env, vector: np.ndarray, goals) -> dict:
     return evaluate_plan(env, design_action, controls, goals)
 
 
-def single_traj_cmaes(task: str, total_steps: int, out_dir, seed: int = 0,
-                      task_cfg=None, population_size: int = 24,
+def single_traj_cmaes(task_cfg: TaskConfig, total_steps: int, out_dir,
+                      seed: int = 0, population_size: int = 24,
                       sigma0: float = 0.1, n_eval_goals: int = 16) -> dict:
     """Evolve a flat plan until the env-step budget is spent.
 
     Logs through cma_search, then writes the best plan to best_plan.json.
     """
-    env = make_env(task_cfg or default_config(task))
+    env = make_env(task_cfg)
     goals = evaluation_goals(env, n_eval_goals)
     out = cma_search(lambda vector: plan_fitness(env, vector, goals),
                      plan_dim(env), total_steps, out_dir,

@@ -9,9 +9,10 @@ reruns are byte-identical.
 Artifact contract: each method leaves one artifact per seed directory, and
 _load_for_eval reads it for eval, compare, export-tool and finetune.
 
-- ours, hwasp, shared: checkpoint.json from ppo.train, holding the shared
-  checkpoint record of ppo.checkpoint_record (params, optimizers,
-  rng_state, env_rng_states, env_steps, config_hash, task, param_count).
+- ours, hwasp, shared: checkpoint.json from one ppo.train call that differs
+  only in the starting policy (PPO_POLICIES), holding the shared checkpoint
+  record of ppo.checkpoint_record (params, optimizers, rng_state,
+  env_rng_states, env_steps, config_hash, task, param_count).
 - cma_rl: checkpoint.json with that record for the best candidate, plus
   fixed_design (the searched design action) and fitness.
 - single_traj: best_plan.json with task, fitness and vector (the design
@@ -34,7 +35,12 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from toolsmith import __version__
-from toolsmith.baselines import cma_rl, hwasp_minimal, shared_arch, single_traj_cmaes
+from toolsmith.baselines import (
+    cma_rl,
+    constant_designer_policy,
+    shared_policy,
+    single_traj_cmaes,
+)
 from toolsmith.baselines.shared import retie_trunk
 from toolsmith.baselines.single_traj import BEST_PLAN_FILE, split_plan
 from toolsmith.envs import default_config, make_env
@@ -65,8 +71,11 @@ from toolsmith.ppo import (
 OUTPUT_ROOT_VAR = "TOOLSMITH_OUT"
 ALLOWED_FRACTIONS = (0.0, 0.1, 0.2, 0.4, 0.6, 0.8, 0.9)
 METHODS = ("ours", "single_traj", "cma_rl", "hwasp", "shared")
-# the methods that train on sampled goals, so a cutout sampler reaches them
-CUTOUT_METHODS = ("ours", "hwasp", "shared")
+# The methods ppo.train runs, by the policy builder each starts from; ours
+# has none, so train draws its policy from the training rng. Only these
+# train on sampled goals, so only they take a cutout sampler.
+PPO_POLICIES = {"ours": None, "hwasp": constant_designer_policy,
+                "shared": shared_policy}
 DEFAULT_ALPHAS = (0.0, 0.3, 0.7, 1.0)
 
 # Desk-scale policy adjustments applied when no explicit overrides are given,
@@ -187,10 +196,10 @@ class ExperimentConfig:
                 f"cutout fraction {self.cutout_fraction} not one of "
                 f"{ALLOWED_FRACTIONS}")
         if self.cutout_fraction > 0.0 and (self.task != "push"
-                                           or self.method not in CUTOUT_METHODS):
+                                           or self.method not in PPO_POLICIES):
             raise ValueError(
                 f"cutout_fraction applies to push goals and the methods "
-                f"{CUTOUT_METHODS}, not to {self.task} with {self.method}")
+                f"{tuple(PPO_POLICIES)}, not to {self.task} with {self.method}")
         if self.train is None:
             self.train = default_train_config(self.task, scale=self.scale)
         if self.policy_overrides is None:
@@ -207,8 +216,12 @@ _TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Build a config from plain keys, rejecting anything unrecognized."""
+    """Build a config from plain keys, rejecting anything unrecognized;
+    TrainConfig keys are given flat, beside the others."""
     data = dict(data)
+    if "train" in data:
+        raise ValueError("give train settings as flat keys such as "
+                         "batch_size, not as a 'train' object")
     train_overrides = {}
     for key in list(data):
         if key in _TRAIN_KEYS:
@@ -255,30 +268,22 @@ def _run_one_seed(config: ExperimentConfig, seed: int, out_dir) -> dict:
     task_cfg = default_config(config.task,
                               tradeoff_k=config.tradeoff_k,
                               tradeoff_alpha=config.tradeoff_alpha)
-    sampler = None
-    if config.cutout_fraction > 0.0:
-        sampler = cutout_goal_sampler(centered_cutout(config.cutout_fraction))
-    if config.method == "ours":
-        return train(config.task, config.train, config.total_steps, out_dir,
-                     seed=seed, task_cfg=task_cfg, n_envs=config.n_envs,
-                     goal_sampler=sampler,
-                     policy_overrides=config.policy_overrides)
-    if config.method == "hwasp":
-        return hwasp_minimal(config.task, config.train, config.total_steps,
-                             out_dir, seed=seed, task_cfg=task_cfg,
-                             n_envs=config.n_envs, goal_sampler=sampler,
-                             policy_overrides=config.policy_overrides)
-    if config.method == "shared":
-        return shared_arch(config.task, config.train, config.total_steps,
-                           out_dir, seed=seed, task_cfg=task_cfg,
-                           n_envs=config.n_envs, goal_sampler=sampler,
-                           policy_overrides=config.policy_overrides)
+    if config.method in PPO_POLICIES:
+        build = PPO_POLICIES[config.method]
+        params = None if build is None else build(
+            make_env(task_cfg), np.random.default_rng(seed),
+            **config.policy_overrides)
+        sampler = None if config.cutout_fraction == 0.0 else \
+            cutout_goal_sampler(centered_cutout(config.cutout_fraction))
+        return train(task_cfg, config.train, config.total_steps, out_dir,
+                     seed=seed, n_envs=config.n_envs, goal_sampler=sampler,
+                     params=params, policy_overrides=config.policy_overrides)
     if config.method == "single_traj":
-        return single_traj_cmaes(config.task, config.total_steps, out_dir,
-                                 seed=seed, task_cfg=task_cfg)
+        return single_traj_cmaes(task_cfg, config.total_steps, out_dir,
+                                 seed=seed)
     if config.method == "cma_rl":
-        return cma_rl(config.task, config.total_steps, out_dir, seed=seed,
-                      task_cfg=task_cfg, cfg=config.train)
+        return cma_rl(task_cfg, config.total_steps, out_dir, config.n_envs,
+                      seed=seed, cfg=config.train)
     raise ValueError(f"unknown method {config.method!r}")
 
 
@@ -416,6 +421,8 @@ def cmd_eval(checkpoint_path, out_dir, goals=None, grid: int | None = None,
             goals = evaluation_goals(env, 16)
     if len(goals) == 0:
         raise ValueError("the goal set to evaluate is empty")
+    for goal in goals:
+        env.validate_goal(goal)
     write_manifest(out_dir, "eval", {
         "checkpoint": str(checkpoint_path),
         "task": ck_task,
@@ -524,7 +531,7 @@ def cmd_finetune(checkpoint_path, out_dir, goals=None, budget: int = 50,
         raise ValueError(f"fine-tuning expects a separate-network policy, "
                          f"not a {art.kind} artifact")
     ck_task, params = art.task, art.params
-    goals = [np.asarray(g, dtype=np.float64)
+    goals = [env.validate_goal(g)
              for g in (goals if goals is not None else DEFAULT_FINETUNE_GOALS)]
     if not goals:
         raise ValueError("the goal set to fine-tune on is empty")
@@ -575,6 +582,11 @@ def cmd_alpha_sweep(out_dir, task: str = "catch", alphas=DEFAULT_ALPHAS,
     """Train one agent per tradeoff weight and tabulate the usage ratio."""
     if k <= 0.0:
         raise ValueError("the sweep needs K > 0; the tradeoff is inactive at 0")
+    if any(len(v) == 0 or len(set(v)) != len(v) for v in (alphas, seeds)):
+        raise ValueError(f"alphas {list(alphas)} and seeds {list(seeds)} "
+                         f"must each be non-empty and not repeat a value")
+    if any(not 0.0 <= a <= 1.0 for a in alphas):
+        raise ValueError(f"alphas {list(alphas)} must lie in [0, 1]")
     cfg = cfg or default_train_config(task, scale="desk")
     write_manifest(out_dir, "alpha-sweep", {
         "task": task, "alphas": list(alphas), "k": k,
@@ -585,8 +597,8 @@ def cmd_alpha_sweep(out_dir, task: str = "catch", alphas=DEFAULT_ALPHAS,
         for seed in seeds:
             run_dir = os.path.join(out_dir, f"alpha_{alpha:g}", f"seed_{seed}")
             task_cfg = default_config(task, tradeoff_k=k, tradeoff_alpha=alpha)
-            out = train(task, cfg, budget, run_dir, seed=seed,
-                        task_cfg=task_cfg, n_envs=n_envs,
+            out = train(task_cfg, cfg, budget, run_dir, seed=seed,
+                        n_envs=n_envs,
                         policy_overrides=DESK_POLICY_OVERRIDES.get(task, {}))
             env = make_env(task_cfg)
             goals = evaluation_goals(env, 16)

@@ -167,19 +167,6 @@ class PolicyParams:
         return out
 
 
-def init_policy(design_in: int, design_out: int, control_in: int, control_out: int,
-                value_in: int, rng: np.random.Generator,
-                design_log_std: float = 0.0, control_log_std: float = 0.0,
-                hidden=HIDDEN) -> PolicyParams:
-    return PolicyParams(
-        designer=init_network((design_in, *hidden, design_out), rng, output_gain=0.01),
-        designer_head=GaussianHead(np.full(design_out, float(design_log_std))),
-        controller=init_network((control_in, *hidden, control_out), rng, output_gain=0.01),
-        controller_head=GaussianHead(np.full(control_out, float(control_log_std))),
-        value=init_network((value_in, *hidden, 1), rng, output_gain=1.0),
-    )
-
-
 def param_count(params: PolicyParams) -> int:
     """Trainable scalar count across designer, controller and value."""
     total = sum(a.size for a in params.trainable())

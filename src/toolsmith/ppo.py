@@ -23,13 +23,13 @@ import numpy as np
 from .envs import (
     DESIGN,
     TaskConfig,
-    default_config,
     dump_task_config,
     make_env,
     reset_envs,
     step_controls,
 )
 from .neural import (
+    HIDDEN,
     Adam,
     GaussianHead,
     PolicyParams,
@@ -40,7 +40,7 @@ from .neural import (
     gaussian_entropy,
     gaussian_logprob,
     gaussian_logprob_grads,
-    init_policy,
+    init_network,
     load_checkpoint,
     param_count,
     parameters,
@@ -72,6 +72,9 @@ class TrainConfig:
     clip_epsilon: float = 0.2
 
     def __post_init__(self):
+        if self.minibatch_size < 1 or self.ppo_epochs < 1:
+            raise ValueError(f"minibatch_size and ppo_epochs must be at least 1, "
+                             f"got {self.minibatch_size} and {self.ppo_epochs}")
         if self.batch_size < self.minibatch_size:
             raise ValueError("batch_size must be >= minibatch_size")
         if self.kl_threshold <= 0.0:
@@ -127,13 +130,21 @@ def policy_heads(env, **overrides) -> tuple:
 
 
 def policy_for_env(env, rng: np.random.Generator, **overrides) -> PolicyParams:
-    """Fresh designer/controller/value bundle sized for an environment."""
-    params = init_policy(
-        design_in=env.design_input_dim, design_out=env.design_action_dim,
-        control_in=env.control_input_dim, control_out=env.control_action_dim,
-        value_in=env.value_input_dim, rng=rng)
-    params.designer_head, params.controller_head = policy_heads(env, **overrides)
-    return params
+    """Fresh designer/controller/value bundle sized for an environment, drawn
+    from rng in that order; the heads come from policy_heads(env, **overrides)."""
+    designer_head, controller_head = policy_heads(env, **overrides)
+    return PolicyParams(
+        designer=init_network(
+            (env.design_input_dim, *HIDDEN, env.design_action_dim), rng,
+            output_gain=0.01),
+        designer_head=designer_head,
+        controller=init_network(
+            (env.control_input_dim, *HIDDEN, env.control_action_dim), rng,
+            output_gain=0.01),
+        controller_head=controller_head,
+        value=init_network((env.value_input_dim, *HIDDEN, 1), rng,
+                           output_gain=1.0),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -616,21 +627,22 @@ def checkpoint_record(params: PolicyParams, optimizers: Optimizers,
     }
 
 
-def train(task: str, cfg: TrainConfig, total_steps: int, out_dir,
-          seed: int = 0, task_cfg: TaskConfig | None = None, n_envs: int = 16,
-          goal_sampler=None, params: PolicyParams | None = None,
-          resume: bool = False, policy_overrides=None) -> dict:
+def train(task_cfg: TaskConfig, cfg: TrainConfig, total_steps: int, out_dir,
+          seed: int = 0, n_envs: int = 16, goal_sampler=None,
+          params: PolicyParams | None = None, resume: bool = False,
+          policy_overrides=None) -> dict:
     """Alternate collect/update until total_steps env steps; log and checkpoint.
 
-    Writes metrics.csv (fixed header) and design_means.csv under out_dir, plus
-    a resumable checkpoint.json. A resume copies the checkpoint into params
-    in place, so a tied trunk stays tied, and drops curve rows logged after
-    the checkpoint, so they are not repeated. policy_overrides are the
-    policy_heads overrides: train builds a fresh policy with them when
-    params is None, and the config fingerprint records them either way.
+    Every PPO method runs here and differs only in the policy it starts from:
+    params, or when None a policy_for_env bundle drawn from the training rng
+    with the policy_heads overrides policy_overrides, which the config
+    fingerprint records either way. Writes metrics.csv (fixed header) and
+    design_means.csv under out_dir, plus a resumable checkpoint.json for
+    task_cfg.task. A resume copies the checkpoint into params in place, so a
+    tied trunk stays tied, and drops curve rows logged after the checkpoint,
+    so they are not repeated.
     """
     os.makedirs(out_dir, exist_ok=True)
-    task_cfg = task_cfg or default_config(task)
     metrics_path = os.path.join(out_dir, "metrics.csv")
     means_path = os.path.join(out_dir, "design_means.csv")
     ck_path = os.path.join(out_dir, "checkpoint.json")
@@ -664,7 +676,8 @@ def train(task: str, cfg: TrainConfig, total_steps: int, out_dir,
 
     def save(env_steps: int) -> None:
         save_checkpoint(ck_path, checkpoint_record(
-            params, optimizers, rng, envs, env_steps, fingerprint, task))
+            params, optimizers, rng, envs, env_steps, fingerprint,
+            task_cfg.task))
 
     columns = policy_columns(params, envs[0])
     batches = 0

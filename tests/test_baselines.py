@@ -14,8 +14,6 @@ from toolsmith.baselines import (
     cma_rl,
     cma_tell,
     constant_designer_policy,
-    hwasp_minimal,
-    shared_arch,
     shared_policy,
 )
 from toolsmith.baselines.shared import retie_trunk, separate_param_count
@@ -236,8 +234,9 @@ def test_plan_fitness_deterministic_on_fixed_goal():
 
 def test_single_traj_run_logs_and_improves(tmp_path):
     """Small run: budget respected, JSONL schema right, best non-decreasing."""
-    out = single_traj_cmaes("push", total_steps=12000, out_dir=tmp_path,
-                            seed=3, population_size=8, n_eval_goals=4)
+    out = single_traj_cmaes(default_config("push"), total_steps=12000,
+                            out_dir=tmp_path, seed=3, population_size=8,
+                            n_eval_goals=4)
     assert out["env_steps"] >= 12000
     records = [json.loads(line)
                for line in open(out["generations_path"], encoding="utf-8")]
@@ -263,8 +262,8 @@ def test_single_traj_run_logs_and_improves(tmp_path):
 def test_single_traj_rerun_is_byte_identical(tmp_path):
     a_dir, b_dir = tmp_path / "a", tmp_path / "b"
     for d in (a_dir, b_dir):
-        single_traj_cmaes("scoop", total_steps=2000, out_dir=d, seed=5,
-                          population_size=6, n_eval_goals=2)
+        single_traj_cmaes(default_config("scoop"), total_steps=2000, out_dir=d,
+                          seed=5, population_size=6, n_eval_goals=2)
     for name in ("generations.jsonl", "metrics.csv", "best_plan.json"):
         with open(a_dir / name, "rb") as fa, open(b_dir / name, "rb") as fb:
             assert fa.read() == fb.read(), name
@@ -281,7 +280,7 @@ def tiny_cfg(**overrides):
 
 
 def test_cma_rl_step_accounting(tmp_path):
-    out = cma_rl("push", total_steps=1, out_dir=tmp_path, seed=2,
+    out = cma_rl(default_config("push"), total_steps=1, out_dir=tmp_path, seed=2,
                  cfg=tiny_cfg(), population_size=3, inner_steps=600,
                  n_eval_goals=2, n_envs=2)
     assert out["env_steps"] == out["inner_steps"] + out["eval_steps"]
@@ -292,7 +291,7 @@ def test_cma_rl_step_accounting(tmp_path):
 
 
 def test_cma_rl_zero_inner_budget_scores_untrained_controller(tmp_path):
-    out = cma_rl("push", total_steps=1, out_dir=tmp_path, seed=4,
+    out = cma_rl(default_config("push"), total_steps=1, out_dir=tmp_path, seed=4,
                  cfg=tiny_cfg(), population_size=3, inner_steps=0,
                  n_eval_goals=2, n_envs=2)
     assert out["inner_steps"] == 0
@@ -308,7 +307,7 @@ def test_cma_rl_zero_inner_budget_scores_untrained_controller(tmp_path):
 def test_cma_rl_rerun_is_byte_identical(tmp_path):
     a_dir, b_dir = tmp_path / "a", tmp_path / "b"
     for d in (a_dir, b_dir):
-        out = cma_rl("push", total_steps=2000, out_dir=d, seed=6,
+        out = cma_rl(default_config("push"), total_steps=2000, out_dir=d, seed=6,
                      cfg=tiny_cfg(), population_size=3, inner_steps=256,
                      n_eval_goals=2, n_envs=2)
     assert out["generations"] == 2
@@ -349,43 +348,45 @@ def test_constant_designer_mean_moves_under_design_advantages():
 
 
 def test_hwasp_matches_direct_train_with_shared_seed(tmp_path):
-    """The wrapper is exactly the standard loop plus a constant-head policy."""
-    cfg = tiny_cfg()
-    a = hwasp_minimal("push", cfg, total_steps=256, out_dir=tmp_path / "a",
-                      seed=7, n_envs=2)
+    """hwasp through cmd_train is exactly the standard loop given the
+    constant-head policy drawn from the seed."""
+    from toolsmith.harness import cmd_train, config_from_dict
+    cmd_train(config_from_dict({
+        "task": "push", "method": "hwasp", "total_steps": 256, "seeds": (7,),
+        "n_envs": 2, "out_dir": str(tmp_path / "a"), "batch_size": 256,
+        "minibatch_size": 64, "ppo_epochs": 2}))
     env = make_env(default_config("push"))
     params = constant_designer_policy(env, np.random.default_rng(7))
-    b = train("push", cfg, 256, tmp_path / "b", seed=7, n_envs=2,
-              params=params)
+    train(default_config("push"), tiny_cfg(), 256, tmp_path / "b", seed=7,
+          n_envs=2, params=params)
     for name in ("checkpoint.json", "metrics.csv", "design_means.csv"):
-        with open(tmp_path / "a" / name, "rb") as fa, \
+        with open(tmp_path / "a" / "seed_7" / name, "rb") as fa, \
              open(tmp_path / "b" / name, "rb") as fb:
             assert fa.read() == fb.read(), name
 
 
 def test_hwasp_design_constant_across_goals_after_training(tmp_path):
-    cfg = tiny_cfg()
-    out = hwasp_minimal("push", cfg, total_steps=512, out_dir=tmp_path,
-                        seed=3, n_envs=2)
     env = make_env(default_config("push"))
+    params = constant_designer_policy(env, np.random.default_rng(3))
+    out = train(default_config("push"), tiny_cfg(), 512, tmp_path, seed=3,
+                n_envs=2, params=params)
     episodes = evaluate_policy(env, out["params"],
                                evaluation_goals(env, 4))["episodes"]
     for ep in episodes[1:]:
         assert np.array_equal(ep["design"], episodes[0]["design"])
 
 
-@pytest.mark.parametrize("method", [shared_arch, hwasp_minimal],
+@pytest.mark.parametrize("build", [shared_policy, constant_designer_policy],
                          ids=["shared", "hwasp"])
-def test_resume_matches_straight_run(tmp_path, method):
+def test_resume_matches_straight_run(tmp_path, build):
     """Resume copies the checkpoint into the method's own bundle, so a tied
     trunk stays tied and the run continues to the straight run's bytes."""
-    cfg = tiny_cfg()
-    method("push", cfg, total_steps=512, out_dir=tmp_path / "a", seed=4,
-           n_envs=2)
-    method("push", cfg, total_steps=1, out_dir=tmp_path / "c", seed=4,
-           n_envs=2)
-    method("push", cfg, total_steps=512, out_dir=tmp_path / "c", seed=4,
-           n_envs=2, resume=True)
+    task_cfg, cfg = default_config("push"), tiny_cfg()
+    env = make_env(task_cfg)
+    for total, out_dir, resume in ((512, "a", False), (1, "c", False),
+                                   (512, "c", True)):
+        train(task_cfg, cfg, total, tmp_path / out_dir, seed=4, n_envs=2,
+              params=build(env, np.random.default_rng(4)), resume=resume)
     for name in ("metrics.csv", "design_means.csv", "checkpoint.json"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "c" / name).read_bytes(), name
@@ -457,10 +458,10 @@ def test_shared_losses_match_untied_twin_on_same_batch():
 
 
 def test_shared_arch_trains_and_reties_from_checkpoint(tmp_path):
-    cfg = tiny_cfg()
-    out = shared_arch("push", cfg, total_steps=256, out_dir=tmp_path,
-                      seed=6, n_envs=2)
-    assert out["param_count"] >= out["separate_param_count"]
+    env = make_env(default_config("push"))
+    out = train(default_config("push"), tiny_cfg(), 256, tmp_path, seed=6,
+                n_envs=2, params=shared_policy(env, np.random.default_rng(6)))
+    assert out["param_count"] >= separate_param_count(env)
     state = load_checkpoint(out["checkpoint_path"])
     loaded = retie_trunk(params_from_state(state["params"]))
     assert loaded.controller.weights[0] is loaded.designer.weights[0]

@@ -388,7 +388,8 @@ def test_export_tool_is_deterministic_on_a_random_scene(tmp_path):
     from toolsmith.ppo import default_train_config, train
     cfg = default_train_config("scoop", batch_size=64, minibatch_size=32,
                                ppo_epochs=1)
-    out = train("scoop", cfg, 1, str(tmp_path / "run"), n_envs=1)
+    out = train(default_config("scoop"), cfg, 1, str(tmp_path / "run"),
+                n_envs=1)
     stls = []
     for k in range(2):
         res = cmd_export_tool(out["checkpoint_path"], (4,),
@@ -415,7 +416,7 @@ def cma_rl_run(tmp_path_factory):
     from toolsmith.ppo import default_train_config
     cfg = default_train_config("push", batch_size=256, minibatch_size=64,
                                ppo_epochs=2)
-    return cma_rl("push", total_steps=1,
+    return cma_rl(default_config("push"), total_steps=1,
                   out_dir=str(tmp_path_factory.mktemp("cma_rl")), seed=0,
                   cfg=cfg, population_size=3, inner_steps=256,
                   n_eval_goals=2, n_envs=2)
@@ -425,18 +426,13 @@ def test_cmd_compare_scores_checkpoints_and_plans(tmp_path, tiny_checkpoint,
                                                   cma_rl_run):
     """Every method's artifact is scored, evaluated and exported; finetune
     takes only separate-network policies and names what it refuses."""
-    from toolsmith.baselines import (hwasp_minimal, shared_arch,
-                                     single_traj_cmaes)
-    from toolsmith.ppo import default_train_config
-    cfg = default_train_config("push", batch_size=256, minibatch_size=64,
-                               ppo_epochs=2)
     run_dirs = {"ours": os.path.dirname(tiny_checkpoint),
                 "cma_rl": os.path.dirname(cma_rl_run["checkpoint_path"])}
-    for method in ("hwasp", "shared", "single_traj"):
-        run_dirs[method] = str(tmp_path / method)
-    hwasp_minimal("push", cfg, 300, run_dirs["hwasp"], n_envs=4)
-    shared_arch("push", cfg, 300, run_dirs["shared"], n_envs=4)
-    single_traj_cmaes("push", 2000, run_dirs["single_traj"], seed=0)
+    for method, total_steps in (("hwasp", 300), ("shared", 300),
+                                ("single_traj", 2000)):
+        out = cmd_train(tiny_config(tmp_path / method, method=method,
+                                    total_steps=total_steps))
+        run_dirs[method] = out["seed_dirs"][0]
 
     rows = cmd_compare(list(run_dirs.values()), str(tmp_path / "cmp"), "push")
     assert len(rows) == 5
@@ -515,17 +511,34 @@ def test_cli_reports_config_errors(tmp_path, capsys):
     assert "bogus_key" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag,method", [("--n-envs", "ours"),
-                                         ("--total-steps", "ours"),
-                                         ("--total-steps", "single_traj")])
-def test_cli_rejects_zero_sizes_before_running(tmp_path, capsys, flag, method):
+@pytest.mark.parametrize("args,name", [
+    pytest.param(["--n-envs", "0"], "n_envs", id="--n-envs-ours"),
+    pytest.param(["--total-steps", "0"], "total_steps",
+                 id="--total-steps-ours"),
+    pytest.param(["--method", "single_traj", "--total-steps", "0"],
+                 "total_steps", id="--total-steps-single_traj"),
+    pytest.param(["--total-steps", "1", "--opt", "batch_size=512",
+                  "--opt", "minibatch_size=0"], "minibatch_size",
+                 id="minibatch_size"),
+    pytest.param(["--total-steps", "1", "--opt", "batch_size=512",
+                  "--opt", "ppo_epochs=0"], "ppo_epochs", id="ppo_epochs"),
+    pytest.param(["--total-steps", "1", "--config"], "train",
+                 id="nested-train"),
+])
+def test_cli_rejects_zero_sizes_before_running(tmp_path, capsys, args, name):
+    """A size below 1, or train keys nested in a config file's train object
+    rather than given flat, exits 2 before anything is written."""
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"train": {"batch_size": 512}}))
+    if args[-1] == "--config":
+        args = args + [str(config)]
     out_dir = tmp_path / "run"
-    rc = cli_main(["train", "--task", "push", "--method", method,
-                   "--seeds", "0", flag, "0", "--out-dir", str(out_dir)])
+    rc = cli_main(["train", "--task", "push", "--seeds", "0",
+                   "--out-dir", str(out_dir), *args])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
-    assert flag[2:].replace("-", "_") in err
+    assert name in err
     assert not out_dir.exists()
 
 
@@ -612,16 +625,23 @@ def test_cli_rejects_repeated_seeds_before_running(tmp_path, capsys):
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("command,flag", [("eval", "--goals-file"),
-                                          ("eval", "--grid"),
-                                          ("finetune", "--goals-file"),
-                                          ("compare", "--n-goals")])
+@pytest.mark.parametrize("command,flag,goals", [
+    pytest.param("eval", "--goals-file", [], id="eval---goals-file"),
+    pytest.param("eval", "--grid", None, id="eval---grid"),
+    pytest.param("finetune", "--goals-file", [], id="finetune---goals-file"),
+    pytest.param("compare", "--n-goals", None, id="compare---n-goals"),
+    pytest.param("eval", "--goals-file", [[1, 2, 3]], id="eval-3d-goal"),
+    pytest.param("finetune", "--goals-file", [[30, 30]],
+                 id="finetune-goal-off-the-workspace"),
+])
 def test_cli_rejects_an_empty_goal_set_before_running(tmp_path, capsys,
                                                       tiny_checkpoint,
-                                                      command, flag):
-    empty = tmp_path / "goals.json"
-    empty.write_text("[]")
-    value = str(empty) if flag == "--goals-file" else "0"
+                                                      command, flag, goals):
+    """An empty goal set, or a goal the task does not accept, exits 2
+    before anything is written."""
+    goals_file = tmp_path / "goals.json"
+    goals_file.write_text(json.dumps(goals))
+    value = str(goals_file) if flag == "--goals-file" else "0"
     source = ["--checkpoint", tiny_checkpoint] if command != "compare" else \
         [os.path.dirname(tiny_checkpoint), "--task", "push"]
     out_dir = tmp_path / "out"
@@ -629,3 +649,37 @@ def test_cli_rejects_an_empty_goal_set_before_running(tmp_path, capsys,
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--seeds", "0,0"),
+                                        ("--alphas", "0.5,0.5"),
+                                        ("--alphas", "1.5"),
+                                        ("--seeds", "")])
+def test_cli_alpha_sweep_rejects_bad_inputs_before_running(tmp_path, capsys,
+                                                           flag, value):
+    """A repeated seed or alpha would train the same run twice, an alpha
+    outside [0, 1] is no weight and no seed is no sweep; each exits 2
+    before anything is written."""
+    out_dir = tmp_path / "sweep"
+    rc = cli_main(["alpha-sweep", "--task", "push", "--budget", "1",
+                   "--alphas", "0.5", "--out-dir", str(out_dir), flag, value])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out_dir.exists()
+
+
+def test_cmd_train_runs_cma_rl_on_the_configured_envs(tmp_path, monkeypatch):
+    """cma_rl collects from config.n_envs environments, as the manifest
+    records; the checkpoint holds one env rng state per environment."""
+    import toolsmith.harness as harness
+    real = harness.cma_rl
+
+    def tiny_cma_rl(*args, **kwargs):
+        return real(*args, **kwargs, population_size=2, inner_steps=1,
+                    n_eval_goals=1)
+
+    monkeypatch.setattr(harness, "cma_rl", tiny_cma_rl)
+    out = cmd_train(tiny_config(tmp_path, method="cma_rl", n_envs=3,
+                                total_steps=1))
+    ck = load_checkpoint(os.path.join(out["seed_dirs"][0], "checkpoint.json"))
+    assert len(ck["env_rng_states"]) == 3

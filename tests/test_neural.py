@@ -10,6 +10,7 @@ from toolsmith.neural import (
     Adam,
     GaussianHead,
     Network,
+    PolicyParams,
     backward,
     clone_params,
     copy_params_into,
@@ -18,9 +19,7 @@ from toolsmith.neural import (
     gaussian_logprob,
     gaussian_logprob_grads,
     init_network,
-    init_policy,
     load_checkpoint,
-    param_count,
     parameters,
     params_from_state,
     params_state,
@@ -293,30 +292,29 @@ def test_orthogonal_init_rows_orthonormal():
     assert all(np.all(b == 0.0) for b in net.biases)
 
 
-def test_init_policy_shapes_and_count():
-    rng = np.random.default_rng(13)
-    p = init_policy(design_in=4, design_out=5, control_in=9, control_out=2,
-                    value_in=10, rng=rng, hidden=(8, 8))
-    assert p.designer.sizes == (4, 8, 8, 5)
-    assert p.controller.sizes == (9, 8, 8, 2)
-    assert p.value.sizes == (10, 8, 8, 1)
-    def net_scalars(sizes):
-        return sum(sizes[i + 1] * sizes[i] + sizes[i + 1] for i in range(len(sizes) - 1))
-    expected = net_scalars((4, 8, 8, 5)) + net_scalars((9, 8, 8, 2)) \
-        + net_scalars((10, 8, 8, 1))
-    assert param_count(p) == expected
+def small_policy(rng, design_in=3, hidden=(4,), design_log_std=0.0,
+                 control_log_std=0.0) -> PolicyParams:
+    """A small bundle: 5 design and 2 control outputs, 8 control and 9
+    value inputs."""
+    return PolicyParams(
+        designer=init_network((design_in, *hidden, 5), rng, output_gain=0.01),
+        designer_head=GaussianHead(np.full(5, design_log_std)),
+        controller=init_network((8, *hidden, 2), rng, output_gain=0.01),
+        controller_head=GaussianHead(np.full(2, control_log_std)),
+        value=init_network((9, *hidden, 1), rng),
+    )
 
 
 def test_trainable_excludes_fixed_log_std():
     rng = np.random.default_rng(14)
-    p = init_policy(3, 5, 8, 2, 9, rng, hidden=(4,))
+    p = small_policy(rng)
     assert all(a is not p.designer_head.log_std for a in p.trainable())
     assert all(a is not p.controller_head.log_std for a in p.trainable())
 
 
 def test_clone_params_independent():
     rng = np.random.default_rng(15)
-    p = init_policy(3, 5, 8, 2, 9, rng, hidden=(4,))
+    p = small_policy(rng)
     q = clone_params(p)
     q.designer.weights[0][0, 0] += 1.0
     assert p.designer.weights[0][0, 0] != q.designer.weights[0][0, 0]
@@ -324,7 +322,7 @@ def test_clone_params_independent():
 
 def test_copy_params_into_keeps_shared_arrays_and_checks_shapes():
     rng = np.random.default_rng(18)
-    p, src = [init_policy(8, 5, 8, 2, 9, rng, hidden=(4,)) for _ in range(2)]
+    p, src = [small_policy(rng, design_in=8) for _ in range(2)]
     for bundle in (p, src):  # a first layer shared by designer and controller
         bundle.controller.weights[0] = bundle.designer.weights[0]
     copy_params_into(p, src)
@@ -333,9 +331,9 @@ def test_copy_params_into_keeps_shared_arrays_and_checks_shapes():
         assert np.array_equal(a, b)
     before = [a.copy() for a in p.trainable()]
     with pytest.raises(ValueError):
-        copy_params_into(p, init_policy(8, 5, 8, 2, 9, rng, hidden=(6,)))
+        copy_params_into(p, small_policy(rng, design_in=8, hidden=(6,)))
     with pytest.raises(ValueError):
-        copy_params_into(p, init_policy(8, 5, 8, 2, 9, rng, hidden=(4, 4)))
+        copy_params_into(p, small_policy(rng, design_in=8, hidden=(4, 4)))
     for a, b in zip(p.trainable(), before):
         assert np.array_equal(a, b)
 
@@ -369,8 +367,7 @@ def test_adam_state_round_trip():
 
 def test_checkpoint_round_trip(tmp_path):
     rng = np.random.default_rng(16)
-    p = init_policy(3, 5, 8, 2, 9, rng, hidden=(4,), design_log_std=-2.3,
-                    control_log_std=-1.0)
+    p = small_policy(rng, design_log_std=-2.3, control_log_std=-1.0)
     payload = {
         "params": params_state(p),
         "env_steps": 1234,
@@ -394,7 +391,7 @@ def test_checkpoint_round_trip(tmp_path):
 
 def test_checkpoint_bytes_deterministic(tmp_path):
     rng = np.random.default_rng(17)
-    p = init_policy(3, 5, 8, 2, 9, rng, hidden=(4,))
+    p = small_policy(rng)
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     save_checkpoint(p1, {"params": params_state(p)})
     save_checkpoint(p2, {"params": params_state(p)})
@@ -412,7 +409,7 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
 def test_params_from_state_rejects_a_trained_head(tmp_path, head):
     """Gaussian heads are always fixed: a checkpoint whose head trained its
     log-stds is refused, not loaded as if fixed."""
-    p = init_policy(3, 5, 8, 2, 9, np.random.default_rng(19), hidden=(4,))
+    p = small_policy(np.random.default_rng(19))
     path = tmp_path / "ck.json"
     save_checkpoint(path, {"params": {**params_state(p), f"{head}_fixed": False}})
     with pytest.raises(ValueError, match=head):

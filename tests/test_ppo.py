@@ -9,11 +9,13 @@ from toolsmith.envs import ToolTaskEnv, default_config, make_env
 from toolsmith.physics2d import World
 from toolsmith.neural import (
     GaussianHead,
+    HIDDEN,
     clone_params,
     forward,
     gaussian_logprob,
     init_network,
     load_checkpoint,
+    param_count,
     parameters,
 )
 from toolsmith.ppo import (
@@ -37,6 +39,9 @@ from toolsmith.ppo import (
 )
 
 
+PUSH = default_config("push")
+
+
 def small_cfg(**overrides):
     kw = dict(batch_size=256, minibatch_size=128, ppo_epochs=2)
     kw.update(overrides)
@@ -52,6 +57,26 @@ def make_setup(seed=11, n_envs=2, task="push", **cfg_overrides):
         default_train_config(task, batch_size=256, minibatch_size=128, ppo_epochs=2)
     params = policy_for_env(envs[0], rng)
     return rng, envs, params, cfg
+
+
+def test_policy_for_env_shapes_and_count():
+    """Three networks sized by the env, heads at the task's log-stds, and a
+    parameter count summing every layer of the three."""
+    env = make_env(default_config("push"))
+    p = policy_for_env(env, np.random.default_rng(13), control_log_std=-0.5)
+    nets = {"designer": (env.design_input_dim, *HIDDEN, env.design_action_dim),
+            "controller": (env.control_input_dim, *HIDDEN,
+                           env.control_action_dim),
+            "value": (env.value_input_dim, *HIDDEN, 1)}
+    for name, sizes in nets.items():
+        assert getattr(p, name).sizes == sizes, name
+    assert np.all(p.designer_head.log_std == -2.3)
+    assert np.all(p.controller_head.log_std == -0.5)
+
+    def net_scalars(sizes):
+        return sum(sizes[i + 1] * sizes[i] + sizes[i + 1]
+                   for i in range(len(sizes) - 1))
+    assert param_count(p) == sum(net_scalars(s) for s in nets.values())
 
 
 def collect_and_prepare(envs, params, cfg, rng):
@@ -485,7 +510,7 @@ def test_update_routes_design_rows_to_designer_head():
 
 def test_train_single_batch_when_total_below_batch_size(tmp_path):
     cfg = small_cfg()
-    out = train("push", cfg, total_steps=1, out_dir=tmp_path / "run",
+    out = train(PUSH, cfg, total_steps=1, out_dir=tmp_path / "run",
                 seed=5, n_envs=2)
     assert out["batches"] == 1
     assert out["env_steps"] >= cfg.batch_size
@@ -504,8 +529,8 @@ def test_train_single_batch_when_total_below_batch_size(tmp_path):
 
 def test_train_rerun_is_byte_identical(tmp_path):
     cfg = small_cfg()
-    train("push", cfg, total_steps=300, out_dir=tmp_path / "a", seed=3, n_envs=2)
-    train("push", cfg, total_steps=300, out_dir=tmp_path / "b", seed=3, n_envs=2)
+    train(PUSH, cfg, total_steps=300, out_dir=tmp_path / "a", seed=3, n_envs=2)
+    train(PUSH, cfg, total_steps=300, out_dir=tmp_path / "b", seed=3, n_envs=2)
     for name in ("metrics.csv", "design_means.csv", "checkpoint.json"):
         wa = (tmp_path / "a" / name).read_bytes()
         wb = (tmp_path / "b" / name).read_bytes()
@@ -514,9 +539,9 @@ def test_train_rerun_is_byte_identical(tmp_path):
 
 def test_train_resume_matches_straight_run(tmp_path):
     cfg = small_cfg()
-    train("push", cfg, total_steps=600, out_dir=tmp_path / "a", seed=3, n_envs=2)
-    train("push", cfg, total_steps=1, out_dir=tmp_path / "c", seed=3, n_envs=2)
-    train("push", cfg, total_steps=600, out_dir=tmp_path / "c", seed=3, n_envs=2,
+    train(PUSH, cfg, total_steps=600, out_dir=tmp_path / "a", seed=3, n_envs=2)
+    train(PUSH, cfg, total_steps=1, out_dir=tmp_path / "c", seed=3, n_envs=2)
+    train(PUSH, cfg, total_steps=600, out_dir=tmp_path / "c", seed=3, n_envs=2,
           resume=True)
     assert (tmp_path / "a" / "checkpoint.json").read_bytes() == \
         (tmp_path / "c" / "checkpoint.json").read_bytes()
@@ -528,17 +553,17 @@ def test_train_resume_drops_rows_logged_after_the_checkpoint(tmp_path):
     """A run killed after logging a batch past its last checkpoint resumes
     to the straight run's bytes instead of repeating that batch's rows."""
     cfg = small_cfg()
-    train("push", cfg, total_steps=1500, out_dir=tmp_path / "a", seed=3, n_envs=2)
+    train(PUSH, cfg, total_steps=1500, out_dir=tmp_path / "a", seed=3, n_envs=2)
     with open(tmp_path / "a" / "metrics.csv", encoding="utf-8") as fh:
         steps = [int(line.split(",")[0]) for line in fh.read().splitlines()[1:]]
     assert len(steps) >= 3
     # c stops at batch 2; k logs batch 3, then is left with c's checkpoint
-    train("push", cfg, total_steps=steps[1], out_dir=tmp_path / "c", seed=3,
+    train(PUSH, cfg, total_steps=steps[1], out_dir=tmp_path / "c", seed=3,
           n_envs=2)
-    train("push", cfg, total_steps=steps[2], out_dir=tmp_path / "k", seed=3,
+    train(PUSH, cfg, total_steps=steps[2], out_dir=tmp_path / "k", seed=3,
           n_envs=2)
     shutil.copy(tmp_path / "c" / "checkpoint.json", tmp_path / "k")
-    train("push", cfg, total_steps=1500, out_dir=tmp_path / "k", seed=3,
+    train(PUSH, cfg, total_steps=1500, out_dir=tmp_path / "k", seed=3,
           n_envs=2, resume=True)
     for name in ("metrics.csv", "design_means.csv", "checkpoint.json"):
         assert (tmp_path / "a" / name).read_bytes() == \
@@ -549,12 +574,12 @@ def test_train_resume_drops_a_torn_last_row(tmp_path):
     """A kill partway through appending a row leaves a fragment; resume
     drops it, so the curves match the straight run's bytes."""
     cfg = small_cfg()
-    train("push", cfg, total_steps=600, out_dir=tmp_path / "a", seed=3, n_envs=2)
-    train("push", cfg, total_steps=1, out_dir=tmp_path / "c", seed=3, n_envs=2)
+    train(PUSH, cfg, total_steps=600, out_dir=tmp_path / "a", seed=3, n_envs=2)
+    train(PUSH, cfg, total_steps=1, out_dir=tmp_path / "c", seed=3, n_envs=2)
     for name, fragment in (("metrics.csv", "6"), ("design_means.csv", "6,1.5")):
         with open(tmp_path / "c" / name, "a", encoding="utf-8") as fh:
             fh.write(fragment)
-    train("push", cfg, total_steps=600, out_dir=tmp_path / "c", seed=3, n_envs=2,
+    train(PUSH, cfg, total_steps=600, out_dir=tmp_path / "c", seed=3, n_envs=2,
           resume=True)
     for name in ("metrics.csv", "design_means.csv"):
         assert (tmp_path / "a" / name).read_bytes() == \
@@ -563,10 +588,10 @@ def test_train_resume_drops_a_torn_last_row(tmp_path):
 
 def test_train_resume_rejects_config_change(tmp_path):
     cfg = small_cfg()
-    train("push", cfg, total_steps=1, out_dir=tmp_path / "r", seed=3, n_envs=2)
+    train(PUSH, cfg, total_steps=1, out_dir=tmp_path / "r", seed=3, n_envs=2)
     other = small_cfg(gamma=0.9)
     with pytest.raises(ValueError):
-        train("push", other, total_steps=600, out_dir=tmp_path / "r", seed=3,
+        train(PUSH, other, total_steps=600, out_dir=tmp_path / "r", seed=3,
               n_envs=2, resume=True)
 
 
