@@ -1,10 +1,11 @@
 """Bi-level search: evolutionary outer loop over designs, learned control.
 
 Each outer candidate is a raw design action vector. A fresh control policy
-is trained from scratch against that one design for a fixed inner budget,
-then scored on the shared evaluation goals; the evolutionary update sees
-only the scores. Candidates do not warm-start from one another. Env steps
-spent in inner training and in evaluation are both charged to the curve.
+is trained from scratch against that one design, by ppo.train_round with
+the design fixed, until it has spent the inner budget; it is then scored
+on the shared evaluation goals, and the evolutionary update sees only the
+scores. Candidates do not warm-start from one another. Env steps spent in
+inner training and in evaluation are both charged to the curve.
 """
 
 from __future__ import annotations
@@ -21,31 +22,14 @@ from toolsmith.ppo import (
     Optimizers,
     TrainConfig,
     checkpoint_record,
-    collect_batch,
     config_fingerprint,
     default_train_config,
-    policy_columns,
     policy_for_env,
-    ppo_update,
-    prepare_batch,
     seeded_envs,
+    train_round,
 )
 
 CHECKPOINT_FILE = "checkpoint.json"
-
-
-def _train_inner(envs, params, cfg, rng, budget: int, design) -> tuple:
-    """Control-only updates against one fixed design; returns the steps
-    used and the optimizers."""
-    optimizers = Optimizers(params, cfg)
-    columns = policy_columns(params, envs[0])
-    steps = 0
-    while steps < budget:
-        trajs = collect_batch(envs, params, cfg, rng, fixed_design=design)
-        batch = prepare_batch(trajs, cfg, columns)
-        steps += batch.env_steps
-        ppo_update(params, batch, cfg, optimizers, rng)
-    return steps, optimizers
 
 
 def cma_rl(task_cfg: TaskConfig, total_steps: int, out_dir, n_envs: int,
@@ -68,8 +52,12 @@ def cma_rl(task_cfg: TaskConfig, total_steps: int, out_dir, n_envs: int,
     def fitness(design) -> dict:
         nonlocal inner_total
         params = policy_for_env(envs[0], rng)
-        inner, optimizers = _train_inner(envs, params, cfg, rng, inner_steps,
-                                         design)
+        optimizers = Optimizers(params, cfg)
+        inner = 0
+        while inner < inner_steps:
+            batch, _ = train_round(envs, params, optimizers, cfg, rng,
+                                   fixed_design=design)
+            inner += batch.env_steps
         res = evaluate_policy(eval_env, params, goals, fixed_design=design)
         inner_total += inner
         return dict(res, env_steps=inner + res["env_steps"], params=params,

@@ -466,15 +466,15 @@ def supported_by_tool(world: World) -> np.ndarray:
     mask = world.circles_touching_tool()
     cc_a, cc_b = world.contacts.cc_a, world.contacts.cc_b
     if cc_a.size == 0:
+        # no circle-circle contact, as on most catch substeps: the loop's
+        # first test would find none too, at about 4 us a call
         return mask
-    changed = True
-    while changed:
-        linked = mask[cc_a] ^ mask[cc_b]
-        if not np.any(linked):
-            break
-        changed = bool(np.any(linked))
+    # spread the mask until no contact links a held circle to a free one
+    linked = mask[cc_a] ^ mask[cc_b]
+    while linked.any():
         mask[cc_a[linked]] = True
         mask[cc_b[linked]] = True
+        linked = mask[cc_a] ^ mask[cc_b]
     return mask
 
 

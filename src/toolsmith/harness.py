@@ -3,8 +3,9 @@ based evaluation, fine-tuning comparisons, the material/effort sweep, and
 fabrication export.
 
 All commands write a manifest before any long computation, derive every
-random stream from the configured seeds, and emit deterministic CSV/JSON so
-reruns are byte-identical.
+random stream from the configured seeds, and emit deterministic CSV/JSON,
+each format through one writer (_write_csv, _write_json), so reruns are
+byte-identical.
 
 Artifact contract: each method leaves one artifact per seed directory, and
 _load_for_eval reads it for eval, compare, export-tool and finetune.
@@ -57,15 +58,13 @@ from toolsmith.ppo import (
     METRICS_HEADER,
     Optimizers,
     TrainConfig,
-    collect_batch,
     default_train_config,
     policy_columns,
     policy_for_env,
     policy_settings,
-    ppo_update,
-    prepare_batch,
     seeded_envs,
     train,
+    train_round,
 )
 
 OUTPUT_ROOT_VAR = "TOOLSMITH_OUT"
@@ -99,50 +98,31 @@ def output_root() -> str:
 # Cutout regions over the push goal rectangle
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CutoutSpec:
-    """Axis-aligned rectangles removed from the goal region for training."""
-
-    rectangles: tuple
-    fraction: float
-
-    def __post_init__(self):
-        if self.fraction not in ALLOWED_FRACTIONS:
-            raise ValueError(
-                f"cutout fraction {self.fraction} not one of {ALLOWED_FRACTIONS}")
-        for rect in self.rectangles:
-            x0, y0, x1, y1 = rect
-            if not (x0 < x1 and y0 < y1):
-                raise ValueError(f"degenerate cutout rectangle {rect}")
-            if x0 < GOAL_LOW[0] or y0 < GOAL_LOW[1] \
-                    or x1 > GOAL_HIGH[0] or y1 > GOAL_HIGH[1]:
-                raise ValueError(f"cutout rectangle {rect} leaves the goal region")
-
-
-def centered_cutout(fraction: float) -> CutoutSpec:
-    """One rectangle of the requested area share, centred in the goal region."""
+def centered_cutout(fraction: float) -> tuple:
+    """The rectangles (x0, y0, x1, y1) removed from the goal region for
+    training: none for 0, else one of the requested area share, centred."""
+    if fraction not in ALLOWED_FRACTIONS:
+        raise ValueError(
+            f"cutout fraction {fraction} not one of {ALLOWED_FRACTIONS}")
     if fraction == 0.0:
-        return CutoutSpec(rectangles=(), fraction=0.0)
+        return ()
     w = GOAL_HIGH[0] - GOAL_LOW[0]
     h = GOAL_HIGH[1] - GOAL_LOW[1]
     cx = (GOAL_LOW[0] + GOAL_HIGH[0]) / 2.0
     cy = (GOAL_LOW[1] + GOAL_HIGH[1]) / 2.0
     scale = fraction ** 0.5
     half_w, half_h = w * scale / 2.0, h * scale / 2.0
-    return CutoutSpec(
-        rectangles=((cx - half_w, cy - half_h, cx + half_w, cy + half_h),),
-        fraction=fraction)
+    return ((cx - half_w, cy - half_h, cx + half_w, cy + half_h),)
 
 
-def in_cutout(spec: CutoutSpec, goal) -> bool:
+def in_cutout(cutout: tuple, goal) -> bool:
     x, y = float(goal[0]), float(goal[1])
-    return any(x0 <= x <= x1 and y0 <= y <= y1
-               for x0, y0, x1, y1 in spec.rectangles)
+    return any(x0 <= x <= x1 and y0 <= y <= y1 for x0, y0, x1, y1 in cutout)
 
 
-def classify_goal(spec: CutoutSpec, goal) -> str:
+def classify_goal(cutout: tuple, goal) -> str:
     """Exhaustive, disjoint region label for one goal."""
-    if in_cutout(spec, goal):
+    if in_cutout(cutout, goal):
         return "cutout"
     x, y = float(goal[0]), float(goal[1])
     if GOAL_LOW[0] <= x <= GOAL_HIGH[0] and GOAL_LOW[1] <= y <= GOAL_HIGH[1]:
@@ -150,12 +130,12 @@ def classify_goal(spec: CutoutSpec, goal) -> str:
     return "outside"
 
 
-def cutout_goal_sampler(spec: CutoutSpec):
+def cutout_goal_sampler(cutout: tuple):
     """Rejection sampler over the goal region with the cutout removed."""
     def sample(env, rng: np.random.Generator):
         while True:
             goal = env.sample_goal(rng)
-            if not in_cutout(spec, goal):
+            if not in_cutout(cutout, goal):
                 return goal
     return sample
 
@@ -211,26 +191,49 @@ class ExperimentConfig:
                                         f"{self.task}_{self.method}")
 
 
-_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# declared field type -> (test of a given value, what the value must be)
+_VALUE_CHECKS = {
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "int": (_is_int, "an integer"),
+    "float": (_is_number, "a number"),
+    "tuple": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
+              "a list of integers"),
+    "dict | None": (lambda v: v is None or isinstance(v, dict)
+                    and all(map(_is_number, v.values())),
+                    "an object of numbers"),
+}
 _TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
+# every flat key's check, from the type its dataclass declares for it
+_KEY_CHECKS = {f.name: _VALUE_CHECKS[f.type] for f in fields(ExperimentConfig)
+               + fields(TrainConfig) if f.name != "train"}
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Build a config from plain keys, rejecting anything unrecognized;
-    TrainConfig keys are given flat, beside the others."""
+    """Build a config from plain keys, rejecting anything unrecognized or
+    of the wrong type; TrainConfig keys are given flat, beside the others."""
     data = dict(data)
     if "train" in data:
         raise ValueError("give train settings as flat keys such as "
                          "batch_size, not as a 'train' object")
-    train_overrides = {}
-    for key in list(data):
-        if key in _TRAIN_KEYS:
-            train_overrides[key] = data.pop(key)
-    unknown = set(data) - _CONFIG_KEYS
+    unknown = set(data) - set(_KEY_CHECKS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in data.items():
+        check, kind = _KEY_CHECKS[key]
+        if not check(value):
+            raise ValueError(f"{key} must be {kind}, got {value!r}")
+    train_overrides = {key: data.pop(key) for key in list(data)
+                       if key in _TRAIN_KEYS}
     if "seeds" in data:
-        data["seeds"] = tuple(int(s) for s in data["seeds"])
+        data["seeds"] = tuple(data["seeds"])
     cfg = ExperimentConfig(**data)
     if train_overrides:
         cfg.train = default_train_config(cfg.task, scale=cfg.scale,
@@ -238,16 +241,29 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return cfg
 
 
-def write_manifest(out_dir, command: str, payload: dict) -> str:
-    """Record what is about to run; no clocks, so reruns match bytewise."""
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "manifest.json")
-    body = {"command": command, "code_version": __version__}
-    body.update(payload)
+def _write_json(path, body: dict) -> str:
+    """The one JSON writer: indent 1, sorted keys, a trailing newline."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(body, fh, indent=1, sort_keys=True, default=_jsonable)
         fh.write("\n")
     return path
+
+
+def _write_csv(path, header: list, rows) -> str:
+    """The one CSV writer: a header, then rows of already formatted cells."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def write_manifest(out_dir, command: str, payload: dict) -> str:
+    """Record what is about to run; no clocks, so reruns match bytewise."""
+    os.makedirs(out_dir, exist_ok=True)
+    return _write_json(os.path.join(out_dir, "manifest.json"),
+                       {"command": command, "code_version": __version__,
+                        **payload})
 
 
 def _jsonable(obj):
@@ -307,15 +323,11 @@ def aggregate_metrics(seed_csvs: list, out_path) -> int:
         header += [f"{name}_mean", f"{name}_stderr"]
     ret_i = METRICS_HEADER.index("mean_return")
     suc_i = METRICS_HEADER.index("success_rate")
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for r in range(n_rows):
-            writer.writerow([
-                f"{mean[r, 0]:.1f}",
-                f"{mean[r, ret_i]:.6f}", f"{err[r, ret_i]:.6f}",
-                f"{mean[r, suc_i]:.6f}", f"{err[r, suc_i]:.6f}",
-            ])
+    _write_csv(out_path, header, [
+        [f"{mean[r, 0]:.1f}",
+         f"{mean[r, ret_i]:.6f}", f"{err[r, ret_i]:.6f}",
+         f"{mean[r, suc_i]:.6f}", f"{err[r, suc_i]:.6f}"]
+        for r in range(n_rows)])
     return n_rows
 
 
@@ -408,7 +420,7 @@ def cmd_eval(checkpoint_path, out_dir, goals=None, grid: int | None = None,
     """Deterministic rollouts per goal with region classification."""
     env, art = _load_for_eval(checkpoint_path, task)
     ck_task = art.task
-    spec = centered_cutout(cutout_fraction)
+    cutout = centered_cutout(cutout_fraction)
     if cutout_fraction > 0.0 and ck_task != "push":
         raise ValueError(f"cutout_fraction applies to push goals, not to "
                          f"a {ck_task} checkpoint")
@@ -432,23 +444,22 @@ def cmd_eval(checkpoint_path, out_dir, goals=None, grid: int | None = None,
     result = art.evaluate(env, goals)
 
     regions = {"training": [], "cutout": [], "outside": []}
-    per_goal_path = os.path.join(out_dir, "per_goal.csv")
-    with open(per_goal_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["goal", "region", "return", "success", "d_used",
-                         "design"])
-        for goal, episode in zip(goals, result["episodes"]):
-            region = classify_goal(spec, goal) if ck_task == "push" \
-                else "training"
-            regions[region].append(episode)
-            writer.writerow([
-                " ".join(f"{g:.6f}" for g in np.atleast_1d(goal)),
-                region,
-                f"{episode['return']:.6f}",
-                f"{episode['success']:.6f}",
-                f"{episode['d_used']:.6f}",
-                " ".join(f"{v:.6f}" for v in episode["design"]),
-            ])
+    rows = []
+    for goal, episode in zip(goals, result["episodes"]):
+        region = classify_goal(cutout, goal) if ck_task == "push" \
+            else "training"
+        regions[region].append(episode)
+        rows.append([
+            " ".join(f"{g:.6f}" for g in np.atleast_1d(goal)),
+            region,
+            f"{episode['return']:.6f}",
+            f"{episode['success']:.6f}",
+            f"{episode['d_used']:.6f}",
+            " ".join(f"{v:.6f}" for v in episode["design"]),
+        ])
+    per_goal_path = _write_csv(
+        os.path.join(out_dir, "per_goal.csv"),
+        ["goal", "region", "return", "success", "d_used", "design"], rows)
 
     designs = np.array([e["design"] for e in result["episodes"]])
     report = {
@@ -471,10 +482,8 @@ def cmd_eval(checkpoint_path, out_dir, goals=None, grid: int | None = None,
         "design_mean": [float(x) for x in designs.mean(axis=0)],
         "design_std": [float(x) for x in designs.std(axis=0)],
     }
-    report_path = os.path.join(out_dir, "eval_report.json")
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    report_path = _write_json(os.path.join(out_dir, "eval_report.json"),
+                              report)
     return {"report": report, "report_path": report_path,
             "per_goal_path": per_goal_path}
 
@@ -483,16 +492,10 @@ def cmd_eval(checkpoint_path, out_dir, goals=None, grid: int | None = None,
 # finetune
 # ---------------------------------------------------------------------------
 
-def _eval_on_goals(env, params, goals) -> tuple:
-    res = evaluate_policy(env, params, goals)
-    per_goal = [float(e["success"]) for e in res["episodes"]]
-    return res["mean_return"], per_goal
-
-
-def _finetune_arm(env_template, params, cfg, goals, budget: int, seed: int,
-                  csv_path, label: str) -> dict:
-    """Train on the fixed goal set for budget updates, logging eval curves."""
-    task_cfg = env_template.cfg
+def _finetune_arm(task_cfg, params, cfg, goals, budget: int, seed: int,
+                  csv_path) -> dict:
+    """budget PPO rounds on the fixed goal set, evaluated on it before the
+    first round and after each one; the curve goes to csv_path."""
     envs = seeded_envs(task_cfg, 4, seed)
     rng = np.random.default_rng(seed)
     goal_arr = [np.asarray(g, dtype=np.float64) for g in goals]
@@ -502,25 +505,20 @@ def _finetune_arm(env_template, params, cfg, goals, budget: int, seed: int,
 
     eval_env = make_env(task_cfg)
     optimizers = Optimizers(params, cfg)
-    rows = []
-    ret0, per_goal = _eval_on_goals(eval_env, params, goal_arr)
-    rows.append((0, 0, ret0, float(np.mean(per_goal))))
-    columns = policy_columns(params, eval_env)
-    steps = 0
-    for update in range(1, budget + 1):
-        trajs = collect_batch(envs, params, cfg, rng, goal_sampler=sampler)
-        batch = prepare_batch(trajs, cfg, columns)
-        steps += batch.env_steps
-        params, _ = ppo_update(params, batch, cfg, optimizers, rng)
-        ret, per_goal = _eval_on_goals(eval_env, params, goal_arr)
-        rows.append((update, steps, ret, float(np.mean(per_goal))))
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["update", "env_steps", "eval_return", "success_rate"])
-        for row in rows:
-            writer.writerow([row[0], row[1], f"{row[2]:.6f}", f"{row[3]:.6f}"])
-    return {"label": label, "rows": rows, "final_return": rows[-1][2],
-            "per_goal_success": per_goal, "params": params}
+    rows, steps = [], 0
+    for update in range(budget + 1):
+        if update:
+            batch, _ = train_round(envs, params, optimizers, cfg, rng,
+                                   goal_sampler=sampler)
+            steps += batch.env_steps
+        res = evaluate_policy(eval_env, params, goal_arr)
+        per_goal = [float(e["success"]) for e in res["episodes"]]
+        rows.append([update, steps, f"{res['mean_return']:.6f}",
+                     f"{np.mean(per_goal):.6f}"])
+    _write_csv(csv_path, ["update", "env_steps", "eval_return",
+                          "success_rate"], rows)
+    return {"final_return": res["mean_return"], "per_goal_success": per_goal,
+            "params": params}
 
 
 def cmd_finetune(checkpoint_path, out_dir, goals=None, budget: int = 50,
@@ -537,9 +535,11 @@ def cmd_finetune(checkpoint_path, out_dir, goals=None, budget: int = 50,
         raise ValueError("the goal set to fine-tune on is empty")
     if ck_task == "push":
         for g in goals:
-            if classify_goal(centered_cutout(0.0), g) == "training":
+            if classify_goal((), g) == "training":
                 raise ValueError(
                     f"fine-tune goal {g.tolist()} lies inside the training region")
+    if budget < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
     cfg = cfg or default_train_config(ck_task, scale="desk")
     write_manifest(out_dir, "finetune", {
         "checkpoint": str(checkpoint_path),
@@ -548,13 +548,12 @@ def cmd_finetune(checkpoint_path, out_dir, goals=None, budget: int = 50,
         "budget": budget,
         "seed": seed,
     })
-    os.makedirs(out_dir, exist_ok=True)
-    tuned = _finetune_arm(env, params, cfg, goals, budget, seed,
-                          os.path.join(out_dir, "finetuned.csv"), "finetuned")
+    tuned = _finetune_arm(env.cfg, params, cfg, goals, budget, seed,
+                          os.path.join(out_dir, "finetuned.csv"))
     scratch_params = policy_for_env(env, np.random.default_rng(seed),
                                     **DESK_POLICY_OVERRIDES.get(ck_task, {}))
-    scratch = _finetune_arm(env, scratch_params, cfg, goals, budget, seed,
-                            os.path.join(out_dir, "scratch.csv"), "scratch")
+    scratch = _finetune_arm(env.cfg, scratch_params, cfg, goals, budget, seed,
+                            os.path.join(out_dir, "scratch.csv"))
     report = {
         "task": ck_task,
         "budget": budget,
@@ -564,10 +563,8 @@ def cmd_finetune(checkpoint_path, out_dir, goals=None, budget: int = 50,
         "finetuned_per_goal_success": tuned["per_goal_success"],
         "scratch_per_goal_success": scratch["per_goal_success"],
     }
-    report_path = os.path.join(out_dir, "finetune_report.json")
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    report_path = _write_json(os.path.join(out_dir, "finetune_report.json"),
+                              report)
     return {"report": report, "report_path": report_path,
             "finetuned": tuned, "scratch": scratch}
 
@@ -579,53 +576,51 @@ def cmd_finetune(checkpoint_path, out_dir, goals=None, budget: int = 50,
 def cmd_alpha_sweep(out_dir, task: str = "catch", alphas=DEFAULT_ALPHAS,
                     k: float = 1.0, budget: int = 200000, seeds=(0,),
                     cfg: TrainConfig | None = None, n_envs: int = 16) -> list:
-    """Train one agent per tradeoff weight and tabulate the usage ratio."""
+    """Train one agent per tradeoff weight and tabulate the usage ratio.
+
+    Each weight is one ExperimentConfig for ours, whose seeds train through
+    _run_one_seed under out_dir/alpha_<alpha>/seed_<seed>."""
     if k <= 0.0:
         raise ValueError("the sweep needs K > 0; the tradeoff is inactive at 0")
-    if any(len(v) == 0 or len(set(v)) != len(v) for v in (alphas, seeds)):
-        raise ValueError(f"alphas {list(alphas)} and seeds {list(seeds)} "
-                         f"must each be non-empty and not repeat a value")
+    if len(alphas) == 0 or len(set(alphas)) != len(alphas):
+        raise ValueError(f"alphas {list(alphas)} must be non-empty and not "
+                         f"repeat a value")
     if any(not 0.0 <= a <= 1.0 for a in alphas):
         raise ValueError(f"alphas {list(alphas)} must lie in [0, 1]")
-    cfg = cfg or default_train_config(task, scale="desk")
+    configs = [ExperimentConfig(
+        task=task, method="ours", total_steps=budget, seeds=tuple(seeds),
+        tradeoff_k=k, tradeoff_alpha=alpha, n_envs=n_envs, train=cfg,
+        out_dir=os.path.join(out_dir, f"alpha_{alpha:g}")) for alpha in alphas]
     write_manifest(out_dir, "alpha-sweep", {
         "task": task, "alphas": list(alphas), "k": k,
         "budget": budget, "seeds": list(seeds),
     })
     rows = []
-    for alpha in alphas:
-        for seed in seeds:
-            run_dir = os.path.join(out_dir, f"alpha_{alpha:g}", f"seed_{seed}")
-            task_cfg = default_config(task, tradeoff_k=k, tradeoff_alpha=alpha)
-            out = train(task_cfg, cfg, budget, run_dir, seed=seed,
-                        n_envs=n_envs,
-                        policy_overrides=DESK_POLICY_OVERRIDES.get(task, {}))
-            env = make_env(task_cfg)
-            goals = evaluation_goals(env, 16)
+    for config in configs:
+        alpha = config.tradeoff_alpha
+        env = make_env(default_config(task, tradeoff_k=k, tradeoff_alpha=alpha))
+        goals = evaluation_goals(env, 16)
+        for seed in config.seeds:
+            out = _run_one_seed(config, seed,
+                                os.path.join(config.out_dir, f"seed_{seed}"))
             res = evaluate_policy(env, out["params"], goals)
             d_hat = res["mean_d_used"] / env.tradeoff.d_max
             c_hat = res["mean_c_used"] / env.tradeoff.c_max
             ratio = d_hat / c_hat if c_hat > 0 else float("inf")
-            goal = goals[0]
-            stl_path = os.path.join(out_dir, f"alpha_{alpha:g}",
-                                    f"tool_seed_{seed}.stl")
-            _export_design(env, Artifact(task, out["params"]), goal, stl_path)
+            _export_design(env, Artifact(task, out["params"]), goals[0],
+                           os.path.join(config.out_dir, f"tool_seed_{seed}.stl"))
             rows.append({"alpha": alpha, "seed": seed, "k": k,
                          "ratio": float(ratio), "d_hat": float(d_hat),
                          "c_hat": float(c_hat),
                          "mean_return": res["mean_return"],
                          "success_rate": res["success_rate"]})
-    table_path = os.path.join(out_dir, "alpha_sweep.csv")
-    with open(table_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["alpha", "seed", "k", "ratio", "d_hat", "c_hat",
-                         "mean_return", "success_rate"])
-        for row in rows:
-            writer.writerow([
-                f"{row['alpha']:g}", row["seed"], f"{row['k']:g}",
-                f"{row['ratio']:.6f}", f"{row['d_hat']:.6f}",
-                f"{row['c_hat']:.6f}", f"{row['mean_return']:.6f}",
-                f"{row['success_rate']:.6f}"])
+    _write_csv(os.path.join(out_dir, "alpha_sweep.csv"),
+               ["alpha", "seed", "k", "ratio", "d_hat", "c_hat",
+                "mean_return", "success_rate"],
+               [[f"{row['alpha']:g}", row["seed"], f"{row['k']:g}",
+                 f"{row['ratio']:.6f}", f"{row['d_hat']:.6f}",
+                 f"{row['c_hat']:.6f}", f"{row['mean_return']:.6f}",
+                 f"{row['success_rate']:.6f}"] for row in rows])
     return rows
 
 
@@ -662,10 +657,7 @@ def cmd_export_tool(checkpoint_path, goal, out_dir) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     record = _export_design(env, art, goal, os.path.join(out_dir, "tool.stl"))
     record["task"] = art.task
-    record_path = os.path.join(out_dir, "design.json")
-    with open(record_path, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    record_path = _write_json(os.path.join(out_dir, "design.json"), record)
     return {"record": record, "record_path": record_path,
             "stl_path": record["stl_path"]}
 
@@ -702,17 +694,13 @@ def cmd_compare(run_dirs: list, out_dir, task: str, n_goals: int = 16) -> list:
                 row["eval_mean_return"] = art.evaluate(env, goals)["mean_return"]
                 break
         rows.append(row)
-    table_path = os.path.join(out_dir, "compare.csv")
-    with open(table_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["run_dir", "env_steps", "train_mean_return",
-                         "eval_mean_return"])
-        for row in rows:
-            writer.writerow([
-                row["run_dir"],
-                "" if row["env_steps"] is None else row["env_steps"],
-                "" if row["train_mean_return"] is None
-                else f"{row['train_mean_return']:.6f}",
-                "" if row["eval_mean_return"] is None
-                else f"{row['eval_mean_return']:.6f}"])
+    _write_csv(os.path.join(out_dir, "compare.csv"),
+               ["run_dir", "env_steps", "train_mean_return",
+                "eval_mean_return"],
+               [[row["run_dir"],
+                 "" if row["env_steps"] is None else row["env_steps"],
+                 "" if row["train_mean_return"] is None
+                 else f"{row['train_mean_return']:.6f}",
+                 "" if row["eval_mean_return"] is None
+                 else f"{row['eval_mean_return']:.6f}"] for row in rows])
     return rows

@@ -1,5 +1,9 @@
 """Joint PPO training of the designer and controller policies.
 
+train_round is the one PPO round every trainer runs: collect_batch, then
+prepare_batch, then ppo_update. train and the CMA+RL inner controller loop
+it to a step budget; each finetune arm runs it a set number of times.
+
 Each trajectory is one complete episode: one design step, then control
 steps to termination, each step recorded once as its value row. Advantages
 come from GAE over the whole episode, so the design step's advantage
@@ -556,6 +560,18 @@ def ppo_update(params: PolicyParams, batch: Batch, cfg: TrainConfig,
 # Training loop
 # ---------------------------------------------------------------------------
 
+def train_round(envs: list, params: PolicyParams, optimizers: Optimizers,
+                cfg: TrainConfig, rng: np.random.Generator, goal_sampler=None,
+                fixed_design=None) -> tuple:
+    """One PPO round: collect a batch, compute its advantages, update params
+    in place; returns (batch, update stats). goal_sampler and fixed_design
+    are passed to collect_batch."""
+    trajs = collect_batch(envs, params, cfg, rng, goal_sampler, fixed_design)
+    batch = prepare_batch(trajs, cfg, policy_columns(params, envs[0]))
+    _, stats = ppo_update(params, batch, cfg, optimizers, rng)
+    return batch, stats
+
+
 def config_fingerprint(task_cfg: TaskConfig, cfg: TrainConfig, seed: int,
                        n_envs: int, fixed_design=None,
                        policy_overrides=None) -> str:
@@ -679,13 +695,11 @@ def train(task_cfg: TaskConfig, cfg: TrainConfig, total_steps: int, out_dir,
             params, optimizers, rng, envs, env_steps, fingerprint,
             task_cfg.task))
 
-    columns = policy_columns(params, envs[0])
     batches = 0
     while env_steps < total_steps:
-        trajs = collect_batch(envs, params, cfg, rng, goal_sampler)
-        batch = prepare_batch(trajs, cfg, columns)
+        batch, stats = train_round(envs, params, optimizers, cfg, rng,
+                                   goal_sampler)
         env_steps += batch.env_steps
-        params, stats = ppo_update(params, batch, cfg, optimizers, rng)
         batches += 1
         _append_csv(metrics_path, METRICS_HEADER, [
             env_steps,

@@ -14,7 +14,6 @@ from toolsmith.evaluation import evaluation_goals, evaluate_policy
 from toolsmith.harness import (
     ALLOWED_FRACTIONS,
     DEFAULT_FINETUNE_GOALS,
-    CutoutSpec,
     ExperimentConfig,
     centered_cutout,
     classify_goal,
@@ -57,23 +56,15 @@ def tiny_config(tmp_path, **overrides):
 def test_cutout_fraction_must_be_allowed():
     with pytest.raises(ValueError):
         centered_cutout(0.3)
-    for fraction in ALLOWED_FRACTIONS:
-        spec = centered_cutout(fraction)
-        assert spec.fraction == fraction
-
-
-def test_cutout_rectangle_validation():
-    with pytest.raises(ValueError):
-        CutoutSpec(rectangles=((8.0, 10.0, 8.0, 12.0),), fraction=0.1)
-    with pytest.raises(ValueError):
-        CutoutSpec(rectangles=((0.0, 4.0, 8.0, 12.0),), fraction=0.1)
+    assert centered_cutout(0.0) == ()
+    for fraction in ALLOWED_FRACTIONS[1:]:
+        assert len(centered_cutout(fraction)) == 1
 
 
 def test_centered_cutout_area_and_bounds():
     goal_area = (GOAL_HIGH[0] - GOAL_LOW[0]) * (GOAL_HIGH[1] - GOAL_LOW[1])
     for fraction in (0.1, 0.4, 0.9):
-        spec = centered_cutout(fraction)
-        (x0, y0, x1, y1), = spec.rectangles
+        (x0, y0, x1, y1), = centered_cutout(fraction)
         assert (x1 - x0) * (y1 - y0) == pytest.approx(fraction * goal_area)
         assert x0 >= GOAL_LOW[0] and y0 >= GOAL_LOW[1]
         assert x1 <= GOAL_HIGH[0] and y1 <= GOAL_HIGH[1]
@@ -83,32 +74,32 @@ def test_centered_cutout_area_and_bounds():
 
 
 def test_classification_is_a_trichotomy():
-    spec = centered_cutout(0.4)
+    cutout = centered_cutout(0.4)
     points = [(8.0, 10.0), (4.2, 4.2), (15.0, 10.0), (2.0, 2.0),
               (4.0, 4.0), (12.0, 16.0), (8.0, 4.1)]
-    labels = {classify_goal(spec, p) for p in points}
+    labels = {classify_goal(cutout, p) for p in points}
     assert labels == {"cutout", "training", "outside"}
     for p in points:
-        assert classify_goal(spec, p) in ("cutout", "training", "outside")
+        assert classify_goal(cutout, p) in ("cutout", "training", "outside")
 
 
 def test_empty_cutout_classifies_nothing_as_cutout():
-    spec = centered_cutout(0.0)
+    cutout = centered_cutout(0.0)
     rng = np.random.default_rng(0)
     env = make_env(default_config("push"))
     for _ in range(200):
-        assert classify_goal(spec, env.sample_goal(rng)) == "training"
+        assert classify_goal(cutout, env.sample_goal(rng)) == "training"
 
 
 def test_sampler_never_yields_cutout_goals():
-    spec = centered_cutout(0.8)
-    sampler = cutout_goal_sampler(spec)
+    cutout = centered_cutout(0.8)
+    sampler = cutout_goal_sampler(cutout)
     env = make_env(default_config("push"))
     rng = np.random.default_rng(3)
     for _ in range(300):
         goal = sampler(env, rng)
-        assert not in_cutout(spec, goal)
-        assert classify_goal(spec, goal) == "training"
+        assert not in_cutout(cutout, goal)
+        assert classify_goal(cutout, goal) == "training"
 
 
 def test_goal_grid_covers_the_goal_region():
@@ -309,6 +300,33 @@ def test_cmd_finetune_budget_zero_is_zero_shot(tmp_path, tiny_checkpoint):
     expect = evaluate_policy(env, params, goals)
     assert float(tuned_rows[1][2]) == pytest.approx(expect["mean_return"],
                                                     abs=1e-6)
+
+
+def test_cmd_finetune_curve_has_one_row_per_round(tmp_path, tiny_checkpoint):
+    """Each arm is evaluated before its first round and after each of its
+    budget rounds; every round collects at least batch_size steps."""
+    from toolsmith.ppo import default_train_config
+    cfg = default_train_config("push", batch_size=256, minibatch_size=64,
+                               ppo_epochs=2)
+    cmd_finetune(tiny_checkpoint, str(tmp_path / "ft"), budget=2, cfg=cfg)
+    for name in ("finetuned.csv", "scratch.csv"):
+        header, *rows = read_csv(str(tmp_path / "ft" / name))
+        assert header == ["update", "env_steps", "eval_return", "success_rate"]
+        assert [int(r[0]) for r in rows] == [0, 1, 2]
+        steps = [int(r[1]) for r in rows]
+        assert steps[0] == 0
+        assert all(b - a >= cfg.batch_size for a, b in zip(steps, steps[1:]))
+
+
+def test_cli_finetune_rejects_a_negative_budget_before_running(
+        tmp_path, capsys, tiny_checkpoint):
+    out_dir = tmp_path / "ft"
+    rc = cli_main(["finetune", "--checkpoint", tiny_checkpoint,
+                   "--out-dir", str(out_dir), "--budget", "-1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "budget" in err
+    assert not out_dir.exists()
 
 
 def test_cmd_finetune_rejects_training_region_goals(tmp_path, tiny_checkpoint):
@@ -524,10 +542,23 @@ def test_cli_reports_config_errors(tmp_path, capsys):
                   "--opt", "ppo_epochs=0"], "ppo_epochs", id="ppo_epochs"),
     pytest.param(["--total-steps", "1", "--config"], "train",
                  id="nested-train"),
+    pytest.param(["--opt", "seeds=5"], "seeds", id="seeds-not-a-list"),
+    pytest.param(["--opt", "seeds=[0, 1.5]"], "seeds",
+                 id="seeds-not-integers"),
+    pytest.param(["--opt", 'gamma="x"'], "gamma", id="gamma-a-string"),
+    pytest.param(["--opt", "n_envs=2.5"], "n_envs", id="n_envs-a-float"),
+    pytest.param(["--opt", "total_steps=1.5"], "total_steps",
+                 id="total_steps-a-float"),
+    pytest.param(["--opt", "ppo_epochs=true"], "ppo_epochs",
+                 id="ppo_epochs-a-bool"),
+    pytest.param(["--opt", "out_dir=5"], "out_dir", id="out_dir-a-number"),
+    pytest.param(["--opt", 'policy_overrides={"design_log_std": "x"}'],
+                 "policy_overrides", id="policy_overrides-not-numbers"),
 ])
 def test_cli_rejects_zero_sizes_before_running(tmp_path, capsys, args, name):
-    """A size below 1, or train keys nested in a config file's train object
-    rather than given flat, exits 2 before anything is written."""
+    """A size below 1, a value of the wrong type, or train keys nested in a
+    config file's train object rather than given flat, exits 2 before
+    anything is written."""
     config = tmp_path / "c.json"
     config.write_text(json.dumps({"train": {"batch_size": 512}}))
     if args[-1] == "--config":
@@ -654,12 +685,13 @@ def test_cli_rejects_an_empty_goal_set_before_running(tmp_path, capsys,
 @pytest.mark.parametrize("flag,value", [("--seeds", "0,0"),
                                         ("--alphas", "0.5,0.5"),
                                         ("--alphas", "1.5"),
-                                        ("--seeds", "")])
+                                        ("--seeds", ""),
+                                        ("--budget", "0")])
 def test_cli_alpha_sweep_rejects_bad_inputs_before_running(tmp_path, capsys,
                                                            flag, value):
     """A repeated seed or alpha would train the same run twice, an alpha
-    outside [0, 1] is no weight and no seed is no sweep; each exits 2
-    before anything is written."""
+    outside [0, 1] is no weight, no seed is no sweep and a budget of 0
+    trains nothing; each exits 2 before anything is written."""
     out_dir = tmp_path / "sweep"
     rc = cli_main(["alpha-sweep", "--task", "push", "--budget", "1",
                    "--alphas", "0.5", "--out-dir", str(out_dir), flag, value])

@@ -10,8 +10,11 @@ run in two checkouts with the same OUT_DIR turns "byte-identical artifacts"
 into one ``diff`` of the two listings. Manifests and eval reports embed
 OUT_DIR, so they match only when the path does.
 
-CMA+RL is patched down to a population of 3 and an inner budget of 256
-steps; its default would cost 24 x 20,000 inner steps per generation.
+CMA+RL is patched down to a population of 3 and an inner budget of 600
+steps, two PPO rounds of 302 steps at batch 256; its default would cost 24 x 20,000
+inner steps per generation. Finetune runs two rounds on the push ``ours``
+artifact and on the push ``hwasp`` artifact, so every training loop runs
+past its first round.
 BLAS is pinned to one thread so matmul rounding does not depend on the host.
 """
 
@@ -55,7 +58,7 @@ TRAIN_RUNS = (
 
 def _tiny_cma_rl(cma_rl):
     def run(*args, **kwargs):
-        return cma_rl(*args, **kwargs, population_size=3, inner_steps=256,
+        return cma_rl(*args, **kwargs, population_size=3, inner_steps=600,
                       n_eval_goals=2)
     return run
 
@@ -88,8 +91,10 @@ def run_all(out: Path) -> None:
         harness.cmd_export_tool(str(path), goals[name.split("_")[0]],
                                 str(out / "export" / name))
 
-    harness.cmd_finetune(ours, str(out / "finetune"), budget=1, seed=0,
-                         cfg=default_train_config("push", **TINY_TRAIN))
+    for name in ("push_ours", "push_hwasp_cutout"):
+        harness.cmd_finetune(str(artifacts[name]), str(out / "finetune" / name),
+                             budget=2, seed=0,
+                             cfg=default_train_config("push", **TINY_TRAIN))
     harness.cmd_compare([str(artifacts[n].parent) for n in artifacts
                          if n.startswith("push")],
                         str(out / "compare"), "push", n_goals=4)
