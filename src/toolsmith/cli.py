@@ -7,13 +7,21 @@ explicit flags win over the file.
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
+import os
 
-import numpy as np
+# BLAS runs on one thread, whatever the host: a GEMM split across threads
+# rounds differently, so artifacts would depend on the core count. Set
+# before numpy is first imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from toolsmith import harness
+import argparse  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from toolsmith import harness  # noqa: E402
 
 
 def _parse_seeds(text: str) -> tuple:

@@ -271,8 +271,6 @@ def _jsonable(obj):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
-    if isinstance(obj, TrainConfig):
-        return asdict(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -334,7 +332,7 @@ def aggregate_metrics(seed_csvs: list, out_path) -> int:
 def cmd_train(config: ExperimentConfig) -> dict:
     """Run the configured method for every seed, then aggregate the curves."""
     write_manifest(config.out_dir, "train", {
-        "config": {**asdict(config), "train": asdict(config.train)},
+        "config": asdict(config),
     })
     seed_dirs, seed_csvs, results = [], [], []
     for seed in config.seeds:

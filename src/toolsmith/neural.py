@@ -4,6 +4,12 @@ Everything is float64 numpy. A Network is a plain stack of affine layers with
 tanh on hidden layers and a linear output; policies add a diagonal Gaussian
 head whose log-stds are fixed constants set per task, so the networks'
 weights and biases are the only trainable parameters.
+
+Gradients reuse the forward pass: forward(net, x, acts) appends each layer's
+input to acts, and backward(net, output_grad, acts) runs only the reverse
+sweep over them. Each layer's elementwise math writes in place into arrays
+the layer has just made; the ufuncs and GEMMs are those of the plain
+expressions, in the same order, so the bits are too.
 """
 
 from __future__ import annotations
@@ -58,8 +64,14 @@ def parameters(net: Network) -> list:
     return out
 
 
-def forward(net: Network, x) -> np.ndarray:
-    """Affine+tanh composition; accepts a single vector or a (batch, in) matrix."""
+def forward(net: Network, x, acts: list | None = None) -> np.ndarray:
+    """Affine+tanh composition; accepts a single vector or a (batch, in) matrix.
+
+    When acts is a list, forward appends each layer's input to it: the
+    input as a (batch, in) matrix, then every hidden layer's tanh output.
+    Those are the activations backward takes, so a forward whose gradient
+    is wanted is never run twice.
+    """
     X = np.asarray(x, dtype=np.float64)
     single = X.ndim == 1
     h = X[None, :] if single else X
@@ -67,33 +79,38 @@ def forward(net: Network, x) -> np.ndarray:
         raise ValueError(f"input width {h.shape[1]} != layer size {net.sizes[0]}")
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = h @ w.T + b
+        if acts is not None:
+            acts.append(h)
+        # in place on the matmul's fresh array, never on x or a kept activation
+        h = h @ w.T
+        h += b
         if i < last:
-            h = np.tanh(h)
+            np.tanh(h, out=h)
     return h[0] if single else h
 
 
-def backward(net: Network, x, output_grad) -> list:
-    """Gradients of sum_b output_b . output_grad_b w.r.t. parameters(net)."""
-    X = np.asarray(x, dtype=np.float64)
-    G = np.asarray(output_grad, dtype=np.float64)
-    if X.ndim == 1:
-        X, G = X[None, :], G[None, :]
+def backward(net: Network, output_grad, acts: list) -> list:
+    """Gradients of sum_b output_b . output_grad_b w.r.t. parameters(net).
+
+    acts are the activations a forward(net, x, acts) call appended for the
+    same x; output_grad has one row per row of x (a vector for one row).
+    Nothing is recomputed and no argument is written to.
+    """
+    delta = np.asarray(output_grad, dtype=np.float64)
+    if delta.ndim == 1:
+        delta = delta[None, :]
     last = len(net.weights) - 1
-    acts = [X]
-    h = X
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = h @ w.T + b
-        if i < last:
-            h = np.tanh(h)
-        acts.append(h)
     grads: list = [None] * (2 * len(net.weights))
-    delta = G
     for i in range(last, -1, -1):
-        grads[2 * i] = delta.T @ acts[i]
+        a = acts[i]
+        grads[2 * i] = delta.T @ a
         grads[2 * i + 1] = delta.sum(axis=0)
         if i > 0:
-            delta = (delta @ net.weights[i]) * (1.0 - acts[i] ** 2)
+            # tanh'(z) = 1 - tanh(z)**2, written into one fresh array
+            slope = a * a
+            np.subtract(1.0, slope, out=slope)
+            delta = delta @ net.weights[i]
+            delta *= slope
     return grads
 
 

@@ -419,7 +419,8 @@ def prepare_batch(trajs: list, cfg: TrainConfig, columns: tuple) -> Batch:
 
 def _policy_loss_grads(net, head, X, actions, logp_old, adv, clip_eps, B):
     """Surrogate value and parameter gradients for one head's rows."""
-    mu = forward(net, X)
+    acts = []
+    mu = forward(net, X, acts)
     logp = gaussian_logprob(head, mu, actions)
     rho = np.exp(logp - logp_old)
     unclipped = rho * adv
@@ -427,7 +428,7 @@ def _policy_loss_grads(net, head, X, actions, logp_old, adv, clip_eps, B):
     obj = np.minimum(unclipped, clipped)
     g_logp = np.where(unclipped <= clipped, rho * adv, 0.0) / B
     dmu = gaussian_logprob_grads(head, mu, actions)
-    return float(obj.sum() / B), backward(net, X, -(g_logp[:, None] * dmu))
+    return float(obj.sum() / B), backward(net, -(g_logp[:, None] * dmu), acts)
 
 
 def _heads(params: PolicyParams, batch: Batch) -> tuple:
@@ -475,19 +476,14 @@ class Optimizers:
 
 
 def ppo_update(params: PolicyParams, batch: Batch, cfg: TrainConfig,
-               optimizers: Optimizers | None = None,
-               rng: np.random.Generator | None = None) -> tuple:
+               optimizers: Optimizers, rng: np.random.Generator) -> tuple:
     """Clipped-surrogate epochs with KL early stop; returns (params, stats).
 
     Parameters are updated in place; on a non-finite loss the previous
     parameters and optimizer state are restored and the update is marked
-    aborted.
+    aborted. Each minibatch runs each network forward once, and its
+    backward works from that forward's activations.
     """
-    if optimizers is None:
-        optimizers = Optimizers(params, cfg)
-    if rng is None:
-        rng = np.random.default_rng(0)
-
     snapshot = clone_params(params)
     opt_snapshot = optimizers.state()
     heads = _heads(params, batch)
@@ -526,11 +522,13 @@ def ppo_update(params: PolicyParams, batch: Batch, cfg: TrainConfig,
                 for a, g in zip(parameters(net), net_g):
                     policy_grads[id(a)] += g
 
-            v_pred = forward(params.value, batch.value_inputs[mb])[:, 0]
+            value_acts = []
+            v_pred = forward(params.value, batch.value_inputs[mb],
+                             value_acts)[:, 0]
             err = v_pred - batch.returns[mb]
             value_loss = 0.5 * float(err @ err) / B
-            value_grads = backward(params.value, batch.value_inputs[mb],
-                                   (err / B)[:, None])
+            value_grads = backward(params.value, (err / B)[:, None],
+                                   value_acts)
 
             policy_loss = -surrogate - beta * entropy
             if not (math.isfinite(policy_loss) and math.isfinite(value_loss)):

@@ -450,8 +450,10 @@ def test_shared_losses_match_untied_twin_on_same_batch():
     )
     cfg = tiny_cfg(policy_lr=0.0, value_lr=0.0, ppo_epochs=1,
                    batch_size=nd + nc, minibatch_size=nd + nc)
-    _, s_tied = ppo_update(tied, batch, cfg, rng=np.random.default_rng(0))
-    _, s_untied = ppo_update(untied, batch, cfg, rng=np.random.default_rng(0))
+    _, s_tied = ppo_update(tied, batch, cfg, Optimizers(tied, cfg),
+                             np.random.default_rng(0))
+    _, s_untied = ppo_update(untied, batch, cfg, Optimizers(untied, cfg),
+                             np.random.default_rng(0))
     assert s_tied["policy_loss"] == s_untied["policy_loss"]
     assert s_tied["value_loss"] == s_untied["value_loss"]
     assert s_tied["approx_kl"] == s_untied["approx_kl"]

@@ -3,10 +3,13 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import toolsmith
 from toolsmith.baselines.single_traj import plan_dim
 from toolsmith.cli import main as cli_main
 from toolsmith.envs import default_config, make_env
@@ -506,6 +509,31 @@ def test_cli_train_and_eval_roundtrip(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "mean_return" in out
+
+
+def test_cli_checkpoint_does_not_depend_on_blas_threads(tmp_path):
+    """A gradient GEMM summed over a 600-row minibatch rounds differently on
+    two BLAS threads than on one, so only the CLI's own pin keeps the bytes."""
+    src = os.path.dirname(os.path.dirname(toolsmith.__file__))
+    checkpoints = []
+    for threads in ("1", "2"):
+        env = dict(os.environ)
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, env.get("PYTHONPATH", "")]).rstrip(os.pathsep))
+        out_dir = str(tmp_path / f"threads_{threads}")
+        subprocess.run(
+            [sys.executable, "-m", "toolsmith.cli", "train", "--task", "push",
+             "--method", "ours", "--total-steps", "600", "--seeds", "0",
+             "--n-envs", "4", "--out-dir", out_dir,
+             "--opt", "batch_size=600", "--opt", "minibatch_size=600",
+             "--opt", "ppo_epochs=1"],
+            env=env, check=True, capture_output=True, timeout=300)
+        with open(os.path.join(out_dir, "seed_0", "checkpoint.json"),
+                  "rb") as fh:
+            checkpoints.append(fh.read())
+    assert checkpoints[0] == checkpoints[1]
 
 
 def test_cli_config_file_with_flag_override(tmp_path):

@@ -4,6 +4,7 @@ import os
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toolsmith import neural
 from toolsmith.neural import (
@@ -101,12 +102,19 @@ def test_forward_shape_mismatch_raises():
 
 # -- backward -----------------------------------------------------------------
 
+def grads_at(net, x, output_grad):
+    """backward at x, from the activations of one forward."""
+    acts = []
+    forward(net, x, acts)
+    return backward(net, output_grad, acts)
+
+
 def test_backward_linear_layer_closed_form():
     net = Network((3, 2), [np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])],
                   [np.zeros(2)])
     x = np.array([0.5, -1.0, 2.0])
     g = np.array([1.0, -2.0])
-    dw, db = backward(net, x, g)
+    dw, db = grads_at(net, x, g)
     assert np.array_equal(dw, np.outer(g, x))
     assert np.array_equal(db, g)
 
@@ -114,7 +122,8 @@ def test_backward_linear_layer_closed_form():
 def test_backward_zero_grad_gives_zero():
     rng = np.random.default_rng(3)
     net = random_net(rng)
-    grads = backward(net, rng.standard_normal(net.sizes[0]), np.zeros(net.sizes[-1]))
+    grads = grads_at(net, rng.standard_normal(net.sizes[0]),
+                     np.zeros(net.sizes[-1]))
     assert all(np.all(g == 0.0) for g in grads)
 
 
@@ -144,7 +153,7 @@ def test_backward_matches_finite_differences():
         net = random_net(rng)
         x = rng.standard_normal(net.sizes[0])
         v = rng.standard_normal(net.sizes[-1])
-        ana = backward(net, x, v)
+        ana = grads_at(net, x, v)
         num = fd_gradients(net, x, v)
         for a, n in zip(ana, num):
             denom = np.maximum(np.abs(n), 1e-6)
@@ -156,13 +165,90 @@ def test_backward_batch_sums_row_gradients():
     net = random_net(rng, sizes=(3, 5, 2))
     X = rng.standard_normal((4, 3))
     G = rng.standard_normal((4, 2))
-    batched = backward(net, X, G)
+    batched = grads_at(net, X, G)
     summed = [np.zeros_like(g) for g in batched]
     for i in range(4):
-        for acc, g in zip(summed, backward(net, X[i], G[i])):
+        for acc, g in zip(summed, grads_at(net, X[i], G[i])):
             acc += g
     for a, b in zip(batched, summed):
         assert np.allclose(a, b, atol=1e-12)
+
+
+def recompute_backward(net, x, output_grad):
+    """The backward that reran the forward itself, kept as the reference
+    the cached-activation backward must match bit for bit."""
+    X = np.asarray(x, dtype=np.float64)
+    G = np.asarray(output_grad, dtype=np.float64)
+    if X.ndim == 1:
+        X, G = X[None, :], G[None, :]
+    last = len(net.weights) - 1
+    acts = [X]
+    h = X
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        h = h @ w.T + b
+        if i < last:
+            h = np.tanh(h)
+        acts.append(h)
+    grads = [None] * (2 * len(net.weights))
+    delta = G
+    for i in range(last, -1, -1):
+        grads[2 * i] = delta.T @ acts[i]
+        grads[2 * i + 1] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ net.weights[i]) * (1.0 - acts[i] ** 2)
+    return grads, h
+
+
+layer_sizes = st.lists(st.integers(1, 9), min_size=2, max_size=5)
+row_counts = st.integers(1, 7)
+data_seeds = st.integers(0, 2 ** 32 - 1)
+
+
+def net_and_rows(sizes, rows, seed, vector):
+    """A perturbed network, inputs and output gradients; one row is given
+    as plain vectors when vector is set."""
+    rng = np.random.default_rng(seed)
+    net = random_net(rng, sizes=sizes)
+    x = rng.standard_normal((rows, sizes[0]))
+    g = rng.standard_normal((rows, sizes[-1]))
+    if vector and rows == 1:
+        x, g = x[0], g[0]
+    return net, x, g
+
+
+@settings(max_examples=80)
+@given(layer_sizes, row_counts, data_seeds, st.booleans())
+def test_cached_backward_is_bitwise_the_recomputed_one(sizes, rows, seed,
+                                                        vector):
+    net, x, g = net_and_rows(sizes, rows, seed, vector)
+    acts = []
+    out = forward(net, x, acts)
+    ref_grads, ref_out = recompute_backward(net, x, g)
+    assert np.array_equal(out, ref_out[0] if x.ndim == 1 else ref_out)
+    assert len(acts) == len(net.weights)
+    for got, ref in zip(backward(net, g, acts), ref_grads, strict=True):
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=80)
+@given(layer_sizes, row_counts, data_seeds, st.booleans())
+def test_forward_and_backward_write_into_no_argument(sizes, rows, seed,
+                                                     vector):
+    net, x, g = net_and_rows(sizes, rows, seed, vector)
+    x_before, g_before = x.copy(), g.copy()
+    params_before = [a.copy() for a in parameters(net)]
+    acts = []
+    forward(net, x, acts)
+    assert np.array_equal(x, x_before)
+    acts_before = [a.copy() for a in acts]
+    backward(net, g, acts)
+    assert np.array_equal(x, x_before)
+    assert np.array_equal(g, g_before)
+    for a, before in zip(acts, acts_before, strict=True):
+        assert np.array_equal(a, before)
+    for a, before in zip(parameters(net), params_before, strict=True):
+        assert np.array_equal(a, before)
 
 
 # -- gaussian head --------------------------------------------------------------

@@ -415,7 +415,8 @@ def test_identity_update_zero_lr_keeps_kl_zero():
     cfg = small_cfg(policy_lr=0.0, value_lr=0.0, ppo_epochs=3,
                     kl_threshold=10.0)
     batch = collect_and_prepare(envs, params, cfg, rng)
-    params, stats = ppo_update(params, batch, cfg, None, np.random.default_rng(0))
+    params, stats = ppo_update(params, batch, cfg, Optimizers(params, cfg),
+                               np.random.default_rng(0))
     assert abs(stats["approx_kl"]) < 1e-15
     assert stats["epochs_run"] == 3
 
@@ -428,7 +429,8 @@ def test_zero_advantages_leave_policy_untouched():
     batch.control_adv[...] = 0.0
     pol_before = [a.copy() for a in params.trainable()]
     val_before = [a.copy() for a in parameters(params.value)]
-    params, stats = ppo_update(params, batch, cfg, None, np.random.default_rng(0))
+    params, stats = ppo_update(params, batch, cfg, Optimizers(params, cfg),
+                               np.random.default_rng(0))
     assert all(np.array_equal(a, b) for a, b in zip(params.trainable(), pol_before))
     assert not all(np.array_equal(a, b)
                    for a, b in zip(parameters(params.value), val_before))
@@ -441,14 +443,16 @@ def test_kl_early_stop_keeps_epoch_boundary_params():
 
     tight = small_cfg(policy_lr=3e-3, ppo_epochs=6, kl_threshold=1e-7)
     p1 = clone_params(params)
-    p1, s1 = ppo_update(p1, batch, tight, None, np.random.default_rng(9))
+    p1, s1 = ppo_update(p1, batch, tight, Optimizers(p1, tight),
+                        np.random.default_rng(9))
     assert s1["epochs_run"] < 6
     assert s1["approx_kl"] > tight.kl_threshold
 
     unbounded = small_cfg(policy_lr=3e-3, ppo_epochs=s1["epochs_run"],
                           kl_threshold=1e9)
     p2 = clone_params(params)
-    p2, s2 = ppo_update(p2, batch, unbounded, None, np.random.default_rng(9))
+    p2, s2 = ppo_update(p2, batch, unbounded, Optimizers(p2, unbounded),
+                        np.random.default_rng(9))
     assert s2["epochs_run"] == s1["epochs_run"]
     assert params_equal(p1, all_params(p2))
 
@@ -476,7 +480,8 @@ def test_update_reduces_value_loss():
         return float(err @ err) / err.size
 
     before = value_loss()
-    params, _ = ppo_update(params, batch, cfg, None, np.random.default_rng(0))
+    params, _ = ppo_update(params, batch, cfg, Optimizers(params, cfg),
+                           np.random.default_rng(0))
     assert value_loss() < before
 
 
@@ -494,7 +499,8 @@ def test_update_routes_design_rows_to_designer_head():
         b_adv = batch.design_adv.copy()
         saved = batch.design_adv
         batch.design_adv = sign * np.abs(b_adv) + 1.0
-        p, _ = ppo_update(p, batch, cfg, None, np.random.default_rng(1))
+        p, _ = ppo_update(p, batch, cfg, Optimizers(p, cfg),
+                          np.random.default_rng(1))
         batch.design_adv = saved
         variants.append(p)
     a, b = variants
