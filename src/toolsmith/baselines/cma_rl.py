@@ -19,6 +19,7 @@ from toolsmith.envs import TaskConfig, make_env
 from toolsmith.evaluation import evaluate_policy, evaluation_goals
 from toolsmith.neural import save_checkpoint
 from toolsmith.ppo import (
+    Artifact,
     Optimizers,
     TrainConfig,
     checkpoint_record,
@@ -58,7 +59,8 @@ def cma_rl(task_cfg: TaskConfig, total_steps: int, out_dir, n_envs: int,
             batch, _ = train_round(envs, params, optimizers, cfg, rng,
                                    fixed_design=design)
             inner += batch.env_steps
-        res = evaluate_policy(eval_env, params, goals, fixed_design=design)
+        res = evaluate_policy(eval_env, Artifact(eval_env.task_name, params,
+                                                 fixed_design=design), goals)
         inner_total += inner
         return dict(res, env_steps=inner + res["env_steps"], params=params,
                     optimizers=optimizers)

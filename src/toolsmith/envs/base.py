@@ -219,6 +219,7 @@ class ToolTaskEnv:
     """
 
     task_name: str = ""
+    gravity: tuple = (0.0, -9.8)
     settle_steps: int = 0  # world steps after building a scene, before design
     goal_dim: int = 0
     control_action_dim: int = 0
@@ -272,7 +273,11 @@ class ToolTaskEnv:
         if goal is None:
             goal = self.sample_goal(self._rng)
         self._goal = self.validate_goal(goal)
-        self.world = self._make_world()
+        cfg = self.cfg
+        self.world = World(gravity=self.gravity, dt=cfg.dt,
+                           friction=cfg.friction,
+                           restitution_circle=cfg.restitution_circle,
+                           restitution_surface=cfg.restitution_surface)
         self._build_scene(self._rng)
         self._phase = DESIGN
         self._done = False
@@ -302,7 +307,6 @@ class ToolTaskEnv:
                             self.cfg.tool_position_init, angle=math.pi)
         self._d_used = float(sum(design.lengths))
         self._phase = CONTROL
-        self._post_design()
         return float(tradeoff_reward(self.tradeoff, self._d_used, 0.0))
 
     def step_control(self, action) -> float:
@@ -386,26 +390,11 @@ class ToolTaskEnv:
 
     # -- subclass hooks ---------------------------------------------------
 
-    def _make_world(self) -> World:
-        cfg = self.cfg
-        return World(gravity=self._gravity(), dt=cfg.dt, friction=cfg.friction,
-                     restitution_circle=cfg.restitution_circle,
-                     restitution_surface=cfg.restitution_surface)
-
-    def _gravity(self):
-        return (0.0, -9.8)
-
     def _build_scene(self, rng: np.random.Generator) -> None:
         raise NotImplementedError
 
-    def _post_design(self) -> None:
-        pass
-
     def _apply_control(self, action: np.ndarray) -> None:
         raise NotImplementedError
-
-    def _after_substep(self) -> None:
-        pass
 
     def _task_reward_done(self) -> tuple[float, bool]:
         raise NotImplementedError
@@ -442,7 +431,7 @@ def reset_envs(envs: list, goals=None, seeds=None) -> None:
 def step_controls(envs: list, actions) -> list:
     """One control step of every env, actions[i] for envs[i]; returns their
     rewards. The physics substeps of all of them run as batched
-    World.step passes, each followed by every env's substep hook."""
+    World.step passes; then each env scores its step."""
     if len(actions) != len(envs):
         raise ValueError(f"{len(envs)} envs need as many actions, got {len(actions)}")
     for env in envs:
@@ -456,8 +445,6 @@ def step_controls(envs: list, actions) -> list:
     worlds = [env.world for env in envs]
     for _ in range(substeps):
         worlds[0].step(*worlds[1:])
-        for env in envs:
-            env._after_substep()
     return [env._end_control() for env in envs]
 
 

@@ -5,7 +5,8 @@ there is no floor. The tool slides horizontally. A ball is caught once it has
 moved with the tool (in sustained transitive contact, small relative speed)
 for a streak of steps; it is lost once it falls below the tool line. Each
 newly caught ball is worth +1, and catching all three ends the episode with
-the success bonus.
+the success bonus. A control step is one physics substep, so catching is
+scored once per step, after it.
 """
 
 from __future__ import annotations
@@ -40,6 +41,13 @@ class CatchEnv(ToolTaskEnv):
     goal_center = np.repeat([20.0, 19.0], NUM_BALLS)
     goal_scale = np.repeat([5.0, 3.0], NUM_BALLS)
 
+    def __init__(self, config):
+        if config.control_steps_per_action != 1:
+            raise ValueError(
+                f"catch scores every physics substep, so it runs one per "
+                f"control step, not {config.control_steps_per_action}")
+        super().__init__(config)
+
     def sample_goal(self, rng: np.random.Generator) -> np.ndarray:
         xs = rng.uniform(X_LOW, X_HIGH, size=NUM_BALLS)
         hs = rng.uniform(H_LOW, H_HIGH, size=NUM_BALLS)
@@ -65,26 +73,20 @@ class CatchEnv(ToolTaskEnv):
         self._caught = np.zeros(NUM_BALLS, dtype=bool)
         self._lost = np.zeros(NUM_BALLS, dtype=bool)
         self._streak = np.zeros(NUM_BALLS, dtype=np.int64)
-        self._newly_caught = 0
 
     def _apply_control(self, action: np.ndarray) -> None:
         self.world.command_tool((action[0], 0.0), 0.0)
 
-    def _after_substep(self) -> None:
+    def _task_reward_done(self):
         w = self.world
         held = supported_by_tool(w)
         rel = np.linalg.norm(w.vel - w.tool_velocity, axis=1)
         moving_with_tool = held & (rel < CATCH_REL_SPEED)
         self._streak = np.where(moving_with_tool, self._streak + 1, 0)
         newly = (self._streak >= CATCH_STREAK) & ~self._caught & ~self._lost
-        if np.any(newly):
-            self._caught |= newly
-            self._newly_caught += int(np.count_nonzero(newly))
+        self._caught |= newly
         self._lost |= (w.pos[:, 1] < LOST_Y) & ~self._caught
-
-    def _task_reward_done(self):
-        reward = float(self._newly_caught)
-        self._newly_caught = 0
+        reward = float(np.count_nonzero(newly))
         self._success = float(np.count_nonzero(self._caught)) / NUM_BALLS
         done = bool(np.all(self._caught | self._lost))
         if done and np.all(self._caught):

@@ -26,6 +26,7 @@ SUCCESS_SPEED = 0.25
 class PushEnv(ToolTaskEnv):
 
     task_name = "push"
+    gravity = (0.0, 0.0)  # top-down
     goal_dim = 2
     control_action_dim = 2
     task_obs_dim = 6
@@ -48,14 +49,11 @@ class PushEnv(ToolTaskEnv):
             raise ValueError(f"push goal {g.tolist()} is outside the workspace")
         return g
 
-    def _gravity(self):
-        return (0.0, 0.0)
-
     def _build_scene(self, rng: np.random.Generator) -> None:
         self._puck = self.world.add_circle(PUCK_START, radius=PUCK_RADIUS,
                                            damping=PUCK_DAMPING)
-
-    def _post_design(self) -> None:
+        # the design step moves no circle, so this is the distance the
+        # first control step is scored against
         self._prev_dist = self._goal_dist()
 
     def _goal_dist(self) -> float:

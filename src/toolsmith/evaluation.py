@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from toolsmith.ppo import run_episode
+from toolsmith.ppo import Artifact, run_episode
 
 EVAL_GOAL_SEED = 20000
 EVAL_RESET_SEED = 30000
@@ -31,23 +31,18 @@ def _summarize(episodes) -> dict:
     }
 
 
-def evaluate_policy(env, params, goals, fixed_design=None,
-                    controls=None) -> dict:
-    """Deterministic episodes on each goal; returns aggregate statistics.
-
-    fixed_design and controls impose a design or an open-loop control
-    schedule in place of the corresponding policy, as in run_episode.
-    """
-    episodes = [run_episode(env, params, goal=goal, seed=EVAL_RESET_SEED + k,
-                            fixed_design=fixed_design, controls=controls)
+def evaluate_policy(env, art: Artifact, goals) -> dict:
+    """art's deterministic episode on each goal, goal k reset with seed
+    EVAL_RESET_SEED + k; returns aggregate statistics and the episodes."""
+    episodes = [run_episode(env, art, goal=goal, seed=EVAL_RESET_SEED + k)
                 for k, goal in enumerate(goals)]
     return {**_summarize(episodes), "episodes": episodes}
 
 
 def run_plan(env, design_action, controls, goal, seed) -> dict:
     """Execute an open-loop plan: one design step, then scripted controls."""
-    return run_episode(env, None, goal=goal, seed=seed,
-                       fixed_design=design_action, controls=controls)
+    return run_episode(env, Artifact(env.task_name, fixed_design=design_action,
+                                     controls=controls), goal=goal, seed=seed)
 
 
 def evaluate_plan(env, design_action, controls, goals) -> dict:

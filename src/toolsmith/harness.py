@@ -19,11 +19,12 @@ _load_for_eval reads it for eval, compare, export-tool and finetune.
 - single_traj: best_plan.json with task, fitness and vector (the design
   action, then every control action).
 
-The loader checks the task. Each network's shape decides which columns of
-the value row it reads (ppo.policy_columns): a designer as wide as its
-controller marks a shared trunk, which is re-tied and reads the whole row;
-a designer with no inputs (hwasp) reads none. A fixed_design replaces the
-designer; a plan's vector splits into its design and open-loop controls.
+The loader checks the task and returns one ppo.Artifact: a fixed_design
+replaces the designer, a plan's vector splits into its design and open-loop
+controls, and a shared trunk (Artifact.kind) is re-tied. Every command
+scores an artifact by evaluate_policy, one ppo.run_episode per goal, and
+export-tool meshes Artifact.design_action, the design an eval episode on
+its goal builds.
 """
 
 from __future__ import annotations
@@ -47,19 +48,15 @@ from toolsmith.baselines.single_traj import BEST_PLAN_FILE, split_plan
 from toolsmith.envs import default_config, make_env
 from toolsmith.envs.push import GOAL_HIGH, GOAL_LOW
 from toolsmith.evaluation import EVAL_RESET_SEED, evaluate_policy, evaluation_goals
-from toolsmith.geometry import build_tool, export_stl
-from toolsmith.neural import (
-    PolicyParams,
-    forward,
-    load_checkpoint,
-    params_from_state,
-)
+from toolsmith.geometry import DesignVector, build_tool, export_stl
+from toolsmith.neural import load_checkpoint, params_from_state
 from toolsmith.ppo import (
     METRICS_HEADER,
+    Artifact,
     Optimizers,
     TrainConfig,
+    _last_whole_row,
     default_train_config,
-    policy_columns,
     policy_for_env,
     policy_settings,
     seeded_envs,
@@ -166,6 +163,8 @@ class ExperimentConfig:
             raise ValueError("at least one seed is required")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds {list(self.seeds)} repeat a seed")
+        if any(seed < 0 for seed in self.seeds):
+            raise ValueError(f"seeds {list(self.seeds)} must be non-negative")
         if self.n_envs < 1:
             raise ValueError(f"n_envs must be at least 1, got {self.n_envs}")
         if self.total_steps < 1:
@@ -355,32 +354,6 @@ def cmd_train(config: ExperimentConfig) -> dict:
 # eval
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Artifact:
-    """One method's saved result, in the form evaluate_policy takes it."""
-
-    task: str
-    params: PolicyParams | None
-    fixed_design: np.ndarray | None = None
-    controls: np.ndarray | None = None
-
-    @property
-    def kind(self) -> str:
-        if self.controls is not None:
-            return "open-loop plan"
-        if self.fixed_design is not None:
-            return "fixed-design"
-        env = make_env(self.task)
-        if policy_columns(self.params, env)[0].size == env.value_input_dim:
-            return "shared"
-        return "policy"
-
-    def evaluate(self, env, goals) -> dict:
-        return evaluate_policy(env, self.params, goals,
-                               fixed_design=self.fixed_design,
-                               controls=self.controls)
-
-
 def _load_for_eval(path, task: str | None = None) -> tuple:
     """Read a checkpoint.json or best_plan.json as (env, Artifact)."""
     is_plan = os.path.basename(str(path)) == BEST_PLAN_FILE
@@ -396,8 +369,7 @@ def _load_for_eval(path, task: str | None = None) -> tuple:
     env = make_env(default_config(ck_task))
     if is_plan:
         design, controls = split_plan(env, state["vector"])
-        return env, Artifact(ck_task, None, fixed_design=design,
-                             controls=controls)
+        return env, Artifact(ck_task, fixed_design=design, controls=controls)
     art = Artifact(ck_task, params_from_state(state["params"]))
     if "fixed_design" in state:
         art.fixed_design = np.asarray(state["fixed_design"], dtype=np.float64)
@@ -439,7 +411,7 @@ def cmd_eval(checkpoint_path, out_dir, goals=None, grid: int | None = None,
         "n_goals": len(goals),
         "cutout_fraction": cutout_fraction,
     })
-    result = art.evaluate(env, goals)
+    result = evaluate_policy(env, art, goals)
 
     regions = {"training": [], "cutout": [], "outside": []}
     rows = []
@@ -502,6 +474,7 @@ def _finetune_arm(task_cfg, params, cfg, goals, budget: int, seed: int,
         return goal_arr[int(sample_rng.integers(len(goal_arr)))]
 
     eval_env = make_env(task_cfg)
+    art = Artifact(task_cfg.task, params)
     optimizers = Optimizers(params, cfg)
     rows, steps = [], 0
     for update in range(budget + 1):
@@ -509,7 +482,7 @@ def _finetune_arm(task_cfg, params, cfg, goals, budget: int, seed: int,
             batch, _ = train_round(envs, params, optimizers, cfg, rng,
                                    goal_sampler=sampler)
             steps += batch.env_steps
-        res = evaluate_policy(eval_env, params, goal_arr)
+        res = evaluate_policy(eval_env, art, goal_arr)
         per_goal = [float(e["success"]) for e in res["episodes"]]
         rows.append([update, steps, f"{res['mean_return']:.6f}",
                      f"{np.mean(per_goal):.6f}"])
@@ -538,6 +511,8 @@ def cmd_finetune(checkpoint_path, out_dir, goals=None, budget: int = 50,
                     f"fine-tune goal {g.tolist()} lies inside the training region")
     if budget < 0:
         raise ValueError(f"budget must be at least 0, got {budget}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     cfg = cfg or default_train_config(ck_task, scale="desk")
     write_manifest(out_dir, "finetune", {
         "checkpoint": str(checkpoint_path),
@@ -577,7 +552,8 @@ def cmd_alpha_sweep(out_dir, task: str = "catch", alphas=DEFAULT_ALPHAS,
     """Train one agent per tradeoff weight and tabulate the usage ratio.
 
     Each weight is one ExperimentConfig for ours, whose seeds train through
-    _run_one_seed under out_dir/alpha_<alpha>/seed_<seed>."""
+    _run_one_seed under out_dir/alpha_<alpha>/seed_<seed>. Each seed's
+    tool_seed_<seed>.stl is the design its eval episode on goal 0 built."""
     if k <= 0.0:
         raise ValueError("the sweep needs K > 0; the tradeoff is inactive at 0")
     if len(alphas) == 0 or len(set(alphas)) != len(alphas):
@@ -601,12 +577,12 @@ def cmd_alpha_sweep(out_dir, task: str = "catch", alphas=DEFAULT_ALPHAS,
         for seed in config.seeds:
             out = _run_one_seed(config, seed,
                                 os.path.join(config.out_dir, f"seed_{seed}"))
-            res = evaluate_policy(env, out["params"], goals)
+            res = evaluate_policy(env, Artifact(task, out["params"]), goals)
             d_hat = res["mean_d_used"] / env.tradeoff.d_max
             c_hat = res["mean_c_used"] / env.tradeoff.c_max
             ratio = d_hat / c_hat if c_hat > 0 else float("inf")
-            _export_design(env, Artifact(task, out["params"]), goals[0],
-                           os.path.join(config.out_dir, f"tool_seed_{seed}.stl"))
+            _write_stl(DesignVector.from_array(res["episodes"][0]["design"]),
+                       os.path.join(config.out_dir, f"tool_seed_{seed}.stl"))
             rows.append({"alpha": alpha, "seed": seed, "k": k,
                          "ratio": float(ratio), "d_hat": float(d_hat),
                          "c_hat": float(c_hat),
@@ -626,38 +602,35 @@ def cmd_alpha_sweep(out_dir, task: str = "catch", alphas=DEFAULT_ALPHAS,
 # export-tool
 # ---------------------------------------------------------------------------
 
-def _export_design(env, art: Artifact, goal, stl_path) -> dict:
-    env.reset(goal=goal, seed=EVAL_RESET_SEED)
-    if art.fixed_design is not None:
-        mu = art.fixed_design
-    else:
-        design_cols, _ = policy_columns(art.params, env)
-        mu = forward(art.params.designer, env.value_input()[design_cols])
-    design = env.space.realize(mu)
-    geom = build_tool(design)
-    data = export_stl(geom)
+def _write_stl(design: DesignVector, stl_path) -> int:
+    """Write the printable mesh of a design; returns its size in bytes."""
+    data = export_stl(build_tool(design))
     os.makedirs(os.path.dirname(stl_path) or ".", exist_ok=True)
     with open(stl_path, "wb") as fh:
         fh.write(data)
-    return {
-        "goal": [float(g) for g in np.atleast_1d(goal)],
-        "design_action": [float(v) for v in np.atleast_1d(mu)],
-        "design": [float(v) for v in design.as_array()],
-        "stl_path": str(stl_path),
-        "stl_bytes": len(data),
-    }
+    return len(data)
 
 
 def cmd_export_tool(checkpoint_path, goal, out_dir) -> dict:
-    """Run the designer on one goal and write the printable mesh."""
+    """Write the printable mesh of the design that the eval episode on goal
+    (reset seed EVAL_RESET_SEED) builds, and record it in design.json."""
     env, art = _load_for_eval(checkpoint_path)
     goal = env.validate_goal(np.asarray(goal, dtype=np.float64))
-    os.makedirs(out_dir, exist_ok=True)
-    record = _export_design(env, art, goal, os.path.join(out_dir, "tool.stl"))
-    record["task"] = art.task
+    env.reset(goal=goal, seed=EVAL_RESET_SEED)
+    action = art.design_action(env)
+    design = env.space.realize(action)
+    stl_path = os.path.join(out_dir, "tool.stl")
+    record = {
+        "task": art.task,
+        "goal": [float(g) for g in np.atleast_1d(goal)],
+        "design_action": [float(v) for v in action],
+        "design": [float(v) for v in design.as_array()],
+        "stl_path": stl_path,
+        "stl_bytes": _write_stl(design, stl_path),
+    }
     record_path = _write_json(os.path.join(out_dir, "design.json"), record)
     return {"record": record, "record_path": record_path,
-            "stl_path": record["stl_path"]}
+            "stl_path": stl_path}
 
 
 # ---------------------------------------------------------------------------
@@ -680,16 +653,16 @@ def cmd_compare(run_dirs: list, out_dir, task: str, n_goals: int = 16) -> list:
         row = {"run_dir": run_dir, "env_steps": None,
                "train_mean_return": None, "eval_mean_return": None}
         metrics = os.path.join(run_dir, "metrics.csv")
-        if os.path.exists(metrics):
-            with open(metrics, encoding="utf-8") as fh:
-                last = list(csv.DictReader(fh))[-1]
+        last = _last_whole_row(metrics) if os.path.exists(metrics) else None
+        if last is not None:
             row["env_steps"] = int(last["env_steps"])
             row["train_mean_return"] = float(last["mean_return"])
         for name in ("checkpoint.json", BEST_PLAN_FILE):
             path = os.path.join(run_dir, name)
             if os.path.exists(path):
                 _, art = _load_for_eval(path, task)
-                row["eval_mean_return"] = art.evaluate(env, goals)["mean_return"]
+                row["eval_mean_return"] = evaluate_policy(
+                    env, art, goals)["mean_return"]
                 break
         rows.append(row)
     _write_csv(os.path.join(out_dir, "compare.csv"),

@@ -600,6 +600,15 @@ def _whole_row(row: list, width: int) -> bool:
     return len(values) == width
 
 
+def _last_whole_row(path) -> dict | None:
+    """The last whole row of a curve CSV, keyed by its header; None when a
+    run killed early left none."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh)) or [[]]
+    whole = [r for r in rows if _whole_row(r, len(header))]
+    return dict(zip(header, whole[-1])) if whole else None
+
+
 def _drop_rows_after(path, env_steps: int) -> None:
     """Remove the rows of a curve CSV logged past env_steps, and any row
     torn by a kill partway through writing it."""
@@ -722,28 +731,59 @@ def train(task_cfg: TaskConfig, cfg: TrainConfig, total_steps: int, out_dir,
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def run_episode(env, params: PolicyParams | None, goal=None, seed=None,
-                fixed_design=None, controls=None) -> dict:
-    """One deterministic episode, the loop every method is scored by.
+@dataclass
+class Artifact:
+    """One policy source, the form every scored episode takes it in: a
+    method's saved result (harness._load_for_eval) or a candidate under
+    evaluation.
 
-    The design is fixed_design when given, else the designer's mean; control
-    t is controls[t] when an open-loop schedule is given, else the
-    controller's mean. params may be None when both are given.
+    fixed_design, when given, replaces the designer, and controls (one
+    open-loop action per control step) the controller; params drives the
+    rest. A plan has both and no params.
     """
-    if params is not None:
-        design_cols, control_cols = policy_columns(params, env)
+
+    task: str
+    params: PolicyParams | None = None
+    fixed_design: np.ndarray | None = None
+    controls: np.ndarray | None = None
+
+    @property
+    def kind(self) -> str:
+        if self.controls is not None:
+            return "open-loop plan"
+        if self.fixed_design is not None:
+            return "fixed-design"
+        if self.params.designer.sizes[0] == self.params.controller.sizes[0]:
+            return "shared"
+        return "policy"
+
+    def design_action(self, env) -> np.ndarray:
+        """The design action for env as its last reset left it: the fixed
+        design, else the designer's mean on its columns of the value row."""
+        if self.fixed_design is not None:
+            return np.asarray(self.fixed_design, dtype=np.float64)
+        design_cols, _ = policy_columns(self.params, env)
+        return forward(self.params.designer, env.value_input()[design_cols])
+
+
+def run_episode(env, art: Artifact, goal=None, seed=None) -> dict:
+    """One deterministic episode of art, the loop every method is scored by.
+
+    The design is art.design_action; control t is art.controls[t] for an
+    open-loop plan, else the controller's mean.
+    """
+    controls = art.controls
+    if controls is None:
+        _, control_cols = policy_columns(art.params, env)
     env.reset(goal=goal, seed=seed)
-    if fixed_design is not None:
-        act = np.asarray(fixed_design, dtype=np.float64)
-    else:
-        act = forward(params.designer, env.value_input()[design_cols])
-    total = env.step_design(act)
+    total = env.step_design(art.design_action(env))
     c_used = []
     while not env.done:
         if controls is not None:
             act = controls[len(c_used)]
         else:
-            act = forward(params.controller, env.value_input()[control_cols])
+            act = forward(art.params.controller,
+                          env.value_input()[control_cols])
         total += env.step_control(act)
         c_used.append(env.c_used)
     return {

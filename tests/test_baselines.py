@@ -36,6 +36,7 @@ from toolsmith.neural import (
 )
 from toolsmith.ppo import (
     METRICS_HEADER,
+    Artifact,
     Batch,
     Optimizers,
     collect_batch,
@@ -299,8 +300,9 @@ def test_cma_rl_zero_inner_budget_scores_untrained_controller(tmp_path):
     assert math.isfinite(out["best_fitness"])
     env = make_env(default_config("push"))
     goals = evaluation_goals(env, 2)
-    res = evaluate_policy(env, out["best_params"], goals,
-                          fixed_design=out["best_design"])
+    res = evaluate_policy(env, Artifact("push", out["best_params"],
+                                        fixed_design=out["best_design"]),
+                          goals)
     assert res["mean_return"] == out["best_fitness"]
 
 
@@ -370,7 +372,7 @@ def test_hwasp_design_constant_across_goals_after_training(tmp_path):
     params = constant_designer_policy(env, np.random.default_rng(3))
     out = train(default_config("push"), tiny_cfg(), 512, tmp_path, seed=3,
                 n_envs=2, params=params)
-    episodes = evaluate_policy(env, out["params"],
+    episodes = evaluate_policy(env, Artifact("push", out["params"]),
                                evaluation_goals(env, 4))["episodes"]
     for ep in episodes[1:]:
         assert np.array_equal(ep["design"], episodes[0]["design"])
@@ -418,7 +420,7 @@ def test_shared_design_head_has_no_control_phase_channel():
     assert env.phase == "control"
     with pytest.raises(Exception):
         env.step_design(np.zeros(5))
-    ep = run_episode(env, params, seed=1)
+    ep = run_episode(env, Artifact("push", params), seed=1)
     assert math.isfinite(ep["return"])
 
 

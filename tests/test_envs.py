@@ -264,6 +264,14 @@ def test_catch_missed_balls_lost():
     assert total == pytest.approx(steps * -0.001, abs=1e-9)
 
 
+@pytest.mark.parametrize("substeps", [2, 5])
+def test_catch_refuses_more_than_one_substep_per_control(substeps):
+    """Catch scores the one substep of each control step after it, so any
+    other substep count is refused rather than scored once per step."""
+    with pytest.raises(ValueError, match="one per control step"):
+        make_env("catch", control_steps_per_action=substeps)
+
+
 def test_catch_goal_validation():
     env = make_env("catch")
     with pytest.raises(ValueError):

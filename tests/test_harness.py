@@ -10,10 +10,16 @@ import numpy as np
 import pytest
 
 import toolsmith
-from toolsmith.baselines.single_traj import plan_dim
+from toolsmith.baselines.single_traj import plan_dim, single_traj_cmaes
 from toolsmith.cli import main as cli_main
 from toolsmith.envs import default_config, make_env
-from toolsmith.evaluation import evaluation_goals, evaluate_policy
+from toolsmith.evaluation import (
+    EVAL_RESET_SEED,
+    evaluate_plan,
+    evaluate_policy,
+    evaluation_goals,
+    run_plan,
+)
 from toolsmith.harness import (
     ALLOWED_FRACTIONS,
     DEFAULT_FINETUNE_GOALS,
@@ -34,6 +40,7 @@ from toolsmith.harness import (
 )
 from toolsmith.envs.push import GOAL_HIGH, GOAL_LOW
 from toolsmith.neural import load_checkpoint, params_from_state, save_checkpoint
+from toolsmith.ppo import Artifact, run_episode
 
 
 def tiny_config(tmp_path, **overrides):
@@ -282,7 +289,8 @@ def test_cmd_eval_default_goals_match_shared_protocol(tmp_path, tiny_checkpoint)
     out = cmd_eval(tiny_checkpoint, str(tmp_path / "evald"))
     env = make_env(default_config("push"))
     params = params_from_state(load_checkpoint(tiny_checkpoint)["params"])
-    expect = evaluate_policy(env, params, evaluation_goals(env, 16))
+    expect = evaluate_policy(env, Artifact("push", params),
+                             evaluation_goals(env, 16))
     assert out["report"]["mean_return"] == pytest.approx(expect["mean_return"])
     assert out["report"]["n_goals"] == 16
 
@@ -300,7 +308,7 @@ def test_cmd_finetune_budget_zero_is_zero_shot(tmp_path, tiny_checkpoint):
     env = make_env(default_config("push"))
     params = params_from_state(load_checkpoint(tiny_checkpoint)["params"])
     goals = [np.asarray(g) for g in out["report"]["goals"]]
-    expect = evaluate_policy(env, params, goals)
+    expect = evaluate_policy(env, Artifact("push", params), goals)
     assert float(tuned_rows[1][2]) == pytest.approx(expect["mean_return"],
                                                     abs=1e-6)
 
@@ -348,8 +356,8 @@ def test_cmd_finetune_keeps_the_hwasp_design_goal_independent(tmp_path):
     env = make_env(default_config("push"))
     goals = evaluation_goals(env, 4) + [np.asarray(g, dtype=np.float64)
                                         for g in DEFAULT_FINETUNE_GOALS]
-    episodes = evaluate_policy(env, tuned["finetuned"]["params"],
-                               goals)["episodes"]
+    art = Artifact("push", tuned["finetuned"]["params"])
+    episodes = evaluate_policy(env, art, goals)["episodes"]
     for ep in episodes[1:]:
         assert np.array_equal(ep["design"], episodes[0]["design"])
 
@@ -477,6 +485,32 @@ def test_cmd_compare_scores_checkpoints_and_plans(tmp_path, tiny_checkpoint,
                          budget=0)
 
 
+CURVE_HEADER = "env_steps,mean_return,success_rate,approx_kl,entropy," \
+    "mean_d_used,mean_c_used\n"
+
+
+@pytest.mark.parametrize("text,cells", [
+    pytest.param(CURVE_HEADER, ["", ""], id="header-only"),
+    pytest.param(CURVE_HEADER
+                 + "1208,-0.231082,0.000000,0.00031452,-1.783715,6.0,4.2\n"
+                 + "2416,-0.116041,0.000000,-0.00025162,-1.783715",
+                 ["1208", "-0.231082"], id="torn-last-row"),
+])
+def test_cmd_compare_reads_the_last_whole_curve_row(tmp_path, text, cells):
+    """A run killed while writing its curve leaves a header alone, or a
+    torn last row: compare reads the last whole row, or leaves the cells
+    blank when there is none."""
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "metrics.csv").write_text(text, encoding="utf-8")
+    row, = cmd_compare([run_dir], str(tmp_path / "cmp"), "push", n_goals=1)
+    assert [row["env_steps"], row["train_mean_return"]] == \
+        [int(cells[0]) if cells[0] else None,
+         float(cells[1]) if cells[1] else None]
+    table = read_csv(str(tmp_path / "cmp" / "compare.csv"))
+    assert table[1][1:3] == cells
+
+
 def test_cma_rl_checkpoint_evaluates_to_the_searched_design(tmp_path,
                                                            cma_rl_run):
     row, = cmd_compare([os.path.dirname(cma_rl_run["checkpoint_path"])],
@@ -488,6 +522,109 @@ def test_cma_rl_checkpoint_evaluates_to_the_searched_design(tmp_path,
     design = env.space.realize(cma_rl_run["best_design"]).as_array()
     assert out["report"]["design_mean"] == design.tolist()
     assert out["report"]["mean_return"] == cma_rl_run["best_fitness"]
+
+
+# ---------------------------------------------------------------------------
+# one policy source: every scored episode is run_episode of an Artifact
+# ---------------------------------------------------------------------------
+
+def write_plan(path, seed: int = 0):
+    """A push best_plan.json holding a random plan vector."""
+    env = make_env(default_config("push"))
+    vector = np.random.default_rng(seed).normal(0.0, 0.3, plan_dim(env))
+    path.write_text(json.dumps({"task": "push", "fitness": 0.0,
+                                "vector": vector.tolist()}))
+    return str(path)
+
+
+def test_export_tool_writes_the_design_of_the_eval_episode(tmp_path,
+                                                          tiny_checkpoint,
+                                                          cma_rl_run):
+    """export-tool's design action and design are those run_episode steps
+    and builds on the same goal and reset seed, for each kind of artifact
+    that carries a design step of its own."""
+    goal = np.array([8.0, 12.0])
+    for kind, path in (("policy", tiny_checkpoint),
+                       ("fixed-design", cma_rl_run["checkpoint_path"]),
+                       ("open-loop plan",
+                        write_plan(tmp_path / "best_plan.json"))):
+        env, art = _load_for_eval(path)
+        assert art.kind == kind
+        stepped = []
+        step_design = env.step_design
+        env.step_design = lambda a: stepped.append(np.copy(a)) \
+            or step_design(a)
+        episode = run_episode(env, art, goal=goal, seed=EVAL_RESET_SEED)
+        record = cmd_export_tool(path, goal, str(tmp_path / kind))["record"]
+        assert record["design_action"] == stepped[0].tolist(), kind
+        assert record["design"] == episode["design"].tolist(), kind
+
+
+def test_run_plan_is_run_episode_of_the_plan_artifact(tmp_path):
+    env, art = _load_for_eval(write_plan(tmp_path / "best_plan.json", 1))
+    design, controls = art.fixed_design, art.controls
+    goals = evaluation_goals(env, 2)
+    for k, goal in enumerate(goals):
+        a = run_plan(env, design, controls, goal, EVAL_RESET_SEED + k)
+        b = run_episode(env, Artifact("push", fixed_design=design,
+                                      controls=controls),
+                        goal=goal, seed=EVAL_RESET_SEED + k)
+        assert np.array_equal(a.pop("design"), b.pop("design"))
+        assert a == b
+    stats = evaluate_policy(env, art, goals)
+    del stats["episodes"]
+    assert evaluate_plan(env, design, controls, goals) == stats
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Wrap module.name under every name a toolsmith module holds it by,
+    as the benchmark's counters do; returns the (args, result) of each
+    call."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    for key, mod in list(sys.modules.items()):
+        if key == "toolsmith" or key.startswith("toolsmith."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_eval_runs_one_episode_call_per_goal(tmp_path, monkeypatch,
+                                            tiny_checkpoint):
+    """cmd_eval scores each goal with its own ppo.run_episode call, which
+    returns its return and control steps; batching the goals into one call
+    would change what the eval benchmark counts."""
+    calls = count_calls(monkeypatch, toolsmith.ppo, "run_episode")
+    goals = goal_grid(2)
+    out = cmd_eval(tiny_checkpoint, str(tmp_path / "eval"), goals=goals)
+    assert len(calls) == len(goals) == out["report"]["n_goals"]
+    rows = read_csv(out["per_goal_path"])[1:]
+    for (_, episode), row in zip(calls, rows):
+        assert f"{episode['return']:.6f}" == row[2]
+        assert 1 <= episode["steps"] <= 150
+
+
+def test_cma_generation_scores_each_candidate_by_one_plan_fitness_call(
+        tmp_path, monkeypatch):
+    """One single_traj generation makes population_size plan_fitness(env,
+    vector, goals) calls, whose env steps add up to the run's."""
+    import toolsmith.baselines.single_traj as single_traj
+    calls = count_calls(monkeypatch, single_traj, "plan_fitness")
+    out = single_traj_cmaes(default_config("push"), total_steps=1,
+                            out_dir=tmp_path, seed=0, population_size=5,
+                            n_eval_goals=2)
+    assert out["generations"] == 1
+    assert len(calls) == 5
+    for (env, vector, goals), stats in calls:
+        assert vector.shape == (plan_dim(env),) and len(goals) == 2
+    assert sum(stats["env_steps"] for _, stats in calls) == out["env_steps"]
 
 
 # ---------------------------------------------------------------------------
@@ -599,6 +736,29 @@ def test_cli_rejects_zero_sizes_before_running(tmp_path, capsys, args, name):
     assert err.startswith("error:")
     assert name in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command,args", [
+    pytest.param("train", ["--task", "push", "--total-steps", "10"],
+                 id="train"),
+    pytest.param("finetune", ["--budget", "0"], id="finetune"),
+    pytest.param("alpha-sweep", ["--task", "push", "--k", "0.5",
+                                 "--alphas", "0", "--budget", "1"],
+                 id="alpha-sweep"),
+])
+def test_cli_rejects_a_negative_seed_before_running(tmp_path, capsys,
+                                                    tiny_checkpoint,
+                                                    command, args):
+    out_dir = tmp_path / "run"
+    if command == "finetune":
+        args = args + ["--checkpoint", tiny_checkpoint, "--seed", "-1"]
+    else:
+        args = args + ["--seeds=-1"]
+    rc = cli_main([command, "--out-dir", str(out_dir), *args])
+    assert rc == 2
+    assert not out_dir.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed" in err
 
 
 def test_cli_rejects_a_scoop_cutout_before_running(tmp_path, capsys):

@@ -21,6 +21,7 @@ from toolsmith.neural import (
 from toolsmith.ppo import (
     DESIGN_MEANS_HEADER,
     METRICS_HEADER,
+    Artifact,
     Optimizers,
     TrainConfig,
     Trajectory,
@@ -604,8 +605,9 @@ def test_train_resume_rejects_config_change(tmp_path):
 def test_run_episode_deterministic_eval():
     rng, envs, params, cfg = make_setup()
     env = envs[0]
-    a = run_episode(env, params, goal=np.array([8.0, 12.0]), seed=4)
-    b = run_episode(env, params, goal=np.array([8.0, 12.0]), seed=4)
+    art = Artifact("push", params)
+    a = run_episode(env, art, goal=np.array([8.0, 12.0]), seed=4)
+    b = run_episode(env, art, goal=np.array([8.0, 12.0]), seed=4)
     assert a["return"] == b["return"]
     assert np.array_equal(a["design"], b["design"])
     assert a["steps"] == b["steps"]
