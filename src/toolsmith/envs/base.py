@@ -38,9 +38,11 @@ pass per substep (see physics2d), so every env ends bitwise where its own
 reset and step_control leave it. reset_envs builds every scene first, each
 with its own rng in the one-env order, then runs the task's settle_steps
 for all of them at once. reset and step_control are the one-env cases.
-Scoop's settle lets its balls fall from their jittered grid for a fixed
-number of steps; they are still moving, and still sinking into each other,
-when the design step comes.
+Their lockstep callers are ppo.collect_batch, which trains, and
+ppo.run_episodes, the scored-episode loop (evaluation.evaluate_plan runs a
+plan's goals through it). Scoop's settle lets its balls fall from their
+jittered grid for a fixed number of steps; they are still moving, and still
+sinking into each other, when the design step comes.
 """
 
 from __future__ import annotations

@@ -1,15 +1,24 @@
 """Shared fixed-goal evaluation used by all methods for comparable curves.
 
 Every method is scored the same way: deterministic rollouts on a fixed list
-of goals with fixed reset seeds, so curves over env steps are directly
-comparable and rerunning a command reproduces identical numbers.
+of goals with fixed reset seeds (goal k with EVAL_RESET_SEED + k), so curves
+over env steps are directly comparable and rerunning a command reproduces
+identical numbers.
+
+Every scored episode is ppo.run_episodes of an Artifact. evaluate_policy
+runs one ppo.run_episode (its one-env case) per goal, with one-row policy
+forwards. evaluate_plan runs all goals of an open-loop plan, which needs no
+forward, as one run_episodes call, so their scenes step together; each
+episode is bitwise the one its goal runs alone. run_plan, one plan episode,
+runs only in tests.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from toolsmith.ppo import Artifact, run_episode
+from toolsmith.envs import make_env
+from toolsmith.ppo import Artifact, run_episode, run_episodes
 
 EVAL_GOAL_SEED = 20000
 EVAL_RESET_SEED = 30000
@@ -46,7 +55,14 @@ def run_plan(env, design_action, controls, goal, seed) -> dict:
 
 
 def evaluate_plan(env, design_action, controls, goals) -> dict:
-    """Mean statistics of one plan over the fixed goal set."""
-    return _summarize([run_plan(env, design_action, controls, goal,
-                                EVAL_RESET_SEED + k)
-                       for k, goal in enumerate(goals)])
+    """Mean statistics of one plan over the fixed goal set.
+
+    The goals run as one run_episodes call, goal k reset with seed
+    EVAL_RESET_SEED + k: goal 0 on env, each other goal on its own
+    make_env(env.cfg), so their scenes step together.
+    """
+    envs = [env] + [make_env(env.cfg) for _ in goals[1:]]
+    art = Artifact(env.task_name, fixed_design=design_action,
+                   controls=controls)
+    seeds = [EVAL_RESET_SEED + k for k in range(len(goals))]
+    return _summarize(run_episodes(envs, art, goals, seeds))

@@ -637,19 +637,31 @@ def cmd_export_tool(checkpoint_path, goal, out_dir) -> dict:
 # compare
 # ---------------------------------------------------------------------------
 
+def _compare_artifact(run_dir: str, task: str) -> Artifact | None:
+    """The run dir's checkpoint.json, else its best_plan.json, as an
+    Artifact of task; None when it has neither."""
+    for name in ("checkpoint.json", BEST_PLAN_FILE):
+        path = os.path.join(run_dir, name)
+        if os.path.exists(path):
+            return _load_for_eval(path, task)[1]
+    return None
+
+
 def cmd_compare(run_dirs: list, out_dir, task: str, n_goals: int = 16) -> list:
     """Score trained artifacts from several runs on one shared goal set."""
     if n_goals < 1:
         raise ValueError(f"n_goals must be at least 1, got {n_goals}")
     env = make_env(default_config(task))
     goals = evaluation_goals(env, n_goals)
+    run_dirs = [str(d) for d in run_dirs]
+    # every artifact is loaded, and its task checked, before anything is
+    # written
+    arts = [_compare_artifact(run_dir, task) for run_dir in run_dirs]
     write_manifest(out_dir, "compare", {
-        "task": task, "n_goals": n_goals,
-        "run_dirs": [str(d) for d in run_dirs],
+        "task": task, "n_goals": n_goals, "run_dirs": run_dirs,
     })
     rows = []
-    for run_dir in run_dirs:
-        run_dir = str(run_dir)
+    for run_dir, art in zip(run_dirs, arts):
         row = {"run_dir": run_dir, "env_steps": None,
                "train_mean_return": None, "eval_mean_return": None}
         metrics = os.path.join(run_dir, "metrics.csv")
@@ -657,13 +669,9 @@ def cmd_compare(run_dirs: list, out_dir, task: str, n_goals: int = 16) -> list:
         if last is not None:
             row["env_steps"] = int(last["env_steps"])
             row["train_mean_return"] = float(last["mean_return"])
-        for name in ("checkpoint.json", BEST_PLAN_FILE):
-            path = os.path.join(run_dir, name)
-            if os.path.exists(path):
-                _, art = _load_for_eval(path, task)
-                row["eval_mean_return"] = evaluate_policy(
-                    env, art, goals)["mean_return"]
-                break
+        if art is not None:
+            row["eval_mean_return"] = evaluate_policy(
+                env, art, goals)["mean_return"]
         rows.append(row)
     _write_csv(os.path.join(out_dir, "compare.csv"),
                ["run_dir", "env_steps", "train_mean_return",

@@ -767,30 +767,48 @@ class Artifact:
 
 
 def run_episode(env, art: Artifact, goal=None, seed=None) -> dict:
-    """One deterministic episode of art, the loop every method is scored by.
+    """One deterministic episode of art, the loop every method is scored by:
+    run_episodes of the one env."""
+    return run_episodes([env], art, [goal], [seed])[0]
 
-    The design is art.design_action; control t is art.controls[t] for an
-    open-loop plan, else the controller's mean.
+
+def run_episodes(envs: list, art: Artifact, goals: list, seeds: list) -> list:
+    """One deterministic episode of art per env, env i reset with goals[i]
+    and seeds[i]; returns one episode dict per env.
+
+    The envs are reset together by reset_envs, each takes art.design_action,
+    and the envs still live step together by step_controls until all are
+    done, so each episode is bitwise the one its env runs alone. Control t
+    is art.controls[t] for an open-loop plan, else the controller's mean on
+    a one-row forward of the env's own value row.
     """
+    if not len(envs) == len(goals) == len(seeds):
+        raise ValueError(f"{len(envs)} envs need as many goals and seeds, "
+                         f"got {len(goals)} and {len(seeds)}")
     controls = art.controls
     if controls is None:
-        _, control_cols = policy_columns(art.params, env)
-    env.reset(goal=goal, seed=seed)
-    total = env.step_design(art.design_action(env))
-    c_used = []
-    while not env.done:
+        _, control_cols = policy_columns(art.params, envs[0])
+    reset_envs(envs, goals, seeds)
+    totals = [env.step_design(art.design_action(env)) for env in envs]
+    c_used = [[] for _ in envs]
+    live = [i for i, env in enumerate(envs) if not env.done]
+    while live:
         if controls is not None:
-            act = controls[len(c_used)]
+            acts = [controls[len(c_used[i])] for i in live]
         else:
-            act = forward(art.params.controller,
-                          env.value_input()[control_cols])
-        total += env.step_control(act)
-        c_used.append(env.c_used)
-    return {
+            acts = [forward(art.params.controller,
+                            envs[i].value_input()[control_cols])
+                    for i in live]
+        rewards = step_controls([envs[i] for i in live], acts)
+        for i, reward in zip(live, rewards):
+            totals[i] += reward
+            c_used[i].append(envs[i].c_used)
+        live = [i for i in live if not envs[i].done]
+    return [{
         "return": float(total),
         "success": env.success,
-        "steps": len(c_used),
+        "steps": len(used),
         "design": env.design.as_array(),
         "d_used": env.d_used,
-        "mean_c_used": float(np.mean(c_used)) if c_used else 0.0,
-    }
+        "mean_c_used": float(np.mean(used)) if used else 0.0,
+    } for env, total, used in zip(envs, totals, c_used)]

@@ -511,6 +511,23 @@ def test_cmd_compare_reads_the_last_whole_curve_row(tmp_path, text, cells):
     assert table[1][1:3] == cells
 
 
+def test_cmd_compare_checks_every_artifact_before_writing(tmp_path,
+                                                         tiny_checkpoint):
+    """A run dir whose artifact belongs to another task is refused before
+    the manifest is written or any run dir is scored."""
+    env = make_env(default_config("catch"))
+    catch_dir = tmp_path / "catch_run"
+    catch_dir.mkdir()
+    (catch_dir / "best_plan.json").write_text(json.dumps(
+        {"task": "catch", "fitness": 0.0,
+         "vector": [0.0] * plan_dim(env)}))
+    out_dir = tmp_path / "cmp"
+    with pytest.raises(ValueError, match="'catch', not 'push'"):
+        cmd_compare([os.path.dirname(tiny_checkpoint), catch_dir],
+                    str(out_dir), "push", n_goals=1)
+    assert not out_dir.exists()
+
+
 def test_cma_rl_checkpoint_evaluates_to_the_searched_design(tmp_path,
                                                            cma_rl_run):
     row, = cmd_compare([os.path.dirname(cma_rl_run["checkpoint_path"])],

@@ -3,9 +3,11 @@ import shutil
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from toolsmith.baselines.single_traj import plan_dim, split_plan
 from toolsmith.envs import ToolTaskEnv, default_config, make_env
+from toolsmith.evaluation import evaluate_plan, evaluate_policy
 from toolsmith.physics2d import World
 from toolsmith.neural import (
     GaussianHead,
@@ -34,6 +36,7 @@ from toolsmith.ppo import (
     ppo_update,
     prepare_batch,
     run_episode,
+    run_episodes,
     train,
     _heads,
     _policy_loss_grads,
@@ -611,3 +614,63 @@ def test_run_episode_deterministic_eval():
     assert a["return"] == b["return"]
     assert np.array_equal(a["design"], b["design"])
     assert a["steps"] == b["steps"]
+
+
+LOCKSTEP_CONFIGS = {
+    "push": PUSH,
+    # not the default config: evaluate_plan must build its envs from env.cfg
+    "push, tradeoff": default_config("push", tradeoff_k=2.0,
+                                     tradeoff_alpha=0.3),
+    "catch": default_config("catch"),
+    "scoop, 3 steps": default_config("scoop", max_episode_steps=3),
+}
+
+
+def episode_bits(episode) -> tuple:
+    return (episode["return"].hex(), episode["d_used"].hex(),
+            episode["design"].tobytes(), episode["success"],
+            episode["steps"], episode["mean_c_used"])
+
+
+@settings(max_examples=24)
+@given(st.sampled_from(sorted(LOCKSTEP_CONFIGS)), st.booleans(),
+       st.lists(st.integers(0, 2**16), min_size=1, max_size=4, unique=True),
+       st.integers(0, 2**16))
+# four catch episodes that end at four different steps
+@example("catch", True, [0, 1, 2, 3], 0)
+@example("catch", False, [0, 1, 2, 3], 1)
+def test_run_episodes_is_run_episode_of_each_env(name, plan, seeds,
+                                                 data_seed):
+    """Episodes run in lockstep are bitwise the ones each env runs alone, for
+    an open-loop plan and a random policy, as envs finish at different
+    steps; evaluate_plan, which runs its goals in lockstep, scores what
+    evaluate_policy scores one goal at a time."""
+    cfg = LOCKSTEP_CONFIGS[name]
+    envs = [make_env(cfg) for _ in seeds]
+    rng = np.random.default_rng(data_seed)
+    goals = [envs[0].sample_goal(rng) for _ in seeds]
+    if plan:
+        design, controls = split_plan(
+            envs[0], rng.normal(0.0, 0.5, plan_dim(envs[0])))
+        art = Artifact(cfg.task, fixed_design=design, controls=controls)
+    else:
+        art = Artifact(cfg.task, policy_for_env(envs[0], rng))
+    together = run_episodes(envs, art, goals, seeds)
+    alone = [run_episode(make_env(cfg), art, goal=goal, seed=seed)
+             for goal, seed in zip(goals, seeds)]
+    assert [episode_bits(e) for e in together] == \
+        [episode_bits(e) for e in alone]
+    if plan:
+        expect = evaluate_policy(envs[0], art, goals)
+        del expect["episodes"]
+        assert evaluate_plan(envs[0], design, controls, goals) == expect
+
+
+def test_run_episodes_needs_one_goal_and_seed_per_env():
+    envs = [make_env(PUSH) for _ in range(2)]
+    art = Artifact("push", fixed_design=np.zeros(5),
+                   controls=np.zeros((PUSH.max_episode_steps, 2)))
+    for goals, seeds in (([None], [0, 1]), ([None, None], [0]),
+                         ([None] * 3, [0, 1, 2])):
+        with pytest.raises(ValueError, match="2 envs need as many"):
+            run_episodes(envs, art, goals, seeds)
