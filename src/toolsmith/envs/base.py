@@ -1,7 +1,8 @@
 """Two-phase MDP core shared by all tasks.
 
-Every episode starts in the design phase: the first action is a tool design
-vector (in ratio space), realized and clamped to the task's bounds, and the
+Every episode starts in the design phase: the first action is a ratio-space
+design action, realized as the task's in-box design (a (DESIGN_DIM,) array
+of link lengths and joint angles, see geometry.RatioDesignSpace), and the
 built tool is placed at the task's fixed init pose. The episode then switches
 to the control phase, where actions command tool velocities, clamped to
 per-task caps.
@@ -54,7 +55,7 @@ import numpy as np
 
 from ..geometry import (
     DESIGN_DIM,
-    DesignVector,
+    NUM_LINKS,
     RatioDesignSpace,
     build_tool,
 )
@@ -244,7 +245,7 @@ class ToolTaskEnv:
         self._cap = cap
         self.tradeoff = TradeoffConfig(
             k=config.tradeoff_k, alpha=config.tradeoff_alpha,
-            d_max=self.space.bounds.d_max, c_max=float(np.linalg.norm(cap)))
+            d_max=self.space.d_max, c_max=float(np.linalg.norm(cap)))
         # value_input columns: the task and goal, and all after the phase flag
         n = 1 + self.task_obs_dim
         self.design_columns = np.r_[1:n, n + DESIGN_DIM:self.value_input_dim]
@@ -284,7 +285,7 @@ class ToolTaskEnv:
         self._phase = DESIGN
         self._done = False
         self._steps = 0
-        self._design: DesignVector | None = None
+        self._design: np.ndarray | None = None
         self._design_ratio = np.zeros(DESIGN_DIM, dtype=np.float64)
         self._d_used = 0.0
         self._success = 0.0
@@ -303,11 +304,12 @@ class ToolTaskEnv:
         self._require(DESIGN)
         a = np.asarray(action, dtype=np.float64).reshape(DESIGN_DIM)
         design = self.space.realize(a)
+        design.flags.writeable = False
         self._design = design
         self._design_ratio = self.space.ratio_of(design)
         self.world.set_tool(build_tool(design, radius=TOOL_RADIUS),
                             self.cfg.tool_position_init, angle=math.pi)
-        self._d_used = float(sum(design.lengths))
+        self._d_used = float(sum(design[:NUM_LINKS]))
         self._phase = CONTROL
         return float(tradeoff_reward(self.tradeoff, self._d_used, 0.0))
 
@@ -338,7 +340,8 @@ class ToolTaskEnv:
         return self._done
 
     @property
-    def design(self) -> DesignVector | None:
+    def design(self) -> np.ndarray | None:
+        """The realized design, read-only; None before the design step."""
         return self._design
 
     @property

@@ -1,10 +1,10 @@
 """Parametric chain tools.
 
-A tool is a serial chain of three capsule links. Its shape is described by a
-design vector of three link lengths and two relative joint angles. This module
-owns the design space (ratio parameterization, bounds, clamping), the forward
-kinematics that turn a design vector into world-frame segments, and mesh
-export for fabrication.
+A tool is a serial chain of three capsule links. Its design is one
+(DESIGN_DIM,) float64 array: three link lengths, then two relative joint
+angles in radians. This module owns the design space (the ratio
+parameterization and its box), the forward kinematics that turn a design
+into capsule segments, and mesh export for fabrication.
 """
 
 from __future__ import annotations
@@ -21,53 +21,13 @@ DESIGN_DIM = NUM_LINKS + NUM_ANGLES
 
 
 @dataclass(frozen=True)
-class DesignVector:
-    """Physical tool parameters: link lengths and relative joint angles (rad)."""
-
-    lengths: tuple[float, float, float]
-    angles: tuple[float, float]
-
-    def as_array(self) -> np.ndarray:
-        return np.array(list(self.lengths) + list(self.angles), dtype=np.float64)
-
-    @classmethod
-    def from_array(cls, arr) -> "DesignVector":
-        a = np.asarray(arr, dtype=np.float64)
-        if a.shape != (DESIGN_DIM,):
-            raise ValueError(f"design vector must have shape ({DESIGN_DIM},), got {a.shape}")
-        return cls(lengths=(float(a[0]), float(a[1]), float(a[2])),
-                   angles=(float(a[3]), float(a[4])))
-
-
-@dataclass(frozen=True)
-class DesignBounds:
-    """Per-component box bounds on a physical design vector."""
-
-    length_min: tuple[float, float, float]
-    length_max: tuple[float, float, float]
-    angle_min: tuple[float, float]
-    angle_max: tuple[float, float]
-
-    def low(self) -> np.ndarray:
-        return np.array(list(self.length_min) + list(self.angle_min), dtype=np.float64)
-
-    def high(self) -> np.ndarray:
-        return np.array(list(self.length_max) + list(self.angle_max), dtype=np.float64)
-
-    @property
-    def d_max(self) -> float:
-        """Largest total material length any in-bounds design can use."""
-        return float(sum(self.length_max))
-
-
-@dataclass(frozen=True)
 class RatioDesignSpace:
-    """Maps policy-side ratio actions to physical designs.
+    """Maps policy-side ratio actions to physical designs (lengths, angles).
 
     Lengths scale an initial length per link: l_i = init_i * (1 + u_i) with
     u_i in [length_ratio_low, length_ratio_high]. Angles are a_j = u_j *
     angle_scale with u_j in [angle_ratio_low, angle_ratio_high] and
-    angle_scale given in radians. The ratio box induces the physical bounds.
+    angle_scale in radians. The ratio box induces the physical box [low, high].
     """
 
     length_init: tuple[float, float, float]
@@ -76,40 +36,35 @@ class RatioDesignSpace:
     angle_scale: float
 
     @property
-    def bounds(self) -> DesignBounds:
-        lo, hi = self.length_ratio
-        alo, ahi = self.angle_ratio
-        return DesignBounds(
-            length_min=tuple(li * (1.0 + lo) for li in self.length_init),
-            length_max=tuple(li * (1.0 + hi) for li in self.length_init),
-            angle_min=(alo * self.angle_scale,) * NUM_ANGLES,
-            angle_max=(ahi * self.angle_scale,) * NUM_ANGLES,
-        )
+    def low(self) -> np.ndarray:
+        return np.array([li * (1.0 + self.length_ratio[0]) for li in self.length_init]
+                        + [self.angle_ratio[0] * self.angle_scale] * NUM_ANGLES)
 
-    def realize(self, ratio_action) -> DesignVector:
-        """Map a raw 5-dim ratio action to an in-bounds physical design."""
+    @property
+    def high(self) -> np.ndarray:
+        return np.array([li * (1.0 + self.length_ratio[1]) for li in self.length_init]
+                        + [self.angle_ratio[1] * self.angle_scale] * NUM_ANGLES)
+
+    @property
+    def d_max(self) -> float:
+        """Largest total material length any in-box design can use."""
+        return float(sum(self.high[:NUM_LINKS]))
+
+    def realize(self, ratio_action) -> np.ndarray:
+        """Map a raw ratio action to its physical design, clipped to the box."""
         u = np.asarray(ratio_action, dtype=np.float64)
         if u.shape != (DESIGN_DIM,):
             raise ValueError(f"ratio action must have shape ({DESIGN_DIM},), got {u.shape}")
         init = np.array(self.length_init, dtype=np.float64)
-        raw = DesignVector(
-            lengths=tuple(init * (1.0 + u[:NUM_LINKS])),
-            angles=tuple(u[NUM_LINKS:] * self.angle_scale),
-        )
-        return clamp_design(raw, self.bounds)
+        raw = np.concatenate([init * (1.0 + u[:NUM_LINKS]),
+                              u[NUM_LINKS:] * self.angle_scale])
+        return np.clip(raw, self.low, self.high)
 
-    def ratio_of(self, design: DesignVector) -> np.ndarray:
-        """Inverse of realize for in-bounds designs (used for observation echo)."""
+    def ratio_of(self, design: np.ndarray) -> np.ndarray:
+        """Inverse of realize for in-box designs (used for observation echo)."""
         init = np.array(self.length_init, dtype=np.float64)
-        u_len = np.array(design.lengths, dtype=np.float64) / init - 1.0
-        u_ang = np.array(design.angles, dtype=np.float64) / self.angle_scale
-        return np.concatenate([u_len, u_ang])
-
-
-def clamp_design(raw: DesignVector, bounds: DesignBounds) -> DesignVector:
-    """Project a design vector onto the bounds box, component-wise."""
-    arr = np.clip(raw.as_array(), bounds.low(), bounds.high())
-    return DesignVector.from_array(arr)
+        return np.concatenate([design[:NUM_LINKS] / init - 1.0,
+                               design[NUM_LINKS:] / self.angle_scale])
 
 
 @dataclass(frozen=True)
@@ -117,7 +72,7 @@ class ToolGeometry:
     """World-space capsule segments of a built tool.
 
     segments has shape (NUM_LINKS, 2, 2): per link, start and end point. The
-    chain starts at the anchor with the given base heading; each joint angle
+    chain starts at the origin with the given base heading; each joint angle
     is relative to the previous link's direction.
     """
 
@@ -125,22 +80,22 @@ class ToolGeometry:
     radius: float
 
 
-def build_tool(design: DesignVector, radius: float = 0.1,
-               anchor=(0.0, 0.0), base_angle: float = 0.0) -> ToolGeometry:
-    """Forward kinematics: chain links from the anchor, accumulating angles."""
+def build_tool(design, radius: float = 0.1, base_angle: float = 0.0) -> ToolGeometry:
+    """Forward kinematics: chain links from the origin, accumulating angles."""
+    design = np.asarray(design, dtype=np.float64)
+    if design.shape != (DESIGN_DIM,):
+        raise ValueError(f"design must have shape ({DESIGN_DIM},), got {design.shape}")
     if radius <= 0.0:
         raise ValueError("capsule radius must be positive")
     segs = np.empty((NUM_LINKS, 2, 2), dtype=np.float64)
-    pos = np.array(anchor, dtype=np.float64)
+    pos = np.zeros(2)
     heading = float(base_angle)
     for i in range(NUM_LINKS):
         if i > 0:
-            heading += design.angles[i - 1]
-        direction = np.array([math.cos(heading), math.sin(heading)])
-        end = pos + design.lengths[i] * direction
+            heading += design[NUM_LINKS + i - 1]
         segs[i, 0] = pos
-        segs[i, 1] = end
-        pos = end
+        pos = pos + design[i] * np.array([math.cos(heading), math.sin(heading)])
+        segs[i, 1] = pos
     return ToolGeometry(segments=segs, radius=float(radius))
 
 

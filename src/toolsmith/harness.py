@@ -48,7 +48,7 @@ from toolsmith.baselines.single_traj import BEST_PLAN_FILE, split_plan
 from toolsmith.envs import default_config, make_env
 from toolsmith.envs.push import GOAL_HIGH, GOAL_LOW
 from toolsmith.evaluation import EVAL_RESET_SEED, evaluate_policy, evaluation_goals
-from toolsmith.geometry import DesignVector, build_tool, export_stl
+from toolsmith.geometry import build_tool, export_stl
 from toolsmith.neural import load_checkpoint, params_from_state
 from toolsmith.ppo import (
     METRICS_HEADER,
@@ -185,6 +185,9 @@ class ExperimentConfig:
             self.policy_overrides = DESK_POLICY_OVERRIDES.get(self.task, {}) \
                 if self.scale == "desk" else {}
         policy_settings(self.task, self.policy_overrides)
+        # the task's env checks K and alpha as it builds its TradeoffConfig
+        make_env(default_config(self.task, tradeoff_k=self.tradeoff_k,
+                                tradeoff_alpha=self.tradeoff_alpha))
         if not self.out_dir:
             self.out_dir = os.path.join(output_root(),
                                         f"{self.task}_{self.method}")
@@ -559,8 +562,6 @@ def cmd_alpha_sweep(out_dir, task: str = "catch", alphas=DEFAULT_ALPHAS,
     if len(alphas) == 0 or len(set(alphas)) != len(alphas):
         raise ValueError(f"alphas {list(alphas)} must be non-empty and not "
                          f"repeat a value")
-    if any(not 0.0 <= a <= 1.0 for a in alphas):
-        raise ValueError(f"alphas {list(alphas)} must lie in [0, 1]")
     configs = [ExperimentConfig(
         task=task, method="ours", total_steps=budget, seeds=tuple(seeds),
         tradeoff_k=k, tradeoff_alpha=alpha, n_envs=n_envs, train=cfg,
@@ -581,7 +582,7 @@ def cmd_alpha_sweep(out_dir, task: str = "catch", alphas=DEFAULT_ALPHAS,
             d_hat = res["mean_d_used"] / env.tradeoff.d_max
             c_hat = res["mean_c_used"] / env.tradeoff.c_max
             ratio = d_hat / c_hat if c_hat > 0 else float("inf")
-            _write_stl(DesignVector.from_array(res["episodes"][0]["design"]),
+            _write_stl(res["episodes"][0]["design"],
                        os.path.join(config.out_dir, f"tool_seed_{seed}.stl"))
             rows.append({"alpha": alpha, "seed": seed, "k": k,
                          "ratio": float(ratio), "d_hat": float(d_hat),
@@ -602,7 +603,7 @@ def cmd_alpha_sweep(out_dir, task: str = "catch", alphas=DEFAULT_ALPHAS,
 # export-tool
 # ---------------------------------------------------------------------------
 
-def _write_stl(design: DesignVector, stl_path) -> int:
+def _write_stl(design: np.ndarray, stl_path) -> int:
     """Write the printable mesh of a design; returns its size in bytes."""
     data = export_stl(build_tool(design))
     os.makedirs(os.path.dirname(stl_path) or ".", exist_ok=True)
@@ -624,7 +625,7 @@ def cmd_export_tool(checkpoint_path, goal, out_dir) -> dict:
         "task": art.task,
         "goal": [float(g) for g in np.atleast_1d(goal)],
         "design_action": [float(v) for v in action],
-        "design": [float(v) for v in design.as_array()],
+        "design": [float(v) for v in design],
         "stl_path": stl_path,
         "stl_bytes": _write_stl(design, stl_path),
     }

@@ -32,6 +32,7 @@ from .envs import (
     reset_envs,
     step_controls,
 )
+from .geometry import DESIGN_DIM
 from .neural import (
     HIDDEN,
     Adam,
@@ -81,8 +82,10 @@ class TrainConfig:
                              f"got {self.minibatch_size} and {self.ppo_epochs}")
         if self.batch_size < self.minibatch_size:
             raise ValueError("batch_size must be >= minibatch_size")
-        if self.kl_threshold <= 0.0:
-            raise ValueError("kl_threshold must be positive")
+        if self.kl_threshold <= 0.0 or self.clip_epsilon <= 0.0:
+            raise ValueError("kl_threshold and clip_epsilon must be positive")
+        if self.policy_lr < 0.0 or self.value_lr < 0.0:
+            raise ValueError("policy_lr and value_lr must be >= 0")
         if not 0.0 < self.gamma <= 1.0 or not 0.0 < self.gae_lambda <= 1.0:
             raise ValueError("gamma and gae_lambda must lie in (0, 1]")
 
@@ -172,7 +175,7 @@ class Trajectory:
     value_inputs: np.ndarray       # one row per step, design row first
     rewards: np.ndarray
     values: np.ndarray
-    design_echo: np.ndarray
+    design: np.ndarray             # the realized design
     success: float
     d_used: float
     mean_c_used: float
@@ -247,7 +250,7 @@ class _EpisodeBuilder:
             value_inputs=np.asarray(self.value_inputs),
             rewards=np.asarray(self.rewards, dtype=np.float64),
             values=np.asarray(self.values, dtype=np.float64),
-            design_echo=env.design.as_array(),
+            design=env.design,
             success=env.success,
             d_used=env.d_used,
             mean_c_used=float(np.mean(self.c_used)) if self.c_used else 0.0,
@@ -349,7 +352,7 @@ class Batch:
     success_rate: float = 0.0
     mean_d_used: float = 0.0
     mean_c_used: float = 0.0
-    design_echo_mean: np.ndarray = field(default_factory=lambda: np.zeros(5))
+    design_mean: np.ndarray = field(default_factory=lambda: np.zeros(DESIGN_DIM))
     env_steps: int = 0
 
     @property
@@ -408,7 +411,7 @@ def prepare_batch(trajs: list, cfg: TrainConfig, columns: tuple) -> Batch:
         success_rate=float(np.mean([t.success for t in trajs])),
         mean_d_used=float(np.mean([t.d_used for t in trajs])),
         mean_c_used=float(np.mean([t.mean_c_used for t in trajs])),
-        design_echo_mean=np.mean([t.design_echo for t in trajs], axis=0),
+        design_mean=np.mean([t.design for t in trajs], axis=0),
         env_steps=steps,
     )
 
@@ -718,7 +721,7 @@ def train(task_cfg: TaskConfig, cfg: TrainConfig, total_steps: int, out_dir,
             f"{batch.mean_c_used:.6f}",
         ])
         _append_csv(means_path, DESIGN_MEANS_HEADER,
-                    [env_steps] + [f"{x:.6f}" for x in batch.design_echo_mean])
+                    [env_steps] + [f"{x:.6f}" for x in batch.design_mean])
         if batches % CHECKPOINT_EVERY == 0:
             save(env_steps)
     save(env_steps)
@@ -808,7 +811,7 @@ def run_episodes(envs: list, art: Artifact, goals: list, seeds: list) -> list:
         "return": float(total),
         "success": env.success,
         "steps": len(used),
-        "design": env.design.as_array(),
+        "design": env.design,
         "d_used": env.d_used,
         "mean_c_used": float(np.mean(used)) if used else 0.0,
     } for env, total, used in zip(envs, totals, c_used)]

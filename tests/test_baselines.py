@@ -214,7 +214,7 @@ def test_split_plan_shapes():
     design_action, controls = split_plan(env, vec)
     assert controls.shape == (30, 3)
     assert design_action.shape == (5,)
-    assert np.all(np.isfinite(env.space.realize(design_action).as_array()))
+    assert np.all(np.isfinite(env.space.realize(design_action)))
 
 
 def test_split_plan_rejects_wrong_length():

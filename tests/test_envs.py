@@ -17,7 +17,7 @@ from toolsmith.envs import (
     tradeoff_reward,
 )
 from toolsmith.envs.base import supported_by_tool
-from toolsmith.geometry import DesignVector, build_tool
+from toolsmith.geometry import build_tool
 from toolsmith.physics2d import World
 
 TASKS = ("push", "catch", "scoop")
@@ -51,9 +51,25 @@ def test_design_step_switches_phase_and_echoes(task):
     env.step_design(u)
     assert env.phase == CONTROL
     assert not env.done
-    expected = env.space.realize(u).as_array()
-    assert np.array_equal(env.design.as_array(), expected)
+    expected = env.space.realize(u)
+    assert np.array_equal(env.design, expected)
     assert env.d_used == float(sum(expected[:3]))
+
+
+def test_design_cannot_be_changed_through_its_getter():
+    """env.design is read-only: writing into it raises, and neither the
+    design nor the built tool changes."""
+    env = make_env("push")
+    env.reset(seed=0)
+    env.step_design(np.full(5, 0.1))
+    before = env.design.copy()
+    tool = env.world.tool_geometry.segments.copy()
+    with pytest.raises(ValueError):
+        env.design[:] = 0.0
+    with pytest.raises(ValueError):
+        env.design[0] += 1.0
+    assert np.array_equal(env.design, before)
+    assert np.array_equal(env.world.tool_geometry.segments, tool)
 
 
 def test_design_echo_constant_through_episode():
@@ -71,8 +87,8 @@ def test_design_clamped_to_bounds():
     env = make_env("push")
     env.reset(seed=0)
     env.step_design(np.full(5, 99.0))
-    high = env.space.bounds.high()
-    assert np.array_equal(env.design.as_array(), high)
+    high = env.space.high
+    assert np.array_equal(env.design, high)
     assert np.allclose(high[:3], 3.0) and np.allclose(high[3:], math.pi / 2)
 
 
@@ -322,8 +338,7 @@ def test_scoop_goal_validation():
 
 def test_supported_by_tool_is_transitive():
     w = World()
-    tool = build_tool(DesignVector(lengths=(2.0, 2.0, 2.0), angles=(0.0, 0.0)),
-                      radius=0.1)
+    tool = build_tool(np.array([2.0, 2.0, 2.0, 0.0, 0.0]), radius=0.1)
     w.set_tool(tool, (0.0, 8.0), angle=0.0)
     w.add_static_capsule((-10.0, 0.0), (10.0, 0.0))
     w.add_circle((3.0, 8.6), radius=0.5)       # on the tool

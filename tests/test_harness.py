@@ -536,7 +536,7 @@ def test_cma_rl_checkpoint_evaluates_to_the_searched_design(tmp_path,
     env = make_env(default_config("push"))
     out = cmd_eval(cma_rl_run["checkpoint_path"], str(tmp_path / "eval"),
                    goals=evaluation_goals(env, 2))
-    design = env.space.realize(cma_rl_run["best_design"]).as_array()
+    design = env.space.realize(cma_rl_run["best_design"])
     assert out["report"]["design_mean"] == design.tolist()
     assert out["report"]["mean_return"] == cma_rl_run["best_fitness"]
 
@@ -736,11 +736,23 @@ def test_cli_reports_config_errors(tmp_path, capsys):
     pytest.param(["--opt", "out_dir=5"], "out_dir", id="out_dir-a-number"),
     pytest.param(["--opt", 'policy_overrides={"design_log_std": "x"}'],
                  "policy_overrides", id="policy_overrides-not-numbers"),
+    pytest.param(["--total-steps", "10", "--tradeoff-k", "-1"], "tradeoff K",
+                 id="--tradeoff-k-negative"),
+    pytest.param(["--total-steps", "10", "--tradeoff-alpha", "1.5"],
+                 "tradeoff alpha", id="--tradeoff-alpha-above-1"),
+    pytest.param(["--total-steps", "10", "--opt", "policy_lr=-1"], "policy_lr",
+                 id="policy_lr-negative"),
+    pytest.param(["--total-steps", "10", "--opt", "value_lr=-1"], "value_lr",
+                 id="value_lr-negative"),
+    pytest.param(["--total-steps", "10", "--opt", "clip_epsilon=0"],
+                 "clip_epsilon", id="clip_epsilon-zero"),
+    pytest.param(["--total-steps", "10", "--opt", "clip_epsilon=-1"],
+                 "clip_epsilon", id="clip_epsilon-negative"),
 ])
 def test_cli_rejects_zero_sizes_before_running(tmp_path, capsys, args, name):
-    """A size below 1, a value of the wrong type, or train keys nested in a
-    config file's train object rather than given flat, exits 2 before
-    anything is written."""
+    """A size below 1, a value of the wrong type or out of range, or train
+    keys nested in a config file's train object rather than given flat,
+    exits 2 before anything is written."""
     config = tmp_path / "c.json"
     config.write_text(json.dumps({"train": {"batch_size": 512}}))
     if args[-1] == "--config":

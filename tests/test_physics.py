@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from _world_oracle import OracleWorld
-from toolsmith.geometry import DesignVector, build_tool
+from toolsmith.geometry import build_tool
 from toolsmith.physics2d import BAUMGARTE, SLOP, World
 
 DT = 1.0 / 60.0
@@ -93,7 +93,7 @@ def test_circle_capsule_contact_overlap():
 def test_ball_settles_in_v_tool():
     """A ball dropped into a V-shaped tool comes to rest within 500 steps."""
     w = World(gravity=(0.0, -9.8), dt=DT, friction=0.5)
-    d = DesignVector(lengths=(1.5, 0.1, 1.5), angles=(1.0, 1.0))
+    d = np.array([1.5, 0.1, 1.5, 1.0, 1.0])
     # chain bends up at both ends around the middle stub
     w.set_tool(build_tool(d, radius=0.1, base_angle=-0.9), position=(0.0, 0.0))
     w.add_circle((1.2, 2.5), radius=0.3)
@@ -331,7 +331,7 @@ def test_energy_bounded_on_settling_pile():
 
 def make_tool_world():
     w = World(gravity=(0.0, -9.8), dt=DT)
-    d = DesignVector(lengths=(1.5, 1.0, 1.0), angles=(0.6, 0.6))
+    d = np.array([1.5, 1.0, 1.0, 0.6, 0.6])
     w.set_tool(build_tool(d, radius=0.1), position=(0.0, 1.0), angle=0.0)
     return w
 
@@ -365,7 +365,7 @@ def test_tool_pushes_circle():
 def test_rotating_tool_imparts_tangential_velocity():
     """Tool spin moves contact points and drags a touching circle along."""
     w = World(gravity=(0.0, 0.0), dt=DT, friction=1.0)
-    d = DesignVector(lengths=(2.0, 1.0, 1.0), angles=(0.0, 0.0))
+    d = np.array([2.0, 1.0, 1.0, 0.0, 0.0])
     w.set_tool(build_tool(d, radius=0.1), position=(0.0, 0.0), angle=0.0)
     ball = w.add_circle((1.5, 0.34), radius=0.25)
     w.command_tool((0.0, 0.0), angular_velocity=1.0)
@@ -380,7 +380,7 @@ def test_determinism_bitwise():
     def run():
         w = World(gravity=(0.0, -9.8), dt=DT, friction=0.4, restitution_circle=0.1)
         flat_floor(w)
-        d = DesignVector(lengths=(1.0, 1.0, 1.0), angles=(0.4, -0.2))
+        d = np.array([1.0, 1.0, 1.0, 0.4, -0.2])
         w.set_tool(build_tool(d, radius=0.1), position=(-1.0, 1.0), angle=0.2)
         w.command_tool((0.3, 0.1), angular_velocity=-0.1)
         rng = np.random.default_rng(9)
@@ -402,7 +402,7 @@ def test_ball_rests_on_collinear_joint():
     must split the impulse between them rather than apply it twice.
     """
     w = World()
-    tool = build_tool(DesignVector(lengths=(2.0, 2.0, 2.0), angles=(0.0, 0.0)),
+    tool = build_tool(np.array([2.0, 2.0, 2.0, 0.0, 0.0]),
                       radius=0.1)
     w.set_tool(tool, (0.0, 0.0), angle=0.0)
     w.add_circle((2.0, 2.0), radius=0.5)
@@ -454,8 +454,7 @@ def build_scene(cls, layout, scene):
         for a, b in TANK:
             w.add_static_capsule(a, b, radius=0.1)
     if layout["tool"]:
-        w.set_tool(build_tool(DesignVector(lengths=scene["lengths"],
-                                           angles=scene["angles"]), radius=0.1),
+        w.set_tool(build_tool(scene["lengths"] + scene["angles"], radius=0.1),
                    scene["tool_pos"], angle=scene["angle"])
         w.command_tool(scene["command"][:2], scene["command"][2])
     for (x, y), v, r, rho, c in zip(scene["pos"], scene["vel"], layout["radii"],
@@ -584,8 +583,7 @@ def test_covering_set_has_every_row_kind():
     lambda w: setattr(w, "inv_mass", w.inv_mass * 2.0),
     lambda w: setattr(w, "damping", w.damping + 1.0),
     lambda w: w.add_static_capsule((0.0, -5.0), (1.0, -5.0)),
-    lambda w: w.set_tool(build_tool(DesignVector(lengths=(1.0, 1.0, 1.0),
-                                                 angles=(0.0, 0.0))), (0.0, 5.0)),
+    lambda w: w.set_tool(build_tool(np.array([1.0, 1.0, 1.0, 0.0, 0.0])), (0.0, 5.0)),
     lambda w: setattr(w, "friction", 0.9),
     lambda w: setattr(w, "gravity", np.array([0.0, -1.0])),
 ], ids=["circle count", "radii", "masses", "damping", "statics", "tool",

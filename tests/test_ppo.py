@@ -282,7 +282,7 @@ def test_collect_batch_deterministic():
         assert np.array_equal(x.rewards, y.rewards)
         assert np.array_equal(x.design_action, y.design_action)
         assert np.array_equal(x.control_actions, y.control_actions)
-        assert np.array_equal(x.design_echo, y.design_echo)
+        assert np.array_equal(x.design, y.design)
 
 
 def test_scoop_collect_batch_equals_worlds_stepped_one_at_a_time(monkeypatch):
@@ -306,7 +306,7 @@ def test_scoop_collect_batch_equals_worlds_stepped_one_at_a_time(monkeypatch):
     for x, y in zip(together, alone):
         for name in ("design_action", "design_logp", "control_actions",
                      "control_logps", "value_inputs", "rewards", "values",
-                     "design_echo", "success", "d_used", "mean_c_used"):
+                     "design", "success", "d_used", "mean_c_used"):
             assert np.array_equal(getattr(x, name), getattr(y, name)), name
 
 
@@ -317,7 +317,7 @@ def test_trajectory_rejects_nonfinite_rewards():
             control_actions=np.zeros((1, 2)), control_logps=np.zeros(1),
             value_inputs=np.zeros((2, 5)),
             rewards=np.array([0.0, np.nan]), values=np.zeros(2),
-            design_echo=np.zeros(5), success=0.0, d_used=0.0, mean_c_used=0.0)
+            design=np.zeros(5), success=0.0, d_used=0.0, mean_c_used=0.0)
 
 
 def test_goal_sampler_overrides_goals():
