@@ -6,7 +6,7 @@ while the controller stays goal-conditioned. Implemented as a designer with
 no inputs: one affine layer whose output is exactly its bias, which the
 usual policy-gradient update moves through the design-step
 log-probabilities. Having no inputs, it reads no columns of the value row
-(ppo.policy_columns), and no update can make it goal-dependent.
+(ppo.Artifact.columns), and no update can make it goal-dependent.
 
 The method is this starting policy and nothing else: ppo.train runs it
 when given constant_designer_policy's bundle as params.

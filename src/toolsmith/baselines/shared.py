@@ -2,7 +2,7 @@
 
 Both phases read the whole phase-flagged value row, pass through one shared
 stack of hidden layers, and branch only at the last affine layer; a designer
-as wide as its controller is how ppo.policy_columns tells a shared trunk.
+as wide as its controller is how ppo.Artifact tells a shared trunk.
 The trunk arrays are literally the same objects in the designer and the
 controller, so gradient accumulation and deduplicated optimizer stepping
 fall out of the ordinary update path. The trunk is widened until the

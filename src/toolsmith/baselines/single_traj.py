@@ -14,8 +14,9 @@ import os
 import numpy as np
 
 from toolsmith.baselines.cma import cma_search
-from toolsmith.envs import TaskConfig, make_env
+from toolsmith.envs import TaskConfig, default_config, make_env
 from toolsmith.evaluation import evaluate_plan, evaluation_goals
+from toolsmith.ppo import Artifact
 
 BEST_PLAN_FILE = "best_plan.json"
 
@@ -38,6 +39,15 @@ def split_plan(env, vector: np.ndarray) -> tuple:
     return vector[:nd], controls
 
 
+def load_plan(path) -> Artifact:
+    """The open-loop Artifact of the best_plan.json single_traj_cmaes wrote."""
+    with open(path, encoding="utf-8") as fh:
+        state = json.load(fh)
+    env = make_env(default_config(state.get("task")))
+    design, controls = split_plan(env, state["vector"])
+    return Artifact(env.task_name, fixed_design=design, controls=controls)
+
+
 def plan_fitness(env, vector: np.ndarray, goals) -> dict:
     design_action, controls = split_plan(env, vector)
     return evaluate_plan(env, design_action, controls, goals)
@@ -48,7 +58,7 @@ def single_traj_cmaes(task_cfg: TaskConfig, total_steps: int, out_dir,
                       sigma0: float = 0.1, n_eval_goals: int = 16) -> dict:
     """Evolve a flat plan until the env-step budget is spent.
 
-    Logs through cma_search, then writes the best plan to best_plan.json.
+    Logs through cma_search, then writes best_plan.json for load_plan.
     """
     env = make_env(task_cfg)
     goals = evaluation_goals(env, n_eval_goals)

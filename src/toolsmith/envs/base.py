@@ -23,14 +23,13 @@ goal]. The echo is zero in the design phase; step_design computes it once
 per episode. Each task class declares task_center and task_scale (one entry
 per task-observation entry) and goal_center and goal_scale (one per goal
 entry); a task or goal entry x enters as (x - center) / scale. A policy
-reads columns of the row (ppo.policy_columns): both halves of a shared trunk
-(a designer as wide as its controller) read all of it, a designer with no
-inputs none; else the designer reads design_columns (task, goal) and the
-controller control_columns (all after the flag). Collection and the PPO
-update keep only this row per step (ppo.Trajectory and ppo.Batch
-value_inputs) and take each policy's columns from it. design_input and
-control_input return those columns; nothing in the program calls them,
-bench/spans.py wraps them by name.
+reads its columns of the row, as ppo.Artifact.columns picks them: the
+designer design_columns (task, goal) and the controller control_columns
+(all after the flag), unless it has no inputs or shares a trunk.
+Collection and the PPO update keep only this row per step (ppo.Trajectory
+and ppo.Batch value_inputs). design_input and control_input return those
+columns; nothing in the program calls them, bench/spans.py wraps them by
+name.
 
 Batched stepping: reset_envs and step_controls advance several envs of one
 task together. Each env does its own bookkeeping (rng draws, clamping,
@@ -275,7 +274,8 @@ class ToolTaskEnv:
             self._rng = np.random.default_rng(seed)
         if goal is None:
             goal = self.sample_goal(self._rng)
-        self._goal = self.validate_goal(goal)
+        # a copy: the caller may write to its goal array after the reset
+        self._goal = self.validate_goal(goal).copy()
         cfg = self.cfg
         self.world = World(gravity=self.gravity, dt=cfg.dt,
                            friction=cfg.friction,

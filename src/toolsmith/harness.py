@@ -7,24 +7,23 @@ random stream from the configured seeds, and emit deterministic CSV/JSON,
 each format through one writer (_write_csv, _write_json), so reruns are
 byte-identical.
 
-Artifact contract: each method leaves one artifact per seed directory, and
-_load_for_eval reads it for eval, compare, export-tool and finetune.
+Artifact contract: each method leaves one artifact per seed directory,
+written and read in one module, and _load_for_eval loads it as one
+ppo.Artifact for eval, compare, export-tool and finetune.
 
 - ours, hwasp, shared: checkpoint.json from one ppo.train call that differs
-  only in the starting policy (PPO_POLICIES), holding the shared checkpoint
-  record of ppo.checkpoint_record (params, optimizers, rng_state,
-  env_rng_states, env_steps, config_hash, task, param_count).
-- cma_rl: checkpoint.json with that record for the best candidate, plus
-  fixed_design (the searched design action) and fitness.
+  only in the starting policy (PPO_POLICIES). ppo.checkpoint_record writes
+  its keys (params, optimizers, rng_state, env_rng_states, env_steps,
+  config_hash, task, param_count); ppo.artifact_from_record reads them.
+- cma_rl: the same record of the best candidate's fixed-design Artifact,
+  which adds fixed_design (the searched design action), plus fitness.
 - single_traj: best_plan.json with task, fitness and vector (the design
-  action, then every control action).
+  action, then every control action), read by single_traj.load_plan.
 
-The loader checks the task and returns one ppo.Artifact: a fixed_design
-replaces the designer, a plan's vector splits into its design and open-loop
-controls, and a shared trunk (Artifact.kind) is re-tied. Every command
-scores an artifact by evaluate_policy, one ppo.run_episode per goal, and
-export-tool meshes Artifact.design_action, the design an eval episode on
-its goal builds.
+The loader checks the task and re-ties a shared trunk (Artifact.kind).
+Every command scores an artifact by evaluate_policy, one ppo.run_episode
+per goal, and export-tool meshes Artifact.design_action, the design an
+eval episode on its goal builds.
 """
 
 from __future__ import annotations
@@ -44,18 +43,19 @@ from toolsmith.baselines import (
     single_traj_cmaes,
 )
 from toolsmith.baselines.shared import retie_trunk
-from toolsmith.baselines.single_traj import BEST_PLAN_FILE, split_plan
+from toolsmith.baselines.single_traj import BEST_PLAN_FILE, load_plan
 from toolsmith.envs import default_config, make_env
 from toolsmith.envs.push import GOAL_HIGH, GOAL_LOW
 from toolsmith.evaluation import EVAL_RESET_SEED, evaluate_policy, evaluation_goals
 from toolsmith.geometry import build_tool, export_stl
-from toolsmith.neural import load_checkpoint, params_from_state
+from toolsmith.neural import load_checkpoint
 from toolsmith.ppo import (
     METRICS_HEADER,
     Artifact,
     Optimizers,
     TrainConfig,
     _last_whole_row,
+    artifact_from_record,
     default_train_config,
     policy_for_env,
     policy_settings,
@@ -359,23 +359,12 @@ def cmd_train(config: ExperimentConfig) -> dict:
 
 def _load_for_eval(path, task: str | None = None) -> tuple:
     """Read a checkpoint.json or best_plan.json as (env, Artifact)."""
-    is_plan = os.path.basename(str(path)) == BEST_PLAN_FILE
-    if is_plan:
-        with open(path, encoding="utf-8") as fh:
-            state = json.load(fh)
-    else:
-        state = load_checkpoint(path)
-    ck_task = state.get("task")
-    if task is not None and ck_task != task:
+    art = load_plan(path) if os.path.basename(str(path)) == BEST_PLAN_FILE \
+        else artifact_from_record(load_checkpoint(path))
+    if task is not None and art.task != task:
         raise ValueError(
-            f"checkpoint was trained on {ck_task!r}, not {task!r}")
-    env = make_env(default_config(ck_task))
-    if is_plan:
-        design, controls = split_plan(env, state["vector"])
-        return env, Artifact(ck_task, fixed_design=design, controls=controls)
-    art = Artifact(ck_task, params_from_state(state["params"]))
-    if "fixed_design" in state:
-        art.fixed_design = np.asarray(state["fixed_design"], dtype=np.float64)
+            f"checkpoint was trained on {art.task!r}, not {task!r}")
+    env = make_env(default_config(art.task))
     if art.kind == "shared":
         retie_trunk(art.params)
     return env, art
@@ -391,19 +380,20 @@ def goal_grid(n: int) -> np.ndarray:
 def cmd_eval(checkpoint_path, out_dir, goals=None, grid: int | None = None,
              cutout_fraction: float = 0.0, task: str | None = None) -> dict:
     """Deterministic rollouts per goal with region classification."""
+    if goals is not None and grid is not None:
+        raise ValueError("give either goals or a goal grid, not both")
     env, art = _load_for_eval(checkpoint_path, task)
     ck_task = art.task
     cutout = centered_cutout(cutout_fraction)
     if cutout_fraction > 0.0 and ck_task != "push":
         raise ValueError(f"cutout_fraction applies to push goals, not to "
                          f"a {ck_task} checkpoint")
-    if goals is None:
-        if grid is not None:
-            if ck_task != "push":
-                raise ValueError("goal grids are only defined for push")
-            goals = goal_grid(grid)
-        else:
-            goals = evaluation_goals(env, 16)
+    if grid is not None:
+        if ck_task != "push":
+            raise ValueError("goal grids are only defined for push")
+        goals = goal_grid(grid)
+    elif goals is None:
+        goals = evaluation_goals(env, 16)
     if len(goals) == 0:
         raise ValueError("the goal set to evaluate is empty")
     for goal in goals:
@@ -471,10 +461,9 @@ def _finetune_arm(task_cfg, params, cfg, goals, budget: int, seed: int,
     first round and after each one; the curve goes to csv_path."""
     envs = seeded_envs(task_cfg, 4, seed)
     rng = np.random.default_rng(seed)
-    goal_arr = [np.asarray(g, dtype=np.float64) for g in goals]
 
     def sampler(env, sample_rng):
-        return goal_arr[int(sample_rng.integers(len(goal_arr)))]
+        return goals[int(sample_rng.integers(len(goals)))]
 
     eval_env = make_env(task_cfg)
     art = Artifact(task_cfg.task, params)
@@ -482,10 +471,10 @@ def _finetune_arm(task_cfg, params, cfg, goals, budget: int, seed: int,
     rows, steps = [], 0
     for update in range(budget + 1):
         if update:
-            batch, _ = train_round(envs, params, optimizers, cfg, rng,
+            batch, _ = train_round(envs, art, optimizers, cfg, rng,
                                    goal_sampler=sampler)
             steps += batch.env_steps
-        res = evaluate_policy(eval_env, art, goal_arr)
+        res = evaluate_policy(eval_env, art, goals)
         per_goal = [float(e["success"]) for e in res["episodes"]]
         rows.append([update, steps, f"{res['mean_return']:.6f}",
                      f"{np.mean(per_goal):.6f}"])

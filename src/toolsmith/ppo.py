@@ -1,4 +1,6 @@
-"""Joint PPO training of the designer and controller policies.
+"""Joint PPO training of the designer and controller policies, taken from
+one policy source, an Artifact: collect_batch samples it, run_episodes
+scores it, and checkpoint_record and artifact_from_record write and read it.
 
 train_round is the one PPO round every trainer runs: collect_batch, then
 prepare_batch, then ppo_update. train and the CMA+RL inner controller loop
@@ -190,10 +192,6 @@ class Trajectory:
     def length(self) -> int:
         return self.rewards.size
 
-    @property
-    def episode_return(self) -> float:
-        return float(self.rewards.sum())
-
 
 def compute_gae(rewards, values, gamma: float, lam: float):
     """(advantages, returns) over one whole episode, one value per step.
@@ -214,19 +212,51 @@ def compute_gae(rewards, values, gamma: float, lam: float):
     return adv, adv + v[:-1]
 
 
-def policy_columns(params: PolicyParams, env) -> tuple:
-    """(designer, controller) columns of env.value_input the policies read.
+@dataclass
+class Artifact:
+    """One policy source, the form every rollout takes it in: the policy
+    collect_batch trains, a method's saved result (harness._load_for_eval)
+    or a candidate under evaluation.
 
-    A designer as wide as its controller is a shared trunk: both read the
-    whole row. A designer with no inputs reads none. Otherwise they read
-    env.design_columns and env.control_columns.
+    fixed_design, when given, replaces the designer, and controls (one
+    open-loop action per control step) the controller; params drives the
+    rest. A plan has both and no params.
     """
-    width = params.designer.sizes[0]
-    if width == params.controller.sizes[0]:
-        return np.arange(env.value_input_dim), np.arange(env.value_input_dim)
-    if width == 0:
-        return np.arange(0), env.control_columns
-    return env.design_columns, env.control_columns
+
+    task: str
+    params: PolicyParams | None = None
+    fixed_design: np.ndarray | None = None
+    controls: np.ndarray | None = None
+
+    def _shared_trunk(self) -> bool:
+        """A designer as wide as its controller is a shared trunk."""
+        return self.params.designer.sizes[0] == self.params.controller.sizes[0]
+
+    @property
+    def kind(self) -> str:
+        if self.controls is not None:
+            return "open-loop plan"
+        if self.fixed_design is not None:
+            return "fixed-design"
+        return "shared" if self._shared_trunk() else "policy"
+
+    def columns(self, env) -> tuple:
+        """(designer, controller) columns of env.value_input: all of it for
+        both halves of a shared trunk, none for a designer with no inputs,
+        else env.design_columns and env.control_columns."""
+        if self._shared_trunk():
+            return np.arange(env.value_input_dim), np.arange(env.value_input_dim)
+        if self.params.designer.sizes[0] == 0:
+            return np.arange(0), env.control_columns
+        return env.design_columns, env.control_columns
+
+    def design_action(self, env) -> np.ndarray:
+        """The design action for env as its last reset left it: the fixed
+        design, else the designer's mean on its columns of the value row."""
+        if self.fixed_design is not None:
+            return np.asarray(self.fixed_design, dtype=np.float64)
+        design_cols, _ = self.columns(env)
+        return forward(self.params.designer, env.value_input()[design_cols])
 
 
 class _EpisodeBuilder:
@@ -266,21 +296,19 @@ def _start_episodes(envs: list, goal_sampler, rng) -> list:
     return [_EpisodeBuilder(env) for env in envs]
 
 
-def collect_batch(envs: list, params: PolicyParams, cfg: TrainConfig,
-                  rng: np.random.Generator, goal_sampler=None,
-                  fixed_design=None) -> list:
-    """Roll complete episodes in lockstep until batch_size steps are gathered.
+def collect_batch(envs: list, art: Artifact, cfg: TrainConfig,
+                  rng: np.random.Generator, goal_sampler=None) -> list:
+    """Roll art's episodes in lockstep until batch_size steps are gathered.
 
     All policy queries are batched across environments in a fixed order, so a
     seeded rng reproduces the batch exactly. The control-phase envs step
     together through step_controls, and envs that finish together are reset
     together through reset_envs. Each env step is featurized once, by
-    value_input; the policies read their columns of that row. With
-    fixed_design set, every episode uses that design action instead of
-    querying the designer.
+    value_input; the policies read their columns of that row (art.columns).
+    A fixed-design art takes its design action in place of the designer's.
     """
     trajs: list = []
-    design_cols, control_cols = policy_columns(params, envs[0])
+    design_cols, control_cols = art.columns(envs[0])
     builders = dict(enumerate(_start_episodes(envs, goal_sampler, rng)))
     steps = 0
     while builders:
@@ -290,7 +318,7 @@ def collect_batch(envs: list, params: PolicyParams, cfg: TrainConfig,
         control_ids = [i for i, d in zip(ids, in_design) if not d]
 
         val_in = np.stack([builders[i].env.value_input() for i in ids])
-        vals = forward(params.value, val_in)[:, 0]
+        vals = forward(art.params.value, val_in)[:, 0]
         for k, i in enumerate(ids):
             builders[i].value_inputs.append(val_in[k])
             builders[i].values.append(float(vals[k]))
@@ -298,23 +326,22 @@ def collect_batch(envs: list, params: PolicyParams, cfg: TrainConfig,
         # np.ix_ takes rows and columns as one C-ordered copy; columns taken
         # from a row subset come out F-ordered, which changes matmul rounding
         if design_ids:
-            if fixed_design is None:
-                mu = forward(params.designer,
+            if art.fixed_design is None:
+                mu = forward(art.params.designer,
                              val_in[np.ix_(in_design, design_cols)])
-                acts, logps = sample_action(params.designer_head, mu, rng)
+                acts, logps = sample_action(art.params.designer_head, mu, rng)
                 logps = [float(lp) for lp in logps]
             else:
-                acts = np.tile(np.asarray(fixed_design, dtype=np.float64),
-                               (len(design_ids), 1))
+                acts = np.tile(art.fixed_design, (len(design_ids), 1))
                 logps = [None] * len(design_ids)
             for k, i in enumerate(design_ids):
                 b = builders[i]
                 b.rewards.append(b.env.step_design(acts[k]))
                 b.design_action, b.design_logp = acts[k].copy(), logps[k]
         if control_ids:
-            mu = forward(params.controller,
+            mu = forward(art.params.controller,
                          val_in[np.ix_(~in_design, control_cols)])
-            acts, logps = sample_action(params.controller_head, mu, rng)
+            acts, logps = sample_action(art.params.controller_head, mu, rng)
             rewards = step_controls([builders[i].env for i in control_ids], acts)
             for k, (i, reward) in enumerate(zip(control_ids, rewards)):
                 b = builders[i]
@@ -336,7 +363,7 @@ def collect_batch(envs: list, params: PolicyParams, cfg: TrainConfig,
 class Batch:
     """Flattened rows: on-policy design rows first, then control rows, then
     value-only rows for any externally imposed design steps. value_inputs is
-    the only input record; columns (from policy_columns) names the columns
+    the only input record; columns (from Artifact.columns) names the columns
     of it that the designer and the controller read."""
 
     columns: tuple
@@ -366,7 +393,7 @@ class Batch:
 
 def prepare_batch(trajs: list, cfg: TrainConfig, columns: tuple) -> Batch:
     """GAE per trajectory, then flatten with advantages normalized jointly;
-    columns is policy_columns of the policies that collected trajs."""
+    columns is Artifact.columns of the policy that collected trajs."""
     d_adv, d_ret, c_adv, c_ret, off_ret = [], [], [], [], []
     on_policy = []
     for t in trajs:
@@ -407,7 +434,7 @@ def prepare_batch(trajs: list, cfg: TrainConfig, columns: tuple) -> Batch:
             + [t.value_inputs[:1] for t in off_policy]),
         returns=np.concatenate([np.asarray(d_ret)] + c_ret
                                + [np.asarray(off_ret)]),
-        mean_return=float(np.mean([t.episode_return for t in trajs])),
+        mean_return=float(np.mean([t.rewards.sum() for t in trajs])),
         success_rate=float(np.mean([t.success for t in trajs])),
         mean_d_used=float(np.mean([t.d_used for t in trajs])),
         mean_c_used=float(np.mean([t.mean_c_used for t in trajs])),
@@ -561,15 +588,14 @@ def ppo_update(params: PolicyParams, batch: Batch, cfg: TrainConfig,
 # Training loop
 # ---------------------------------------------------------------------------
 
-def train_round(envs: list, params: PolicyParams, optimizers: Optimizers,
-                cfg: TrainConfig, rng: np.random.Generator, goal_sampler=None,
-                fixed_design=None) -> tuple:
-    """One PPO round: collect a batch, compute its advantages, update params
-    in place; returns (batch, update stats). goal_sampler and fixed_design
-    are passed to collect_batch."""
-    trajs = collect_batch(envs, params, cfg, rng, goal_sampler, fixed_design)
-    batch = prepare_batch(trajs, cfg, policy_columns(params, envs[0]))
-    _, stats = ppo_update(params, batch, cfg, optimizers, rng)
+def train_round(envs: list, art: Artifact, optimizers: Optimizers,
+                cfg: TrainConfig, rng: np.random.Generator,
+                goal_sampler=None) -> tuple:
+    """One PPO round of art: collect a batch, compute its advantages, update
+    art.params in place; returns (batch, update stats)."""
+    trajs = collect_batch(envs, art, cfg, rng, goal_sampler)
+    batch = prepare_batch(trajs, cfg, art.columns(envs[0]))
+    _, stats = ppo_update(art.params, batch, cfg, optimizers, rng)
     return batch, stats
 
 
@@ -637,20 +663,32 @@ def seeded_envs(task_cfg: TaskConfig, n_envs: int, seed: int) -> list:
     return envs
 
 
-def checkpoint_record(params: PolicyParams, optimizers: Optimizers,
+def checkpoint_record(art: Artifact, optimizers: Optimizers,
                       rng: np.random.Generator, envs: list, env_steps: int,
-                      config_hash: str, task: str) -> dict:
-    """The keys every checkpoint.json holds; train resumes from them."""
-    return {
-        "params": params_state(params),
+                      config_hash: str) -> dict:
+    """The keys a checkpoint.json holds for art, read back by train's resume
+    and artifact_from_record; a fixed design goes in as plain JSON floats."""
+    record = {
+        "params": params_state(art.params),
         "optimizers": optimizers.state(),
         "rng_state": rng.bit_generator.state,
         "env_rng_states": [e._rng.bit_generator.state for e in envs],
         "env_steps": env_steps,
         "config_hash": config_hash,
-        "task": task,
-        "param_count": param_count(params),
+        "task": art.task,
+        "param_count": param_count(art.params),
     }
+    if art.fixed_design is not None:
+        record["fixed_design"] = [float(x) for x in art.fixed_design]
+    return record
+
+
+def artifact_from_record(state: dict) -> Artifact:
+    """The Artifact of a loaded checkpoint_record, a shared trunk untied."""
+    art = Artifact(state.get("task"), params_from_state(state["params"]))
+    if "fixed_design" in state:
+        art.fixed_design = np.asarray(state["fixed_design"], dtype=np.float64)
+    return art
 
 
 def train(task_cfg: TaskConfig, cfg: TrainConfig, total_steps: int, out_dir,
@@ -681,6 +719,7 @@ def train(task_cfg: TaskConfig, cfg: TrainConfig, total_steps: int, out_dir,
     env_steps = 0
     if params is None:
         params = policy_for_env(envs[0], rng, **(policy_overrides or {}))
+    art = Artifact(task_cfg.task, params)
     optimizers = Optimizers(params, cfg)
 
     if resume and os.path.exists(ck_path):
@@ -702,12 +741,11 @@ def train(task_cfg: TaskConfig, cfg: TrainConfig, total_steps: int, out_dir,
 
     def save(env_steps: int) -> None:
         save_checkpoint(ck_path, checkpoint_record(
-            params, optimizers, rng, envs, env_steps, fingerprint,
-            task_cfg.task))
+            art, optimizers, rng, envs, env_steps, fingerprint))
 
     batches = 0
     while env_steps < total_steps:
-        batch, stats = train_round(envs, params, optimizers, cfg, rng,
+        batch, stats = train_round(envs, art, optimizers, cfg, rng,
                                    goal_sampler)
         env_steps += batch.env_steps
         batches += 1
@@ -734,41 +772,6 @@ def train(task_cfg: TaskConfig, cfg: TrainConfig, total_steps: int, out_dir,
 # Evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Artifact:
-    """One policy source, the form every scored episode takes it in: a
-    method's saved result (harness._load_for_eval) or a candidate under
-    evaluation.
-
-    fixed_design, when given, replaces the designer, and controls (one
-    open-loop action per control step) the controller; params drives the
-    rest. A plan has both and no params.
-    """
-
-    task: str
-    params: PolicyParams | None = None
-    fixed_design: np.ndarray | None = None
-    controls: np.ndarray | None = None
-
-    @property
-    def kind(self) -> str:
-        if self.controls is not None:
-            return "open-loop plan"
-        if self.fixed_design is not None:
-            return "fixed-design"
-        if self.params.designer.sizes[0] == self.params.controller.sizes[0]:
-            return "shared"
-        return "policy"
-
-    def design_action(self, env) -> np.ndarray:
-        """The design action for env as its last reset left it: the fixed
-        design, else the designer's mean on its columns of the value row."""
-        if self.fixed_design is not None:
-            return np.asarray(self.fixed_design, dtype=np.float64)
-        design_cols, _ = policy_columns(self.params, env)
-        return forward(self.params.designer, env.value_input()[design_cols])
-
-
 def run_episode(env, art: Artifact, goal=None, seed=None) -> dict:
     """One deterministic episode of art, the loop every method is scored by:
     run_episodes of the one env."""
@@ -790,7 +793,7 @@ def run_episodes(envs: list, art: Artifact, goals: list, seeds: list) -> list:
                          f"got {len(goals)} and {len(seeds)}")
     controls = art.controls
     if controls is None:
-        _, control_cols = policy_columns(art.params, envs[0])
+        _, control_cols = art.columns(envs[0])
     reset_envs(envs, goals, seeds)
     totals = [env.step_design(art.design_action(env)) for env in envs]
     c_used = [[] for _ in envs]

@@ -41,7 +41,6 @@ from toolsmith.ppo import (
     Optimizers,
     collect_batch,
     default_train_config,
-    policy_columns,
     ppo_update,
     prepare_batch,
     run_episode,
@@ -326,7 +325,7 @@ def test_constant_designer_has_no_inputs():
     env = make_env(default_config("push"))
     params = constant_designer_policy(env, np.random.default_rng(0))
     assert params.designer.sizes == (0, env.design_action_dim)
-    design_cols, control_cols = policy_columns(params, env)
+    design_cols, control_cols = Artifact("push", params).columns(env)
     assert design_cols.size == 0
     assert np.array_equal(control_cols, env.control_columns)
     params.designer.biases[0][...] = np.arange(env.design_action_dim)
@@ -340,8 +339,9 @@ def test_constant_designer_mean_moves_under_design_advantages():
     params = constant_designer_policy(env, np.random.default_rng(0))
     cfg = tiny_cfg(policy_lr=1e-2)
     rng = np.random.default_rng(5)
-    trajs = collect_batch([env], params, cfg, rng)
-    batch = prepare_batch(trajs, cfg, policy_columns(params, env))
+    art = Artifact("push", params)
+    trajs = collect_batch([env], art, cfg, rng)
+    batch = prepare_batch(trajs, cfg, art.columns(env))
     assert batch.num_design > 0
     params, stats = ppo_update(params, batch, cfg, Optimizers(params, cfg),
                                rng=np.random.default_rng(0))
@@ -438,7 +438,7 @@ def test_shared_losses_match_untied_twin_on_same_batch():
     c_act = forward(tied.controller, c_in) \
         + 0.1 * rng.normal(size=(nc, env.control_action_dim))
     batch = Batch(
-        columns=policy_columns(tied, env),
+        columns=Artifact("push", tied).columns(env),
         design_actions=d_act,
         design_logp_old=gaussian_logprob(tied.designer_head,
                                          forward(tied.designer, d_in), d_act),

@@ -375,6 +375,19 @@ def test_different_seed_different_goal():
     assert not np.array_equal(g1, g2)
 
 
+@pytest.mark.parametrize("task", TASKS)
+def test_env_keeps_its_own_copy_of_the_goal(task):
+    """Writing into the goal array passed to reset afterwards moves neither
+    env.goal nor the goal columns of value_input."""
+    env = make_env(task)
+    goal = np.array(env.sample_goal(np.random.default_rng(0)), dtype=np.float64)
+    env.reset(goal=goal, seed=0)
+    kept, row = env.goal, env.value_input()
+    goal += 1.0
+    assert np.array_equal(env.goal, kept)
+    assert np.array_equal(env.value_input(), row)
+
+
 def test_reset_uses_provided_goal():
     env = make_env("push")
     env.reset(goal=(7.0, 9.0), seed=0)

@@ -279,6 +279,25 @@ def test_cmd_eval_task_mismatch_is_an_error(tmp_path, tiny_checkpoint):
         cmd_eval(tiny_checkpoint, str(tmp_path / "e"), task="catch")
 
 
+def test_eval_rejects_a_grid_and_a_goal_list_together(tmp_path, capsys,
+                                                      tiny_checkpoint):
+    """Given both a grid and goals, eval raises before its manifest is
+    written, rather than score the goals and drop the grid."""
+    out_dir = tmp_path / "eval"
+    with pytest.raises(ValueError, match="grid"):
+        cmd_eval(tiny_checkpoint, str(out_dir), goals=[np.array([8.0, 12.0])],
+                 grid=3)
+    assert not out_dir.exists()
+    goals_file = tmp_path / "g.json"
+    goals_file.write_text(json.dumps([[8.0, 12.0]]))
+    rc = cli_main(["eval", "--checkpoint", tiny_checkpoint, "--out-dir",
+                   str(out_dir), "--grid", "3", "--goals-file",
+                   str(goals_file)])
+    assert rc == 2
+    assert "grid" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_cmd_eval_empty_cutout_has_no_cutout_class(tmp_path, tiny_checkpoint):
     out = cmd_eval(tiny_checkpoint, str(tmp_path / "eval0"), grid=3)
     rows = read_csv(out["per_goal_path"])

@@ -1,3 +1,4 @@
+import json
 import math
 import shutil
 
@@ -19,6 +20,7 @@ from toolsmith.neural import (
     load_checkpoint,
     param_count,
     parameters,
+    save_checkpoint,
 )
 from toolsmith.ppo import (
     DESIGN_MEANS_HEADER,
@@ -27,10 +29,11 @@ from toolsmith.ppo import (
     Optimizers,
     TrainConfig,
     Trajectory,
+    artifact_from_record,
+    checkpoint_record,
     collect_batch,
     compute_gae,
     default_train_config,
-    policy_columns,
     policy_for_env,
     policy_heads,
     ppo_update,
@@ -84,8 +87,9 @@ def test_policy_for_env_shapes_and_count():
 
 
 def collect_and_prepare(envs, params, cfg, rng):
-    trajs = collect_batch(envs, params, cfg, rng)
-    return prepare_batch(trajs, cfg, policy_columns(params, envs[0]))
+    art = Artifact(envs[0].task_name, params)
+    trajs = collect_batch(envs, art, cfg, rng)
+    return prepare_batch(trajs, cfg, art.columns(envs[0]))
 
 
 def all_params(params):
@@ -241,7 +245,7 @@ def test_policy_heads_apply_overrides_and_reject_unknown_keys():
 
 def test_collect_batch_structure():
     rng, envs, params, cfg = make_setup()
-    trajs = collect_batch(envs, params, cfg, rng)
+    trajs = collect_batch(envs, Artifact("push", params), cfg, rng)
     steps = sum(t.length for t in trajs)
     assert steps >= cfg.batch_size
     for t in trajs:
@@ -268,15 +272,15 @@ def test_collect_batch_featurizes_each_step_once(monkeypatch):
     monkeypatch.setattr(ToolTaskEnv, "design_input", forbidden)
     monkeypatch.setattr(ToolTaskEnv, "control_input", forbidden)
     rng, envs, params, cfg = make_setup()
-    trajs = collect_batch(envs, params, cfg, rng)
+    trajs = collect_batch(envs, Artifact("push", params), cfg, rng)
     assert len(calls) == sum(t.length for t in trajs)
 
 
 def test_collect_batch_deterministic():
     rng1, envs1, params1, cfg = make_setup()
     rng2, envs2, params2, _ = make_setup()
-    t1 = collect_batch(envs1, params1, cfg, rng1)
-    t2 = collect_batch(envs2, params2, cfg, rng2)
+    t1 = collect_batch(envs1, Artifact("push", params1), cfg, rng1)
+    t2 = collect_batch(envs2, Artifact("push", params2), cfg, rng2)
     assert len(t1) == len(t2)
     for x, y in zip(t1, t2):
         assert np.array_equal(x.rewards, y.rewards)
@@ -291,7 +295,7 @@ def test_scoop_collect_batch_equals_worlds_stepped_one_at_a_time(monkeypatch):
     def collect():
         rng, envs, params, _ = make_setup(seed=5, task="scoop")
         cfg = default_train_config("scoop", batch_size=64, minibatch_size=32)
-        return collect_batch(envs, params, cfg, rng)
+        return collect_batch(envs, Artifact("scoop", params), cfg, rng)
 
     together = collect()
     step = World.step
@@ -327,7 +331,8 @@ def test_goal_sampler_overrides_goals():
     def sampler(env, sampler_rng):
         return fixed_goal
 
-    trajs = collect_batch(envs, params, cfg, rng, goal_sampler=sampler)
+    trajs = collect_batch(envs, Artifact("push", params), cfg, rng,
+                          goal_sampler=sampler)
     for env in envs:
         assert np.array_equal(env.goal, fixed_goal)
     assert len(trajs) >= 1
@@ -346,8 +351,9 @@ def test_prepare_batch_normalizes_advantages_jointly():
 def test_prepare_batch_row_alignment():
     """Value rows must line up with policy rows: designs first, then controls."""
     rng, envs, params, cfg = make_setup()
-    trajs = collect_batch(envs, params, cfg, rng)
-    batch = prepare_batch(trajs, cfg, policy_columns(params, envs[0]))
+    art = Artifact("push", params)
+    trajs = collect_batch(envs, art, cfg, rng)
+    batch = prepare_batch(trajs, cfg, art.columns(envs[0]))
     nd = batch.num_design
     assert nd == len(trajs)
     phase_flag = batch.value_inputs[:, 0]
@@ -363,8 +369,9 @@ def test_heads_read_their_columns_of_the_value_rows():
     rng, envs, separate, cfg = make_setup()
     for params in (separate, constant_designer_policy(envs[0], rng),
                    shared_policy(envs[0], rng)):
-        trajs = collect_batch(envs, params, cfg, rng)
-        design_cols, control_cols = policy_columns(params, envs[0])
+        art = Artifact("push", params)
+        trajs = collect_batch(envs, art, cfg, rng)
+        design_cols, control_cols = art.columns(envs[0])
         batch = prepare_batch(trajs, cfg, (design_cols, control_cols))
         (_, _, X_d, *_), (_, _, X_c, *_) = _heads(params, batch)
         expect_d = np.stack([t.value_inputs[0] for t in trajs])[:, design_cols]
@@ -603,6 +610,65 @@ def test_train_resume_rejects_config_change(tmp_path):
     with pytest.raises(ValueError):
         train(PUSH, other, total_steps=600, out_dir=tmp_path / "r", seed=3,
               n_envs=2, resume=True)
+
+
+# the keys of every checkpoint train writes; cma_rl adds fixed_design and
+# fitness
+TRAIN_KEYS = {"params", "optimizers", "rng_state", "env_rng_states",
+              "env_steps", "config_hash", "task", "param_count"}
+
+
+def param_bytes(params) -> list:
+    return [a.tobytes() for net in (params.designer, params.controller,
+                                    params.value)
+            for a in net.weights + net.biases] \
+        + [params.designer_head.log_std.tobytes(),
+           params.controller_head.log_std.tobytes()]
+
+
+@pytest.mark.parametrize("fixed", [False, True],
+                         ids=["policy", "fixed-design"])
+def test_checkpoint_record_round_trips_an_artifact(tmp_path, fixed):
+    """checkpoint_record, save_checkpoint, load_checkpoint and
+    artifact_from_record give back the artifact's task, params bytes and
+    fixed design, bit for bit; the fixed design is stored as a JSON list."""
+    rng, envs, params, cfg = make_setup()
+    design = rng.normal(0.0, 0.3, 5) if fixed else None
+    art = Artifact("push", params, fixed_design=design)
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(path, checkpoint_record(art, Optimizers(params, cfg), rng,
+                                            envs, 7, "abc"))
+    back = artifact_from_record(load_checkpoint(path))
+    assert (back.task, back.kind) == ("push", art.kind)
+    assert param_bytes(back.params) == param_bytes(params)
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    if fixed:
+        assert set(raw) - {"version"} == TRAIN_KEYS | {"fixed_design"}
+        expect = [float(x).hex() for x in design]
+        assert [x.hex() for x in raw["fixed_design"]] == expect
+        assert [float(x).hex() for x in back.fixed_design] == expect
+    else:
+        assert set(raw) - {"version"} == TRAIN_KEYS
+        assert back.fixed_design is None
+
+
+def test_train_and_cma_rl_checkpoints_keep_their_keys(tmp_path):
+    """train's checkpoint holds no fixed_design; cma_rl's holds the best
+    candidate's as a list of floats, and fitness."""
+    from toolsmith.baselines import cma_rl
+    out = train(PUSH, small_cfg(), total_steps=1, out_dir=tmp_path / "t",
+                seed=2, n_envs=2)
+    assert set(load_checkpoint(out["checkpoint_path"])) == TRAIN_KEYS
+    out = cma_rl(PUSH, total_steps=1, out_dir=tmp_path / "c", n_envs=2,
+                 seed=2, cfg=small_cfg(), population_size=3, inner_steps=0,
+                 n_eval_goals=2)
+    state = load_checkpoint(out["checkpoint_path"])
+    assert set(state) == TRAIN_KEYS | {"fixed_design", "fitness"}
+    assert isinstance(state["fixed_design"], list)
+    back = artifact_from_record(state)
+    assert back.kind == "fixed-design"
+    assert [float(x).hex() for x in back.fixed_design] == \
+        [float(x).hex() for x in out["best_design"]]
 
 
 def test_run_episode_deterministic_eval():
