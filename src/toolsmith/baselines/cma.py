@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from toolsmith.ppo import METRICS_HEADER, _append_csv
+from toolsmith.ppo import GENERATIONS_FILE, METRICS_FILE, append_metrics, start_fresh
 
 EIG_FLOOR_REL = 1e-14
-GENERATIONS_FILE = "generations.jsonl"
 
 
 @dataclass
@@ -147,8 +146,8 @@ def cma_tell(state: CmaState, candidates: np.ndarray,
 
 
 def cma_search(fitness_fn, dim: int, total_steps: int, out_dir,
-               rng: np.random.Generator, population_size: int, sigma0: float,
-               artifact: str) -> dict:
+               rng: np.random.Generator, population_size: int,
+               sigma0: float) -> dict:
     """Run generations from the origin until total_steps env steps are spent.
 
     fitness_fn(candidate) returns evaluation statistics: mean_return is the
@@ -160,15 +159,12 @@ def cma_search(fitness_fn, dim: int, total_steps: int, out_dir,
     Writes one generations.jsonl record per generation and one metrics.csv
     row in the training schema. A row pairs the population's mean return
     with the success_rate, mean_d_used and mean_c_used of the best candidate
-    so far; approx_kl and entropy are 0. The caller's artifact file is
-    removed up front, so an interrupted run leaves none behind.
+    so far; approx_kl and entropy are 0. ppo.start_fresh first removes every
+    run file, so no earlier run's artifact outlives an interrupted search.
     """
-    os.makedirs(out_dir, exist_ok=True)
+    start_fresh(out_dir)
     gen_path = os.path.join(out_dir, GENERATIONS_FILE)
-    metrics_path = os.path.join(out_dir, "metrics.csv")
-    for path in (gen_path, metrics_path, os.path.join(out_dir, artifact)):
-        if os.path.exists(path):
-            os.remove(path)
+    metrics_path = os.path.join(out_dir, METRICS_FILE)
 
     state = cma_init(np.zeros(dim), sigma=sigma0,
                      population_size=population_size)
@@ -194,15 +190,12 @@ def cma_search(fitness_fn, dim: int, total_steps: int, out_dir,
         }
         with open(gen_path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(record) + "\n")
-        _append_csv(metrics_path, METRICS_HEADER, [
-            env_steps,
-            f"{fits.mean():.6f}",
-            f"{best_stats['success_rate']:.6f}",
-            "0.00000000",
-            "0.000000",
-            f"{best_stats['mean_d_used']:.6f}",
-            f"{best_stats['mean_c_used']:.6f}",
-        ])
+        append_metrics(metrics_path, env_steps=env_steps,
+                       mean_return=fits.mean(),
+                       success_rate=best_stats["success_rate"],
+                       approx_kl=0.0, entropy=0.0,
+                       mean_d_used=best_stats["mean_d_used"],
+                       mean_c_used=best_stats["mean_c_used"])
     return {
         "best_candidate": best,
         "best_stats": best_stats,

@@ -20,6 +20,7 @@ from toolsmith.envs import TaskConfig, make_env
 from toolsmith.evaluation import evaluate_policy, evaluation_goals
 from toolsmith.neural import save_checkpoint
 from toolsmith.ppo import (
+    CHECKPOINT_FILE,
     Artifact,
     Optimizers,
     TrainConfig,
@@ -30,8 +31,6 @@ from toolsmith.ppo import (
     seeded_envs,
     train_round,
 )
-
-CHECKPOINT_FILE = "checkpoint.json"
 
 
 def cma_rl(task_cfg: TaskConfig, total_steps: int, out_dir, n_envs: int,
@@ -66,8 +65,7 @@ def cma_rl(task_cfg: TaskConfig, total_steps: int, out_dir, n_envs: int,
                     optimizers=optimizers)
 
     out = cma_search(fitness, eval_env.design_action_dim, total_steps,
-                     out_dir, rng, population_size, sigma0,
-                     artifact=CHECKPOINT_FILE)
+                     out_dir, rng, population_size, sigma0)
     best = out["best_stats"]["art"]
     ck_path = os.path.join(out_dir, CHECKPOINT_FILE)
     config_hash = config_fingerprint(task_cfg, cfg, seed, n_envs,

@@ -16,9 +16,8 @@ import numpy as np
 from toolsmith.baselines.cma import cma_search
 from toolsmith.envs import TaskConfig, default_config, make_env
 from toolsmith.evaluation import evaluate_plan, evaluation_goals
-from toolsmith.ppo import Artifact
-
-BEST_PLAN_FILE = "best_plan.json"
+from toolsmith.neural import write_atomic
+from toolsmith.ppo import BEST_PLAN_FILE, Artifact
 
 
 def plan_dim(env) -> int:
@@ -58,19 +57,17 @@ def single_traj_cmaes(task_cfg: TaskConfig, total_steps: int, out_dir,
                       sigma0: float = 0.1, n_eval_goals: int = 16) -> dict:
     """Evolve a flat plan until the env-step budget is spent.
 
-    Logs through cma_search, then writes best_plan.json for load_plan.
+    Logs through cma_search, then writes best_plan.json for load_plan,
+    atomically, so a kill mid-write leaves no torn plan.
     """
     env = make_env(task_cfg)
     goals = evaluation_goals(env, n_eval_goals)
     out = cma_search(lambda vector: plan_fitness(env, vector, goals),
                      plan_dim(env), total_steps, out_dir,
-                     np.random.default_rng(seed), population_size, sigma0,
-                     artifact=BEST_PLAN_FILE)
+                     np.random.default_rng(seed), population_size, sigma0)
     best_vector = out["best_candidate"]
-    with open(os.path.join(out_dir, BEST_PLAN_FILE), "w",
-              encoding="utf-8") as fh:
-        json.dump({"task": env.task_name,
-                   "fitness": out["best_fitness"],
-                   "vector": [float(x) for x in best_vector]}, fh, indent=1)
+    write_atomic(os.path.join(out_dir, BEST_PLAN_FILE), json.dumps(
+        {"task": env.task_name, "fitness": out["best_fitness"],
+         "vector": [float(x) for x in best_vector]}, indent=1))
     out["best_vector"] = best_vector
     return out

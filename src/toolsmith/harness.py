@@ -9,7 +9,10 @@ byte-identical.
 
 Artifact contract: each method leaves one artifact per seed directory,
 written and read in one module, and _load_for_eval loads it as one
-ppo.Artifact for eval, compare, export-tool and finetune.
+ppo.Artifact for eval, compare, export-tool and finetune. ppo owns the
+directory's layout: it names the files (RUN_FILES), and start_fresh removes
+them all before any run but a resume. Each file keeps its content owner;
+ppo.append_metrics writes metrics.csv rows and ppo.read_curve reads them.
 
 - ours, hwasp, shared: checkpoint.json from one ppo.train call that differs
   only in the starting policy (PPO_POLICIES). ppo.checkpoint_record writes
@@ -18,7 +21,8 @@ ppo.Artifact for eval, compare, export-tool and finetune.
 - cma_rl: the same record of the best candidate's fixed-design Artifact,
   which adds fixed_design (the searched design action), plus fitness.
 - single_traj: best_plan.json with task, fitness and vector (the design
-  action, then every control action), read by single_traj.load_plan.
+  action, then every control action), written atomically by
+  single_traj_cmaes and read by single_traj.load_plan.
 
 The loader checks the task and re-ties a shared trunk (Artifact.kind).
 Every command scores an artifact by evaluate_policy, one ppo.run_episode
@@ -43,22 +47,25 @@ from toolsmith.baselines import (
     single_traj_cmaes,
 )
 from toolsmith.baselines.shared import retie_trunk
-from toolsmith.baselines.single_traj import BEST_PLAN_FILE, load_plan
+from toolsmith.baselines.single_traj import load_plan
 from toolsmith.envs import default_config, make_env
 from toolsmith.envs.push import GOAL_HIGH, GOAL_LOW
 from toolsmith.evaluation import EVAL_RESET_SEED, evaluate_policy, evaluation_goals
 from toolsmith.geometry import build_tool, export_stl
 from toolsmith.neural import load_checkpoint
 from toolsmith.ppo import (
+    BEST_PLAN_FILE,
+    CHECKPOINT_FILE,
+    METRICS_FILE,
     METRICS_HEADER,
     Artifact,
     Optimizers,
     TrainConfig,
-    _last_whole_row,
     artifact_from_record,
     default_train_config,
     policy_for_env,
     policy_settings,
+    read_curve,
     seeded_envs,
     train,
     train_round,
@@ -305,12 +312,8 @@ def _run_one_seed(config: ExperimentConfig, seed: int, out_dir) -> dict:
 
 def aggregate_metrics(seed_csvs: list, out_path) -> int:
     """Row-aligned mean and standard error across per-seed curves."""
-    tables = []
-    for path in seed_csvs:
-        with open(path, encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == METRICS_HEADER, path
-        tables.append(np.array(rows[1:], dtype=np.float64))
+    tables = [np.array(read_curve(path), dtype=np.float64)
+              for path in seed_csvs]
     n_rows = min(t.shape[0] for t in tables)
     stack = np.stack([t[:n_rows] for t in tables])  # (seeds, rows, cols)
     mean = stack.mean(axis=0)
@@ -336,13 +339,11 @@ def cmd_train(config: ExperimentConfig) -> dict:
     write_manifest(config.out_dir, "train", {
         "config": asdict(config),
     })
-    seed_dirs, seed_csvs, results = [], [], []
-    for seed in config.seeds:
-        seed_dir = os.path.join(config.out_dir, f"seed_{seed}")
-        res = _run_one_seed(config, seed, seed_dir)
-        seed_dirs.append(seed_dir)
-        seed_csvs.append(os.path.join(seed_dir, "metrics.csv"))
-        results.append(res)
+    seed_dirs = [os.path.join(config.out_dir, f"seed_{seed}")
+                 for seed in config.seeds]
+    results = [_run_one_seed(config, seed, seed_dir)
+               for seed, seed_dir in zip(config.seeds, seed_dirs)]
+    seed_csvs = [os.path.join(seed_dir, METRICS_FILE) for seed_dir in seed_dirs]
     agg_path = os.path.join(config.out_dir, "aggregate.csv")
     aggregate_metrics(seed_csvs, agg_path)
     return {
@@ -630,7 +631,7 @@ def cmd_export_tool(checkpoint_path, goal, out_dir) -> dict:
 def _compare_artifact(run_dir: str, task: str) -> Artifact | None:
     """The run dir's checkpoint.json, else its best_plan.json, as an
     Artifact of task; None when it has neither."""
-    for name in ("checkpoint.json", BEST_PLAN_FILE):
+    for name in (CHECKPOINT_FILE, BEST_PLAN_FILE):
         path = os.path.join(run_dir, name)
         if os.path.exists(path):
             return _load_for_eval(path, task)[1]
@@ -644,19 +645,21 @@ def cmd_compare(run_dirs: list, out_dir, task: str, n_goals: int = 16) -> list:
     env = make_env(default_config(task))
     goals = evaluation_goals(env, n_goals)
     run_dirs = [str(d) for d in run_dirs]
-    # every artifact is loaded, and its task checked, before anything is
-    # written
+    # every artifact is loaded and its task checked, and every curve is
+    # read, before anything is written
     arts = [_compare_artifact(run_dir, task) for run_dir in run_dirs]
+    metrics = [os.path.join(run_dir, METRICS_FILE) for run_dir in run_dirs]
+    curves = [read_curve(path) if os.path.exists(path) else []
+              for path in metrics]
     write_manifest(out_dir, "compare", {
         "task": task, "n_goals": n_goals, "run_dirs": run_dirs,
     })
     rows = []
-    for run_dir, art in zip(run_dirs, arts):
+    for run_dir, art, curve in zip(run_dirs, arts, curves):
         row = {"run_dir": run_dir, "env_steps": None,
                "train_mean_return": None, "eval_mean_return": None}
-        metrics = os.path.join(run_dir, "metrics.csv")
-        last = _last_whole_row(metrics) if os.path.exists(metrics) else None
-        if last is not None:
+        if curve:
+            last = dict(zip(METRICS_HEADER, curve[-1]))
             row["env_steps"] = int(last["env_steps"])
             row["train_mean_return"] = float(last["mean_return"])
         if art is not None:

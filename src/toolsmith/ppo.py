@@ -58,8 +58,18 @@ from .neural import (
     write_atomic,
 )
 
-METRICS_HEADER = ["env_steps", "mean_return", "success_rate", "approx_kl",
-                  "entropy", "mean_d_used", "mean_c_used"]
+# A run directory's files, each named only here; start_fresh removes them
+CHECKPOINT_FILE = "checkpoint.json"
+METRICS_FILE = "metrics.csv"
+DESIGN_MEANS_FILE = "design_means.csv"
+BEST_PLAN_FILE = "best_plan.json"
+GENERATIONS_FILE = "generations.jsonl"
+RUN_FILES = (CHECKPOINT_FILE, METRICS_FILE, DESIGN_MEANS_FILE, BEST_PLAN_FILE,
+             GENERATIONS_FILE)
+METRICS_FORMATS = {"env_steps": "d", "mean_return": ".6f",
+                   "success_rate": ".6f", "approx_kl": ".8f", "entropy": ".6f",
+                   "mean_d_used": ".6f", "mean_c_used": ".6f"}
+METRICS_HEADER = list(METRICS_FORMATS)  # metrics.csv's columns, in order
 DESIGN_MEANS_HEADER = ["env_steps", "mean_length_1", "mean_length_2",
                        "mean_length_3", "mean_angle_1", "mean_angle_2"]
 CHECKPOINT_EVERY = 10  # batches between mid-run checkpoints
@@ -611,45 +621,51 @@ def config_fingerprint(task_cfg: TaskConfig, cfg: TrainConfig, seed: int,
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def start_fresh(out_dir) -> None:
+    """Create out_dir, or remove every RUN_FILES file it holds."""
+    os.makedirs(out_dir, exist_ok=True)
+    for path in (os.path.join(out_dir, name) for name in RUN_FILES):
+        if os.path.exists(path):
+            os.remove(path)
+
+
 def _append_csv(path, header, row) -> None:
     new = not os.path.exists(path)
     with open(path, "a", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        if new:
-            w.writerow(header)
-        w.writerow(row)
+        csv.writer(fh).writerows([header, row] if new else [row])
+
+
+def append_metrics(path, **values) -> None:
+    """Append one metrics.csv row: each named value in its column's format."""
+    _append_csv(path, METRICS_HEADER, [
+        format(values[name], spec) for name, spec in METRICS_FORMATS.items()])
+
+
+def read_curve(path, header: list = METRICS_HEADER) -> list:
+    """The _whole_row rows of a curve CSV (metrics.csv by default) as text
+    fields, so a row torn by a kill is dropped; ValueError on another header."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        found, *rows = list(csv.reader(fh)) or [[]]
+    if found != header:
+        raise ValueError(f"{path} has header {found}, not {header}")
+    return [r for r in rows if _whole_row(r, len(header))]
 
 
 def _whole_row(row: list, width: int) -> bool:
     """Whether a curve CSV row has all its fields and each parses."""
     try:
-        values = [float(x) for x in row]
+        return len([float(x) for x in row]) == width
     except ValueError:
         return False
-    return len(values) == width
 
 
-def _last_whole_row(path) -> dict | None:
-    """The last whole row of a curve CSV, keyed by its header; None when a
-    run killed early left none."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        header, *rows = list(csv.reader(fh)) or [[]]
-    whole = [r for r in rows if _whole_row(r, len(header))]
-    return dict(zip(header, whole[-1])) if whole else None
-
-
-def _drop_rows_after(path, env_steps: int) -> None:
-    """Remove the rows of a curve CSV logged past env_steps, and any row
-    torn by a kill partway through writing it."""
-    if not os.path.exists(path):
-        return
-    with open(path, newline="", encoding="utf-8") as fh:
-        header, *rows = csv.reader(fh)
-    text = io.StringIO()
-    csv.writer(text).writerows([header] + [
-        r for r in rows
-        if _whole_row(r, len(header)) and int(r[0]) <= env_steps])
-    write_atomic(path, text.getvalue())
+def _drop_rows_after(path, header: list, env_steps: int) -> None:
+    """Drop a curve CSV's rows logged past env_steps, and any torn row."""
+    if os.path.exists(path):
+        text = io.StringIO()
+        csv.writer(text).writerows([header] + [
+            r for r in read_curve(path, header) if int(r[0]) <= env_steps])
+        write_atomic(path, text.getvalue())
 
 
 def seeded_envs(task_cfg: TaskConfig, n_envs: int, seed: int) -> list:
@@ -700,16 +716,15 @@ def train(task_cfg: TaskConfig, cfg: TrainConfig, total_steps: int, out_dir,
     Every PPO method runs here and differs only in the policy it starts from:
     params, or when None a policy_for_env bundle drawn from the training rng
     with the policy_heads overrides policy_overrides, which the config
-    fingerprint records either way. Writes metrics.csv (fixed header) and
-    design_means.csv under out_dir, plus a resumable checkpoint.json for
-    task_cfg.task. A resume copies the checkpoint into params in place, so a
-    tied trunk stays tied, and drops curve rows logged after the checkpoint,
-    so they are not repeated.
+    fingerprint records either way. Writes metrics.csv, design_means.csv and
+    a resumable checkpoint.json for task_cfg.task under out_dir. A resume
+    copies the checkpoint into params in place, so a tied trunk stays tied,
+    and drops curve rows logged after it; any other run starts fresh, so no
+    RUN_FILES file of an earlier run or method outlives it (start_fresh).
     """
-    os.makedirs(out_dir, exist_ok=True)
-    metrics_path = os.path.join(out_dir, "metrics.csv")
-    means_path = os.path.join(out_dir, "design_means.csv")
-    ck_path = os.path.join(out_dir, "checkpoint.json")
+    metrics_path = os.path.join(out_dir, METRICS_FILE)
+    means_path = os.path.join(out_dir, DESIGN_MEANS_FILE)
+    ck_path = os.path.join(out_dir, CHECKPOINT_FILE)
     fingerprint = config_fingerprint(task_cfg, cfg, seed, n_envs,
                                      policy_overrides=policy_overrides)
 
@@ -732,12 +747,10 @@ def train(task_cfg: TaskConfig, cfg: TrainConfig, total_steps: int, out_dir,
         for env, st in zip(envs, state["env_rng_states"]):
             env._rng.bit_generator.state = st
         env_steps = int(state["env_steps"])
-        for path in (metrics_path, means_path):
-            _drop_rows_after(path, env_steps)
+        _drop_rows_after(metrics_path, METRICS_HEADER, env_steps)
+        _drop_rows_after(means_path, DESIGN_MEANS_HEADER, env_steps)
     else:
-        for path in (metrics_path, means_path):
-            if os.path.exists(path):
-                os.remove(path)
+        start_fresh(out_dir)
 
     def save(env_steps: int) -> None:
         save_checkpoint(ck_path, checkpoint_record(
@@ -749,15 +762,12 @@ def train(task_cfg: TaskConfig, cfg: TrainConfig, total_steps: int, out_dir,
                                    goal_sampler)
         env_steps += batch.env_steps
         batches += 1
-        _append_csv(metrics_path, METRICS_HEADER, [
-            env_steps,
-            f"{batch.mean_return:.6f}",
-            f"{batch.success_rate:.6f}",
-            f"{stats['approx_kl']:.8f}",
-            f"{stats['entropy']:.6f}",
-            f"{batch.mean_d_used:.6f}",
-            f"{batch.mean_c_used:.6f}",
-        ])
+        append_metrics(metrics_path, env_steps=env_steps,
+                       mean_return=batch.mean_return,
+                       success_rate=batch.success_rate,
+                       approx_kl=stats["approx_kl"], entropy=stats["entropy"],
+                       mean_d_used=batch.mean_d_used,
+                       mean_c_used=batch.mean_c_used)
         _append_csv(means_path, DESIGN_MEANS_HEADER,
                     [env_steps] + [f"{x:.6f}" for x in batch.design_mean])
         if batches % CHECKPOINT_EVERY == 0:

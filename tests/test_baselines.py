@@ -1,5 +1,6 @@
 """Tests for the comparison optimizers and ablations."""
 
+import builtins
 import json
 import math
 import os
@@ -267,6 +268,44 @@ def test_single_traj_rerun_is_byte_identical(tmp_path):
     for name in ("generations.jsonl", "metrics.csv", "best_plan.json"):
         with open(a_dir / name, "rb") as fa, open(b_dir / name, "rb") as fb:
             assert fa.read() == fb.read(), name
+
+
+class DiesWriting:
+    """A file that writes the first half of what it is given, then fails,
+    as a process killed or out of disk partway through a write."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, text):
+        self.fh.write(text[:len(text) // 2])
+        raise OSError("write failed partway")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def test_single_traj_failed_plan_write_leaves_no_partial_plan(tmp_path,
+                                                              monkeypatch):
+    """A best_plan.json write that dies partway leaves no plan file, torn
+    or temporary, for load_plan to read."""
+    real_open = builtins.open
+
+    def dying_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        plan = os.path.basename(str(file)).startswith("best_plan.json")
+        return DiesWriting(fh) if plan and "w" in mode else fh
+
+    monkeypatch.setattr(builtins, "open", dying_open)
+    with pytest.raises(OSError, match="partway"):
+        single_traj_cmaes(default_config("push"), total_steps=1,
+                          out_dir=tmp_path, seed=0, population_size=4,
+                          n_eval_goals=1)
+    monkeypatch.undo()
+    assert sorted(os.listdir(tmp_path)) == ["generations.jsonl", "metrics.csv"]
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from toolsmith.harness import (
     ALLOWED_FRACTIONS,
     DEFAULT_FINETUNE_GOALS,
     ExperimentConfig,
+    aggregate_metrics,
     centered_cutout,
     classify_goal,
     cmd_alpha_sweep,
@@ -36,6 +37,7 @@ from toolsmith.harness import (
     cutout_goal_sampler,
     goal_grid,
     in_cutout,
+    _compare_artifact,
     _load_for_eval,
 )
 from toolsmith.envs.push import GOAL_HIGH, GOAL_LOW
@@ -241,6 +243,39 @@ def test_desk_catch_override_reaches_every_gaussian_designer(tmp_path):
         ck = load_checkpoint(os.path.join(out["seed_dirs"][0],
                                           "checkpoint.json"))
         assert np.all(ck["params"]["designer_log_std"] == -1.2), method
+
+
+def test_aggregate_metrics_rejects_a_curve_with_another_header(tmp_path):
+    """A curve whose header is not metrics.csv's is refused with a
+    ValueError naming the file, which python -O keeps, unlike an assert."""
+    path = tmp_path / "metrics.csv"
+    path.write_text("env_steps,mean_return\n256,0.5\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="metrics.csv"):
+        aggregate_metrics([str(path)], str(tmp_path / "aggregate.csv"))
+    assert not (tmp_path / "aggregate.csv").exists()
+
+
+# each method's files in its seed directory, and the kind of its artifact
+METHOD_FILES = {
+    "ours": ({"checkpoint.json", "design_means.csv", "metrics.csv"}, "policy"),
+    "single_traj": ({"best_plan.json", "generations.jsonl", "metrics.csv"},
+                    "open-loop plan"),
+}
+
+
+@pytest.mark.parametrize("first,second", [("ours", "single_traj"),
+                                          ("single_traj", "ours")])
+def test_reused_out_dir_holds_only_the_last_methods_files(tmp_path, first,
+                                                          second):
+    """A method trained into an out dir another method used leaves only its
+    own files in each seed directory, so compare scores its artifact
+    beside its curve."""
+    for method in (first, second):
+        cmd_train(tiny_config(tmp_path, method=method, total_steps=256))
+    seed_dir = tmp_path / "run" / "seed_0"
+    files, kind = METHOD_FILES[second]
+    assert set(os.listdir(seed_dir)) == files
+    assert _compare_artifact(str(seed_dir), "push").kind == kind
 
 
 def test_cmd_train_cutout_goals_avoid_the_cutout(tmp_path):
@@ -543,6 +578,21 @@ def test_cmd_compare_checks_every_artifact_before_writing(tmp_path,
     out_dir = tmp_path / "cmp"
     with pytest.raises(ValueError, match="'catch', not 'push'"):
         cmd_compare([os.path.dirname(tiny_checkpoint), catch_dir],
+                    str(out_dir), "push", n_goals=1)
+    assert not out_dir.exists()
+
+
+def test_cmd_compare_checks_every_curve_before_writing(tmp_path,
+                                                     tiny_checkpoint):
+    """A run dir whose metrics.csv has another header is refused, naming
+    the file, before the manifest is written or any run dir is scored."""
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "metrics.csv").write_text("env_steps,return\n256,0.5\n",
+                                         encoding="utf-8")
+    out_dir = tmp_path / "cmp"
+    with pytest.raises(ValueError, match="metrics.csv"):
+        cmd_compare([os.path.dirname(tiny_checkpoint), run_dir],
                     str(out_dir), "push", n_goals=1)
     assert not out_dir.exists()
 

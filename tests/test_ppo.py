@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import shutil
 
 import numpy as np
@@ -22,9 +23,11 @@ from toolsmith.neural import (
     parameters,
     save_checkpoint,
 )
+import toolsmith.ppo as ppo
 from toolsmith.ppo import (
     DESIGN_MEANS_HEADER,
     METRICS_HEADER,
+    RUN_FILES,
     Artifact,
     Optimizers,
     TrainConfig,
@@ -36,10 +39,13 @@ from toolsmith.ppo import (
     default_train_config,
     policy_for_env,
     policy_heads,
+    append_metrics,
     ppo_update,
     prepare_batch,
+    read_curve,
     run_episode,
     run_episodes,
+    start_fresh,
     train,
     _heads,
     _policy_loss_grads,
@@ -610,6 +616,80 @@ def test_train_resume_rejects_config_change(tmp_path):
     with pytest.raises(ValueError):
         train(PUSH, other, total_steps=600, out_dir=tmp_path / "r", seed=3,
               n_envs=2, resume=True)
+
+
+def test_killed_fresh_train_leaves_no_file_of_the_run_before(tmp_path,
+                                                            monkeypatch):
+    """A fresh run into a used out_dir that dies in its first round leaves
+    none of the earlier run's files, so no other seed's checkpoint is left
+    to be scored under the new run's manifest."""
+    cfg = small_cfg(batch_size=64, minibatch_size=32)
+    train(PUSH, cfg, total_steps=1, out_dir=tmp_path, seed=0, n_envs=2)
+    assert sorted(os.listdir(tmp_path)) == \
+        ["checkpoint.json", "design_means.csv", "metrics.csv"]
+
+    def killed(*args, **kwargs):
+        raise RuntimeError("killed")
+
+    monkeypatch.setattr(ppo, "train_round", killed)
+    with pytest.raises(RuntimeError, match="killed"):
+        train(PUSH, cfg, total_steps=1, out_dir=tmp_path, seed=1, n_envs=2)
+    assert os.listdir(tmp_path) == []
+
+
+def test_start_fresh_removes_only_the_run_files(tmp_path):
+    for name in RUN_FILES + ("manifest.json",):
+        (tmp_path / name).write_text("x")
+    start_fresh(tmp_path)
+    assert os.listdir(tmp_path) == ["manifest.json"]
+    start_fresh(tmp_path / "new")
+    assert os.listdir(tmp_path / "new") == []
+
+
+# One metrics.csv row as train wrote it, for batch and update statistics,
+# and one as cma_search wrote it, before append_metrics formatted both.
+METRICS_HEADER_LINE = \
+    b"env_steps,mean_return,success_rate,approx_kl,entropy,mean_d_used," \
+    b"mean_c_used\r\n"
+TRAIN_ROW = \
+    b"4832,-0.231082,0.062500,-0.00002516,-1.783715,6.000000,4.200000\r\n"
+CMA_ROW = b"2416,-0.125514,0.250000,0.00000000,0.000000,5.500000,12.345679\r\n"
+
+
+def append_train_and_cma_rows(path) -> None:
+    append_metrics(path, env_steps=4832, mean_return=np.float64(-0.2310824999),
+                   success_rate=0.0625, approx_kl=np.float64(-2.51620049e-05),
+                   entropy=np.float64(-1.78371485),
+                   mean_d_used=np.float64(6.0),
+                   mean_c_used=np.float64(4.20000049))
+    append_metrics(path, env_steps=2416,
+                   mean_return=np.array([0.1234567, -0.5, 0.00000049]).mean(),
+                   success_rate=0.25, approx_kl=0.0, entropy=0.0,
+                   mean_d_used=5.5, mean_c_used=12.3456789)
+
+
+def test_append_metrics_writes_the_frozen_row_bytes(tmp_path):
+    """The header goes first into a new file, then each row in its columns'
+    formats, byte for byte as train and cma_search wrote them."""
+    path = tmp_path / "metrics.csv"
+    append_train_and_cma_rows(path)
+    assert path.read_bytes() == METRICS_HEADER_LINE + TRAIN_ROW + CMA_ROW
+
+
+@pytest.mark.parametrize("torn", ["", "7248", "7248,-0.1",
+                                  "7248,-0.1,0.0,0.0,0.0,1.0"],
+                         ids=["none", "one-field", "two-fields", "six-fields"])
+def test_read_curve_round_trips_rows_and_drops_a_torn_one(tmp_path, torn):
+    """read_curve gives back every row append_metrics wrote, as its text
+    fields, and drops a last row torn partway through writing it."""
+    path = tmp_path / "metrics.csv"
+    append_train_and_cma_rows(path)
+    with open(path, "a", encoding="utf-8", newline="") as fh:
+        fh.write(torn)
+    assert read_curve(path) == [line.decode().rstrip().split(",")
+                                for line in (TRAIN_ROW, CMA_ROW)]
+    with pytest.raises(ValueError, match="metrics.csv"):
+        read_curve(path, DESIGN_MEANS_HEADER)
 
 
 # the keys of every checkpoint train writes; cma_rl adds fixed_design and
