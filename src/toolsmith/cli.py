@@ -10,8 +10,10 @@ from __future__ import annotations
 import os
 
 # BLAS runs on one thread, whatever the host: a GEMM split across threads
-# rounds differently, so artifacts would depend on the core count. Set
-# before numpy is first imported.
+# rounds differently, so artifacts would depend on the core count. A second
+# core is used by a Python thread instead: ppo_update trains the value net
+# beside the policy nets, each GEMM still on one BLAS thread. Set before
+# numpy is first imported.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -67,6 +68,7 @@ from toolsmith.ppo import (
     policy_settings,
     read_curve,
     seeded_envs,
+    start_fresh,
     train,
     train_round,
 )
@@ -334,11 +336,40 @@ def aggregate_metrics(seed_csvs: list, out_path) -> int:
     return n_rows
 
 
+def _entries(out_dir, pattern: str, keep) -> list:
+    """Paths of out_dir's entries whose whole name matches pattern and is
+    not in keep, sorted by name; none when out_dir does not exist."""
+    if not os.path.isdir(out_dir):
+        return []
+    return [os.path.join(out_dir, name) for name in sorted(os.listdir(out_dir))
+            if re.fullmatch(pattern, name) and name not in keep]
+
+
+def _remove_if_empty(path) -> None:
+    if os.path.isdir(path) and not os.listdir(path):
+        os.rmdir(path)
+
+
+def _remove_stale_seeds(out_dir, seeds) -> None:
+    """Remove each seed_<n>/ directory of out_dir whose seed is not in seeds,
+    as a run with other seeds left it: its RUN_FILES (start_fresh), then the
+    directory once it is empty. A file no command names keeps it."""
+    for path in _entries(out_dir, r"seed_\d+", {f"seed_{s}" for s in seeds}):
+        if os.path.isdir(path):
+            start_fresh(path)
+            _remove_if_empty(path)
+
+
 def cmd_train(config: ExperimentConfig) -> dict:
-    """Run the configured method for every seed, then aggregate the curves."""
+    """Run the configured method for every seed, then aggregate the curves.
+
+    Seed directories of the out dir for seeds not in this run are removed
+    first (_remove_stale_seeds), so the out dir holds only this manifest's
+    runs."""
     write_manifest(config.out_dir, "train", {
         "config": asdict(config),
     })
+    _remove_stale_seeds(config.out_dir, config.seeds)
     seed_dirs = [os.path.join(config.out_dir, f"seed_{seed}")
                  for seed in config.seeds]
     results = [_run_one_seed(config, seed, seed_dir)
@@ -546,7 +577,10 @@ def cmd_alpha_sweep(out_dir, task: str = "catch", alphas=DEFAULT_ALPHAS,
 
     Each weight is one ExperimentConfig for ours, whose seeds train through
     _run_one_seed under out_dir/alpha_<alpha>/seed_<seed>. Each seed's
-    tool_seed_<seed>.stl is the design its eval episode on goal 0 built."""
+    tool_seed_<seed>.stl is the design its eval episode on goal 0 built.
+    What an earlier sweep left for other alphas or seeds is removed first:
+    their seed directories as _remove_stale_seeds does, their STL files,
+    and then each other alpha's directory once it is empty."""
     if k <= 0.0:
         raise ValueError("the sweep needs K > 0; the tradeoff is inactive at 0")
     if len(alphas) == 0 or len(set(alphas)) != len(alphas):
@@ -560,6 +594,14 @@ def cmd_alpha_sweep(out_dir, task: str = "catch", alphas=DEFAULT_ALPHAS,
         "task": task, "alphas": list(alphas), "k": k,
         "budget": budget, "seeds": list(seeds),
     })
+    alpha_dirs = {os.path.basename(config.out_dir) for config in configs}
+    for alpha_dir in _entries(out_dir, r"alpha_[0-9.e+-]+", ()):
+        kept = seeds if os.path.basename(alpha_dir) in alpha_dirs else ()
+        _remove_stale_seeds(alpha_dir, kept)
+        for stl in _entries(alpha_dir, r"tool_seed_\d+\.stl",
+                            {f"tool_seed_{s}.stl" for s in kept}):
+            os.remove(stl)
+        _remove_if_empty(alpha_dir)
     rows = []
     for config in configs:
         alpha = config.tradeoff_alpha

@@ -13,6 +13,14 @@ depends on downstream control rewards. Updates use the clipped surrogate
 with mixed-phase minibatches and epoch-level early stopping on approximate
 KL. The heads' log-stds are fixed, so the entropy term only offsets the
 reported policy loss.
+
+The value net shares no array with the policy networks, and ppo_update
+checks that on every call. So each epoch's value minibatches (forward,
+loss, backward, Adam step) run on a worker thread while the main thread
+runs the same epoch's policy minibatches and its KL pass. The two halves
+read the same row order and write disjoint arrays, and each BLAS call runs
+on one thread; so every bit is the same whichever half finishes first, and
+the same as running them one after the other.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ import hashlib
 import io
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -515,6 +524,55 @@ class Optimizers:
         self.value.load_state(state["value"])
 
 
+def _policy_epoch(params: PolicyParams, heads: tuple,
+                  optimizers: Optimizers, order: np.ndarray, cfg: TrainConfig,
+                  entropy: float) -> tuple:
+    """The policy networks' minibatches of one epoch, in order; returns
+    (losses, finite), stopping at the first non-finite loss unstepped."""
+    losses = []
+    for start in range(0, order.size, cfg.minibatch_size):
+        mb = order[start:start + cfg.minibatch_size]
+        B = mb.size
+        policy_grads = {id(a): np.zeros_like(a) for a in params.trainable()}
+        surrogate, lo = 0.0, 0
+        for net, head, X, actions, logp_old, adv in heads:
+            rows = mb[(mb >= lo) & (mb < lo + adv.size)] - lo
+            lo += adv.size
+            if not rows.size:
+                continue
+            obj, net_g = _policy_loss_grads(
+                net, head, X[rows], actions[rows], logp_old[rows],
+                adv[rows], cfg.clip_epsilon, B)
+            surrogate += obj
+            for a, g in zip(parameters(net), net_g):
+                policy_grads[id(a)] += g
+        loss = -surrogate - cfg.entropy_beta * entropy
+        if not math.isfinite(loss):
+            return losses, False
+        losses.append(loss)
+        optimizers.policy.step([policy_grads[id(a)] for a in params.trainable()])
+    return losses, True
+
+
+def _value_epoch(net, optimizers: Optimizers, batch: Batch,
+                 order: np.ndarray, minibatch_size: int) -> tuple:
+    """The value net's minibatches of one epoch, in order; returns
+    (losses, finite), stopping at the first non-finite loss unstepped."""
+    losses = []
+    for start in range(0, order.size, minibatch_size):
+        mb = order[start:start + minibatch_size]
+        B = mb.size
+        acts = []
+        err = forward(net, batch.value_inputs[mb], acts)[:, 0] \
+            - batch.returns[mb]
+        loss = 0.5 * float(err @ err) / B
+        if not math.isfinite(loss):
+            return losses, False
+        losses.append(loss)
+        optimizers.step_value(backward(net, (err / B)[:, None], acts))
+    return losses, True
+
+
 def ppo_update(params: PolicyParams, batch: Batch, cfg: TrainConfig,
                optimizers: Optimizers, rng: np.random.Generator) -> tuple:
     """Clipped-surrogate epochs with KL early stop; returns (params, stats).
@@ -523,74 +581,55 @@ def ppo_update(params: PolicyParams, batch: Batch, cfg: TrainConfig,
     parameters and optimizer state are restored and the update is marked
     aborted. Each minibatch runs each network forward once, and its
     backward works from that forward's activations.
+
+    Each epoch draws one row order. A worker thread runs the value net's
+    minibatches in it (_value_epoch) while this thread runs the policy
+    minibatches (_policy_epoch) and then the KL pass, and only then waits
+    for the worker. The halves may overlap because they write no common
+    array (ValueError, before anything is written, if the value net shares
+    one with a policy net) and each BLAS call runs on one thread, so the
+    result does not depend on how the threads are scheduled. An exception
+    in either half propagates.
     """
+    value_ids = {id(a) for a in parameters(params.value)}
+    if any(id(a) in value_ids for a in params.trainable()):
+        raise ValueError("the value net shares an array with a policy net, "
+                         "so its minibatches cannot run beside theirs")
     snapshot = clone_params(params)
     opt_snapshot = optimizers.state()
     heads = _heads(params, batch)
-    starts = (0, batch.num_design)
-    n = batch.num_rows
-    eps = cfg.clip_epsilon
-    beta = cfg.entropy_beta
     # constant: the heads' log-stds are fixed
     entropy = 0.5 * (gaussian_entropy(params.designer_head)
                      + gaussian_entropy(params.controller_head))
 
-    def restore():
-        copy_params_into(params, snapshot)
-        optimizers.load_state(opt_snapshot)
-
     stats = {"approx_kl": 0.0, "entropy": entropy, "epochs_run": 0,
              "policy_loss": 0.0, "value_loss": 0.0, "aborted": False}
 
-    for _epoch in range(cfg.ppo_epochs):
-        order = rng.permutation(n)
-        pol_losses, val_losses = [], []
-        for start in range(0, n, cfg.minibatch_size):
-            mb = order[start:start + cfg.minibatch_size]
-            B = mb.size
+    def abort():
+        copy_params_into(params, snapshot)
+        optimizers.load_state(opt_snapshot)
+        stats["aborted"] = True
+        return params, stats
 
-            policy_grads = {id(a): np.zeros_like(a) for a in params.trainable()}
-            surrogate = 0.0
-            for (net, head, X, actions, logp_old, adv), lo in zip(heads, starts):
-                rows = mb[(mb >= lo) & (mb < lo + adv.size)] - lo
-                if not rows.size:
-                    continue
-                obj, net_g = _policy_loss_grads(
-                    net, head, X[rows], actions[rows], logp_old[rows],
-                    adv[rows], eps, B)
-                surrogate += obj
-                for a, g in zip(parameters(net), net_g):
-                    policy_grads[id(a)] += g
-
-            value_acts = []
-            v_pred = forward(params.value, batch.value_inputs[mb],
-                             value_acts)[:, 0]
-            err = v_pred - batch.returns[mb]
-            value_loss = 0.5 * float(err @ err) / B
-            value_grads = backward(params.value, (err / B)[:, None],
-                                   value_acts)
-
-            policy_loss = -surrogate - beta * entropy
-            if not (math.isfinite(policy_loss) and math.isfinite(value_loss)):
-                restore()
-                stats["aborted"] = True
-                return params, stats
-            pol_losses.append(policy_loss)
-            val_losses.append(value_loss)
-
-            optimizers.policy.step([policy_grads[id(a)] for a in params.trainable()])
-            optimizers.step_value(value_grads)
-
-        stats["epochs_run"] += 1
-        stats["policy_loss"] = float(np.mean(pol_losses))
-        stats["value_loss"] = float(np.mean(val_losses))
-        stats["approx_kl"] = _mean_kl(heads)
-        if not math.isfinite(stats["approx_kl"]):
-            restore()
-            stats["aborted"] = True
-            return params, stats
-        if stats["approx_kl"] > cfg.kl_threshold:
-            break
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        for _epoch in range(cfg.ppo_epochs):
+            order = rng.permutation(batch.num_rows)
+            value_half = worker.submit(_value_epoch, params.value, optimizers,
+                                       batch, order, cfg.minibatch_size)
+            pol_losses, pol_finite = _policy_epoch(params, heads, optimizers,
+                                                   order, cfg, entropy)
+            approx_kl = _mean_kl(heads) if pol_finite else math.nan
+            val_losses, val_finite = value_half.result()
+            if not (pol_finite and val_finite):
+                return abort()
+            stats["epochs_run"] += 1
+            stats["policy_loss"] = float(np.mean(pol_losses))
+            stats["value_loss"] = float(np.mean(val_losses))
+            stats["approx_kl"] = approx_kl
+            if not math.isfinite(approx_kl):
+                return abort()
+            if approx_kl > cfg.kl_threshold:
+                break
     return params, stats
 
 

@@ -278,6 +278,41 @@ def test_reused_out_dir_holds_only_the_last_methods_files(tmp_path, first,
     assert _compare_artifact(str(seed_dir), "push").kind == kind
 
 
+def test_cmd_train_removes_the_seed_dirs_of_an_earlier_run(tmp_path):
+    """Seeds [0, 1, 2], then seeds [0], into one out dir: seed_1/ goes with
+    its run files, so the out dir holds only the manifest's seeds. A seed
+    directory holding a file no command names keeps that file alone, and
+    entries that are not seed directories are left as they are."""
+    cmd_train(tiny_config(tmp_path, seeds=(0, 1, 2), total_steps=1))
+    run = tmp_path / "run"
+    (run / "seed_2" / "notes.txt").write_text("mine", encoding="utf-8")
+    (run / "seed_x").mkdir()
+    (run / "seed_3.txt").write_text("mine", encoding="utf-8")
+    cmd_train(tiny_config(tmp_path, seeds=(0,), total_steps=1))
+    assert sorted(os.listdir(run)) == ["aggregate.csv", "manifest.json",
+                                       "seed_0", "seed_2", "seed_3.txt",
+                                       "seed_x"]
+    assert os.listdir(run / "seed_2") == ["notes.txt"]
+    with open(run / "manifest.json", encoding="utf-8") as fh:
+        assert json.load(fh)["config"]["seeds"] == [0]
+
+
+def test_alpha_sweep_removes_the_runs_of_an_earlier_sweep(tmp_path):
+    """An alpha not in this sweep loses its directory, and a kept alpha
+    loses the seed directories and STL files of seeds not in this sweep."""
+    from toolsmith.ppo import default_train_config
+    cfg = default_train_config("push", batch_size=256, minibatch_size=64,
+                               ppo_epochs=1)
+    sweep = dict(task="push", k=0.5, budget=1, cfg=cfg, n_envs=2)
+    out = tmp_path / "sw"
+    cmd_alpha_sweep(str(out), alphas=(0.0, 1.0), seeds=(0, 1), **sweep)
+    cmd_alpha_sweep(str(out), alphas=(0.0,), seeds=(1,), **sweep)
+    assert sorted(os.listdir(out)) == ["alpha_0", "alpha_sweep.csv",
+                                       "manifest.json"]
+    assert sorted(os.listdir(out / "alpha_0")) == ["seed_1",
+                                                   "tool_seed_1.stl"]
+
+
 def test_cmd_train_cutout_goals_avoid_the_cutout(tmp_path):
     cfg = tiny_config(tmp_path, cutout_fraction=0.8)
     out = cmd_train(cfg)

@@ -2,6 +2,8 @@ import json
 import math
 import os
 import shutil
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from toolsmith.neural import (
     HIDDEN,
     clone_params,
     forward,
+    gaussian_entropy,
     gaussian_logprob,
     init_network,
     load_checkpoint,
@@ -525,6 +528,187 @@ def test_update_routes_design_rows_to_designer_head():
                    zip(parameters(a.designer), parameters(b.designer)))
     assert all(np.array_equal(x, y) for x, y in
                zip(parameters(a.controller), parameters(b.controller)))
+
+
+def update_outcome(params, batch, cfg, seed=0):
+    """ppo_update on a copy of params: its arrays, both optimizers' state
+    and the stats, as one value whose repr holds every bit."""
+    p = clone_params(params)
+    opt = Optimizers(p, cfg)
+    _, stats = ppo_update(p, batch, cfg, opt, np.random.default_rng(seed))
+    return all_params(p), opt.state(), stats
+
+
+def same_bits(x, y) -> bool:
+    """Whether two nests of dicts, lists, arrays and numbers match bitwise."""
+    if isinstance(x, dict):
+        return x.keys() == y.keys() and all(same_bits(x[k], y[k]) for k in x)
+    if isinstance(x, (list, tuple)):
+        return len(x) == len(y) and all(same_bits(a, b) for a, b in zip(x, y))
+    if isinstance(x, np.ndarray):
+        return x.dtype == y.dtype and x.shape == y.shape \
+            and x.tobytes() == y.tobytes()
+    return type(x) is type(y) and repr(x) == repr(y)
+
+
+@pytest.mark.parametrize("value_first", [True, False],
+                         ids=["value-half-first", "policy-half-first"])
+def test_update_bits_do_not_depend_on_which_half_finishes_first(
+        monkeypatch, value_first):
+    """Each epoch's value half is made to finish before its policy half
+    starts, or to start only after the policy half (and its KL pass) ends;
+    either way the params, both Adam states and the stats are bitwise those
+    of an unforced update."""
+    rng, envs, params, _ = make_setup()
+    cfg = small_cfg(policy_lr=1e-3, ppo_epochs=3, kl_threshold=10.0)
+    batch = collect_and_prepare(envs, params, cfg, rng)
+    unforced = update_outcome(params, batch, cfg)
+
+    finished = threading.Semaphore(0)
+    order, value_threads = [], set()
+
+    def runs_first(fn, name):
+        def run(*args):
+            out = fn(*args)
+            order.append(name)
+            finished.release()
+            return out
+        return run
+
+    def runs_second(fn, name):
+        def run(*args):
+            assert finished.acquire(timeout=60)
+            order.append(name)
+            return fn(*args)
+        return run
+
+    def on_worker(fn):
+        def run(*args):
+            value_threads.add(threading.get_ident())
+            return fn(*args)
+        return run
+
+    value_half = on_worker(ppo._value_epoch)
+    if value_first:
+        value_half = runs_first(value_half, "value")
+        policy_half = runs_second(ppo._policy_epoch, "policy")
+    else:
+        value_half = runs_second(value_half, "value")
+        policy_half = runs_first(ppo._mean_kl, "policy")
+    monkeypatch.setattr(ppo, "_value_epoch", value_half)
+    monkeypatch.setattr(ppo, "_policy_epoch" if value_first else "_mean_kl",
+                        policy_half)
+    forced = update_outcome(params, batch, cfg)
+
+    first, second = ("value", "policy") if value_first else ("policy", "value")
+    assert order == [first, second] * 3
+    assert value_threads and threading.get_ident() not in value_threads
+    assert forced[2]["epochs_run"] == 3
+    assert same_bits(forced, unforced)
+
+
+def test_concurrent_updates_under_a_short_switch_interval_keep_the_bits():
+    """Three updates at once, each with its own worker (six threads on any
+    core count), switching threads every microsecond: each update's params,
+    Adam states and stats are bitwise those of one update run alone."""
+    rng, envs, params, _ = make_setup()
+    cfg = small_cfg(policy_lr=1e-3, ppo_epochs=2, kl_threshold=10.0)
+    batch = collect_and_prepare(envs, params, cfg, rng)
+    alone = update_outcome(params, batch, cfg)
+    outcomes = [None] * 3
+
+    def run(i):
+        outcomes[i] = update_outcome(params, batch, cfg)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(same_bits(outcome, alone) for outcome in outcomes)
+
+
+# one minibatch per epoch of a small_cfg batch, for aborts after an epoch
+WHOLE_BATCH = dict(batch_size=4096, minibatch_size=4096)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("field,overrides,epochs_before", [
+    ("returns", {}, 0),
+    ("design_adv", {}, 0),
+    (None, dict(WHOLE_BATCH, value_lr=1e300), 1),
+    (None, dict(WHOLE_BATCH, policy_lr=1e300), 1),
+], ids=["value-loss", "policy-loss", "value-loss-second-epoch", "kl"])
+def test_nonfinite_update_aborts_with_its_last_whole_epochs_stats(
+        field, overrides, epochs_before):
+    """A non-finite value loss, policy loss or KL aborts the update: params
+    and both optimizers are restored bitwise, the stats are those of the
+    epochs before it (what an update of that many epochs returns; for the
+    KL, that epoch's own), and the worker thread is gone."""
+    rng, envs, params, _ = make_setup()
+    batch = collect_and_prepare(envs, params, small_cfg(), rng)
+    cfg = small_cfg(ppo_epochs=3, kl_threshold=10.0, **overrides)
+    if field is not None:
+        getattr(batch, field)[0] = np.inf
+    if epochs_before:
+        shorter = small_cfg(ppo_epochs=epochs_before, kl_threshold=10.0,
+                            **overrides)
+        expected = dict(update_outcome(params, batch, shorter)[2],
+                        aborted=True)
+    else:
+        expected = {"approx_kl": 0.0, "entropy": 0.5 * (
+            gaussian_entropy(params.designer_head)
+            + gaussian_entropy(params.controller_head)), "epochs_run": 0,
+            "policy_loss": 0.0, "value_loss": 0.0, "aborted": True}
+    opt = Optimizers(params, cfg)
+    before, opt_before = all_params(params), opt.state()
+    threads = threading.active_count()
+    params, stats = ppo_update(params, batch, cfg, opt,
+                               np.random.default_rng(0))
+    assert threading.active_count() == threads
+    assert same_bits(stats, expected)
+    assert params_equal(params, before)
+    assert same_bits(opt.state(), opt_before)
+    assert opt.policy.t == 0 and opt.value.t == 0
+
+
+def test_an_error_in_the_value_half_propagates():
+    rng, envs, params, cfg = make_setup()
+    batch = collect_and_prepare(envs, params, cfg, rng)
+    opt = Optimizers(params, cfg)
+
+    def fail(grads):
+        raise RuntimeError("value step failed")
+
+    opt.step_value = fail
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="value step failed"):
+        ppo_update(params, batch, cfg, opt, np.random.default_rng(0))
+    assert threading.active_count() == threads
+
+
+def test_update_refuses_a_value_net_that_shares_a_policy_array():
+    """The value half runs beside the policy half only because they write
+    no common array; a bundle that breaks this is refused before anything
+    is written or drawn."""
+    rng, envs, params, cfg = make_setup()
+    batch = collect_and_prepare(envs, params, cfg, rng)
+    params.value.weights[1] = params.controller.weights[1]
+    opt = Optimizers(params, cfg)
+    before, opt_before = all_params(params), opt.state()
+    update_rng = np.random.default_rng(0)
+    rng_before = update_rng.bit_generator.state
+    with pytest.raises(ValueError, match="shares an array"):
+        ppo_update(params, batch, cfg, opt, update_rng)
+    assert params_equal(params, before)
+    assert same_bits(opt.state(), opt_before)
+    assert update_rng.bit_generator.state == rng_before
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,10 @@ def run_output(correct=True, failed=0, matches=True, checks=(),
         sort_keys=True))
     if result:
         lines.append(json.dumps({"correct": correct, "attempted": 24,
-                                 "failed": failed, "metrics": {}}))
+                                 "failed": failed, "metrics": {
+                                     "wall_s": {"value": 1.2, "unit": "s"},
+                                     "peak_rss_mb": {"value": 66.8125,
+                                                     "unit": "MB"}}}))
     return "\n".join(lines) + "\n"
 
 
@@ -37,10 +40,11 @@ def test_bench_smoke_passes_a_sound_run():
     summary = bench_smoke.summarize(run_output())
     assert summary == {"correct": True, "failed": 0,
                        "artifact_hash_matches_recorded": True, "checks": [],
-                       "ok": True}
+                       "wall_s": 1.2, "peak_rss_mb": 66.8125, "ok": True}
     line = bench_smoke.format_line("push_cma", 3, summary)
     assert line == ("push_cma seed 3: correct=True failed=0 "
-                    "artifact_hash_matches_recorded=True")
+                    "artifact_hash_matches_recorded=True wall_s=1.200 "
+                    "peak_rss_mb=66.812")
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -52,5 +56,8 @@ def test_bench_smoke_misses_each_unsound_run(kwargs):
     assert not summary["ok"]
     line = bench_smoke.format_line("catch_eval", 0, summary)
     assert line.endswith("MISS")
+    if kwargs == {"result": False}:
+        assert summary["wall_s"] is None and summary["peak_rss_mb"] is None
+        assert " wall_s=None peak_rss_mb=None" in line
     for check in kwargs.get("checks", ()):
         assert f"check failed: {check}" in line

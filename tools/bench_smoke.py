@@ -5,8 +5,9 @@
 Runs ``bench/run.py --seconds 1 --trace 0`` once per workload and seed, in
 a fresh process each, one after another (default: every workload of
 BENCHMARK.json, seeds 0 to 9). Prints one line per run with ``correct``,
-``failed``, ``artifact_hash_matches_recorded`` and any ``check failed``
-line, then a total. A run misses when it is not correct, fails an
+``failed``, ``artifact_hash_matches_recorded``, the run's ``wall_s`` and
+``peak_rss_mb`` and any ``check failed`` line, then a total; so a sweep in
+two checkouts doubles as a quick before/after read. A run misses when it is not correct, fails an
 operation, writes artifacts whose hash is not the recorded one (or none),
 fails a check, or prints no result line; the exit status is 1 if any run
 missed. Standard library only.
@@ -25,10 +26,14 @@ RUN = ROOT / "bench" / "run.py"
 CHECK_PREFIX = "check failed: "
 
 
+TIMINGS = ("wall_s", "peak_rss_mb")  # result-line metrics shown, not judged
+
+
 def summarize(stdout: str) -> dict:
-    """What one bench/run.py run printed: its result line's correct and
-    failed, its report's artifact_hash_matches_recorded, and its failed
-    checks; ok when all of them are sound."""
+    """What one bench/run.py run printed: its result line's correct, failed
+    and TIMINGS metrics (None when absent), its report's
+    artifact_hash_matches_recorded, and its failed checks; ok when all but
+    the timings are sound."""
     lines = stdout.splitlines()
     result, report = {}, {}
     for line in lines:
@@ -44,6 +49,9 @@ def summarize(stdout: str) -> dict:
         "checks": [line[len(CHECK_PREFIX):] for line in lines
                    if line.startswith(CHECK_PREFIX)],
     }
+    metrics = result.get("metrics", {})
+    for name in TIMINGS:
+        out[name] = metrics.get(name, {}).get("value")
     out["ok"] = (out["correct"] is True and out["failed"] == 0
                  and out["artifact_hash_matches_recorded"] is True
                  and not out["checks"])
@@ -54,6 +62,9 @@ def format_line(workload: str, seed: int, summary: dict) -> str:
     text = (f"{workload} seed {seed}: correct={summary['correct']} "
             f"failed={summary['failed']} artifact_hash_matches_recorded="
             f"{summary['artifact_hash_matches_recorded']}")
+    for name in TIMINGS:
+        value = summary[name]
+        text += f" {name}=" + ("None" if value is None else f"{value:.3f}")
     for check in summary["checks"]:
         text += f" check failed: {check}"
     return text + ("" if summary["ok"] else "  MISS")
