@@ -13,6 +13,7 @@ from .base import (
     reset_envs,
     step_controls,
     tradeoff_reward,
+    value_inputs,
 )
 
 TASKS = ("push", "catch", "scoop")
@@ -31,4 +32,5 @@ __all__ = [
     "reset_envs",
     "step_controls",
     "tradeoff_reward",
+    "value_inputs",
 ]

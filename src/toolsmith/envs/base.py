@@ -19,8 +19,9 @@ K * [1 - (alpha * d_used/d_max + (1-alpha) * c_used/c_max)].
 
 Policy inputs: value_input featurizes the env's current state as the one
 row [phase flag (0 design, 1 control), task, design echo in ratio space,
-goal]. The echo is zero in the design phase; step_design computes it once
-per episode. Each task class declares task_center and task_scale (one entry
+goal]. The echo is zero in the design phase; the reset writes the goal
+part once per episode and step_design the flag and echo, so a step fills in
+only the task part. Each task class declares task_center and task_scale (one entry
 per task-observation entry) and goal_center and goal_scale (one per goal
 entry); a task or goal entry x enters as (x - center) / scale. A policy
 reads its columns of the row, as ppo.Artifact.columns picks them: the
@@ -31,18 +32,41 @@ and ppo.Batch value_inputs). design_input and control_input return those
 columns; nothing in the program calls them, bench/spans.py wraps them by
 name.
 
-Batched stepping: reset_envs and step_controls advance several envs of one
-task together. Each env does its own bookkeeping (rng draws, clamping,
-control, rewards), while the physics of all of them runs as one World.step
-pass per substep (see physics2d), so every env ends bitwise where its own
-reset and step_control leave it. reset_envs builds every scene first, each
-with its own rng in the one-env order, then runs the task's settle_steps
-for all of them at once. reset and step_control are the one-env cases.
-Their lockstep callers are ppo.collect_batch, which trains, and
-ppo.run_episodes, the scored-episode loop (evaluation.evaluate_plan runs a
-plan's goals through it). Scoop's settle lets its balls fall from their
-jittered grid for a fixed number of steps; they are still moving, and still
-sinking into each other, when the design step comes.
+Batched stepping: reset_envs, step_controls and value_inputs work on several
+envs of one task together, and every env ends bitwise where its own reset,
+step_control and value_input leave it. reset, step_control and value_input
+are the one-env cases; the lockstep callers are ppo.collect_batch, which
+trains, and ppo.run_episodes, the scored-episode loop
+(evaluation.evaluate_plan runs a plan's goals through it).
+- reset_envs builds every scene first, each with its own rng in the one-env
+  order, then runs the task's settle_steps for all of them at once. Scoop's
+  settle lets its balls fall from their jittered grid for a fixed number of
+  steps; they are still moving, and still sinking into each other, when the
+  design step comes.
+- step_controls takes envs that share one TaskConfig and refuses any other
+  batch, or an action of the wrong shape, before it writes anything. Its
+  clamp, efforts, step counts, time-limit done flags, slack, tradeoff term
+  and rewards are one numpy expression each over the E envs. The physics
+  runs as one World.step pass per substep (see physics2d). Then the task's
+  batched hooks do the rest: _tool_commands turns the clamped actions into
+  tool velocities, and _task_rewards scores the step on the scene stack's
+  arrays (physics2d.stacked_state). Push reads its puck rows there. Catch
+  and scoop call supported_by_tool once per world, since each world keeps
+  its own contacts. Catch keeps its ball state in _BallRows, which the next
+  step of the same envs updates in place.
+- value_inputs builds all rows at once from the scene stack, through the
+  task's _task_obs_rows hook.
+
+A quantity keeps the rounding path of the one-env arithmetic it replaces:
+- the norm of one action, or of push's puck offset and velocity, was a 1-D
+  np.linalg.norm, which is a BLAS ddot; np.sqrt(np.vecdot(a, a)) over rows
+  calls the same ddot per row, whereas sqrt(a0*a0 + a1*a1) may round
+  differently;
+- catch's np.linalg.norm(..., axis=...) is a plain add.reduce of the
+  squares, written out as such, not a vecdot;
+- the tool heading's cos and sin stay per scene (math in physics2d, np.cos
+  and np.sin in scoop's observation), never one np.cos over all scenes.
+tests/test_envs.py checks each batched step against the env stepped alone.
 """
 
 from __future__ import annotations
@@ -58,7 +82,7 @@ from ..geometry import (
     RatioDesignSpace,
     build_tool,
 )
-from ..physics2d import World
+from ..physics2d import SceneState, World, command_tools, stacked_state
 
 DESIGN = "design"
 CONTROL = "control"
@@ -89,8 +113,9 @@ class TradeoffConfig:
             raise ValueError("d_max and c_max must be positive")
 
 
-def tradeoff_reward(cfg: TradeoffConfig, d_used: float, c_used: float) -> float:
-    """K * [1 - (alpha * d_used/d_max + (1-alpha) * c_used/c_max)].
+def tradeoff_reward(cfg: TradeoffConfig, d_used, c_used):
+    """K * [1 - (alpha * d_used/d_max + (1-alpha) * c_used/c_max)], for
+    floats or elementwise for arrays over envs.
 
     K = 0 returns exact zero so total returns are bitwise independent of alpha.
     """
@@ -215,9 +240,10 @@ def dump_task_config(cfg: TaskConfig) -> str:
 class ToolTaskEnv:
     """Phase machine and shared plumbing for the three tasks.
 
-    Subclasses provide the scene, observation vector, control application,
-    and task reward; this class owns the design/control protocol, clamping,
-    step budgets, and the reward composition.
+    Subclasses provide the scene and the batched hooks that command the
+    tools, score a control step and observe the task; this class and
+    step_controls own the design/control protocol, clamping, step budgets,
+    and the reward composition.
     """
 
     task_name: str = ""
@@ -241,7 +267,7 @@ class ToolTaskEnv:
         cap = np.asarray(config.control_velocity_cap, dtype=np.float64)
         if cap.shape != (self.control_action_dim,):
             raise ValueError("control_velocity_cap length must match the action dim")
-        self._cap = cap
+        self._cap, self._cap_low = cap, -cap
         self.tradeoff = TradeoffConfig(
             k=config.tradeoff_k, alpha=config.tradeoff_alpha,
             d_max=self.space.d_max, c_max=float(np.linalg.norm(cap)))
@@ -286,7 +312,10 @@ class ToolTaskEnv:
         self._done = False
         self._steps = 0
         self._design: np.ndarray | None = None
-        self._design_ratio = np.zeros(DESIGN_DIM, dtype=np.float64)
+        # the value row but for its task part, which value_inputs fills in:
+        # the design flag, a zero echo and the goal
+        self._row = np.zeros(self.value_input_dim)
+        self._row[-self.goal_dim:] = (self._goal - self.goal_center) / self.goal_scale
         self._d_used = 0.0
         self._success = 0.0
         self._c_used = 0.0
@@ -306,7 +335,8 @@ class ToolTaskEnv:
         design = self.space.realize(a)
         design.flags.writeable = False
         self._design = design
-        self._design_ratio = self.space.ratio_of(design)
+        self._row[0] = 1.0
+        self._row[1 + self.task_obs_dim:-self.goal_dim] = self.space.ratio_of(design)
         self.world.set_tool(build_tool(design, radius=TOOL_RADIUS),
                             self.cfg.tool_position_init, angle=math.pi)
         self._d_used = float(sum(design[:NUM_LINKS]))
@@ -316,20 +346,6 @@ class ToolTaskEnv:
     def step_control(self, action) -> float:
         """One control step; returns its reward."""
         return step_controls([self], [action])[0]
-
-    def _clamped(self, action) -> np.ndarray:
-        a = np.asarray(action, dtype=np.float64).reshape(self.control_action_dim)
-        return np.minimum(np.maximum(a, -self._cap), self._cap)
-
-    def _end_control(self) -> float:
-        """Count the step and score it, after its physics substeps."""
-        self._steps += 1
-        task_r, done = self._task_reward_done()
-        if self._steps >= self.cfg.max_episode_steps:
-            done = True
-        self._done = bool(done)
-        return float(task_r + self.cfg.slack_reward
-                     + tradeoff_reward(self.tradeoff, self._d_used, self._c_used))
 
     @property
     def phase(self) -> str | None:
@@ -381,11 +397,7 @@ class ToolTaskEnv:
 
     def value_input(self) -> np.ndarray:
         """The env as it stands: [phase flag, task, design ratio, goal]."""
-        flag = 0.0 if self._phase == DESIGN else 1.0
-        return np.concatenate([[flag],
-                               (self._task_obs() - self.task_center) / self.task_scale,
-                               self._design_ratio,
-                               (self._goal - self.goal_center) / self.goal_scale])
+        return value_inputs([self])[0]
 
     def design_input(self) -> np.ndarray:
         return self.value_input()[self.design_columns]
@@ -394,26 +406,34 @@ class ToolTaskEnv:
         return self.value_input()[self.control_columns]
 
     # -- subclass hooks ---------------------------------------------------
+    # The batched hooks take every env of a step_controls or value_inputs
+    # call at once, with the stacked state of their scenes.
 
     def _build_scene(self, rng: np.random.Generator) -> None:
         raise NotImplementedError
 
-    def _apply_control(self, action: np.ndarray) -> None:
+    @classmethod
+    def _tool_commands(cls, clamped: np.ndarray) -> tuple:
+        """(tool velocities (E, 2), angular velocities (E,)) for the clamped
+        control actions, one row per env."""
         raise NotImplementedError
 
-    def _task_reward_done(self) -> tuple[float, bool]:
+    @classmethod
+    def _task_rewards(cls, envs: list, steps: np.ndarray, tool_vel: np.ndarray,
+                      state: SceneState) -> tuple:
+        """(task rewards (E,), done flags (E,)) of a control step that has
+        just run its physics; steps counts it and tool_vel (E, 2) is what
+        it commanded. Writes each env's task state and success."""
+        raise NotImplementedError
+
+    @classmethod
+    def _task_obs_rows(cls, envs: list, state: SceneState) -> np.ndarray:
+        """The raw task observation of every env, one row each."""
         raise NotImplementedError
 
     def _task_obs(self) -> np.ndarray:
-        raise NotImplementedError
-
-
-def _common(values, what: str):
-    """The one value shared by every env stepped together."""
-    values = set(values)
-    if len(values) != 1:
-        raise ValueError(f"envs stepped together must share {what}")
-    return values.pop()
+        """This env's raw task observation: its _task_obs_rows row."""
+        return self._task_obs_rows([self], stacked_state([self.world]))[0]
 
 
 def reset_envs(envs: list, goals=None, seeds=None) -> None:
@@ -425,7 +445,10 @@ def reset_envs(envs: list, goals=None, seeds=None) -> None:
     """
     goals = [None] * len(envs) if goals is None else goals
     seeds = [None] * len(envs) if seeds is None else seeds
-    settle = _common((env.settle_steps for env in envs), "settle_steps")
+    settle = {env.settle_steps for env in envs}
+    if len(settle) != 1:
+        raise ValueError("envs reset together must share settle_steps")
+    settle = settle.pop()
     for env, goal, seed in zip(envs, goals, seeds):
         env._start_episode(goal, seed)
     worlds = [env.world for env in envs]
@@ -433,24 +456,68 @@ def reset_envs(envs: list, goals=None, seeds=None) -> None:
         worlds[0].step(*worlds[1:])
 
 
-def step_controls(envs: list, actions) -> list:
-    """One control step of every env, actions[i] for envs[i]; returns their
-    rewards. The physics substeps of all of them run as batched
-    World.step passes; then each env scores its step."""
-    if len(actions) != len(envs):
+def _control_actions(envs: list, actions) -> np.ndarray:
+    """actions as one (E, control_action_dim) array, once every env is in
+    its control phase and all share one TaskConfig; raises before anything
+    is written."""
+    if not envs or len(actions) != len(envs):
         raise ValueError(f"{len(envs)} envs need as many actions, got {len(actions)}")
+    cfg = envs[0].cfg
     for env in envs:
         env._require(CONTROL)
-    substeps = _common((env.cfg.control_steps_per_action for env in envs),
-                       "control_steps_per_action")
-    clamped = [env._clamped(a) for env, a in zip(envs, actions)]
-    for env, a in zip(envs, clamped):
-        env._c_used = float(np.linalg.norm(a))
-        env._apply_control(a)
+        if env.cfg is not cfg and env.cfg != cfg:
+            raise ValueError("envs stepped together must share one TaskConfig")
+    shape = (len(envs), envs[0].control_action_dim)
+    try:
+        acts = np.asarray(actions, dtype=np.float64)
+    except (TypeError, ValueError):
+        acts = None
+    if acts is None or acts.shape != shape:
+        raise ValueError(f"{shape[0]} envs need one action of {shape[1]} "
+                         f"values each")
+    return acts
+
+
+def step_controls(envs: list, actions) -> list:
+    """One control step of every env, actions[i] for envs[i]; returns their
+    rewards. The envs must share one TaskConfig; see the module docstring
+    for what runs once over all of them."""
+    acts = _control_actions(envs, actions)
+    first = envs[0]
+    cls, cfg = type(first), first.cfg
+    clamped = np.minimum(np.maximum(acts, first._cap_low), first._cap)
+    # each row's ddot, as np.linalg.norm of one action computes it
+    c_used = np.sqrt(np.vecdot(clamped, clamped))
     worlds = [env.world for env in envs]
-    for _ in range(substeps):
-        worlds[0].step(*worlds[1:])
-    return [env._end_control() for env in envs]
+    velocity, spin = cls._tool_commands(clamped)
+    command_tools(worlds, velocity, spin)
+    for _ in range(cfg.control_steps_per_action):
+        state = worlds[0].step(*worlds[1:])
+    steps = np.array([env._steps + 1 for env in envs])
+    rewards, done = cls._task_rewards(envs, steps, velocity, state)
+    done |= steps >= cfg.max_episode_steps
+    rewards += cfg.slack_reward
+    if first.tradeoff.k:
+        # K = 0 would add exact zeros: no reward is -0.0 here, since no
+        # task reward is, so they would change nothing
+        rewards += tradeoff_reward(
+            first.tradeoff, np.array([env._d_used for env in envs]), c_used)
+    for env, n, end, c in zip(envs, steps.tolist(), done.tolist(),
+                              c_used.tolist()):
+        env._steps, env._done, env._c_used = n, end, c
+    return rewards.tolist()
+
+
+def value_inputs(envs: list) -> np.ndarray:
+    """The value row of every env of one task, env i's in row i: what
+    env.value_input() gives, [phase flag, task, design ratio, goal]."""
+    cls = type(envs[0])
+    rows = np.array([env._row for env in envs])
+    task = rows[:, 1:1 + cls.task_obs_dim]
+    np.subtract(cls._task_obs_rows(envs, stacked_state([env.world for env in envs])),
+                cls.task_center, out=task)
+    task /= cls.task_scale
+    return rows
 
 
 def supported_by_tool(world: World) -> np.ndarray:

@@ -73,26 +73,70 @@ class CatchEnv(ToolTaskEnv):
         self._caught = np.zeros(NUM_BALLS, dtype=bool)
         self._lost = np.zeros(NUM_BALLS, dtype=bool)
         self._streak = np.zeros(NUM_BALLS, dtype=np.int64)
+        self._ball_rows = None
 
-    def _apply_control(self, action: np.ndarray) -> None:
-        self.world.command_tool((action[0], 0.0), 0.0)
+    @classmethod
+    def _tool_commands(cls, clamped):
+        velocity = np.zeros((clamped.shape[0], 2))
+        velocity[:, 0] = clamped[:, 0]
+        return velocity, [0.0] * clamped.shape[0]
 
-    def _task_reward_done(self):
-        w = self.world
-        held = supported_by_tool(w)
-        rel = np.linalg.norm(w.vel - w.tool_velocity, axis=1)
-        moving_with_tool = held & (rel < CATCH_REL_SPEED)
-        self._streak = np.where(moving_with_tool, self._streak + 1, 0)
-        newly = (self._streak >= CATCH_STREAK) & ~self._caught & ~self._lost
-        self._caught |= newly
-        self._lost |= (w.pos[:, 1] < LOST_Y) & ~self._caught
-        reward = float(np.count_nonzero(newly))
-        self._success = float(np.count_nonzero(self._caught)) / NUM_BALLS
-        done = bool(np.all(self._caught | self._lost))
-        if done and np.all(self._caught):
-            reward += self.cfg.success_reward
-        return reward, done
+    @classmethod
+    def _task_rewards(cls, envs, steps, tool_vel, state):
+        # supported_by_tool reads each world's own contacts; rel is
+        # np.linalg.norm(off, axis=2) written out, the same add.reduce
+        held = np.array([supported_by_tool(env.world) for env in envs])
+        off = state.vel - tool_vel[:, None]
+        rel = np.sqrt(np.add.reduce(off * off, axis=2))
+        rows = envs[0]._ball_rows
+        if rows is None or not rows.holds(envs):
+            rows = _BallRows(envs)
+        streak, caught, lost = rows.streak, rows.caught, rows.lost
+        # a ball's streak grows while it moves with the tool, else restarts
+        streak += 1
+        streak *= held & (rel < CATCH_REL_SPEED)
+        # on bools, a > b is a & ~b
+        newly = (streak >= CATCH_STREAK) > (caught | lost)
+        caught |= newly
+        lost |= (state.pos[:, :, 1] < LOST_Y) > caught
+        count = np.add.reduce(caught, axis=1)
+        reward = np.add.reduce(newly, axis=1, dtype=np.float64)
+        np.add(reward, envs[0].cfg.success_reward, out=reward,
+               where=count == NUM_BALLS)
+        for env, n in zip(envs, count.tolist()):
+            env._success = n / NUM_BALLS
+        return reward, np.logical_and.reduce(caught | lost, axis=1)
 
-    def _task_obs(self) -> np.ndarray:
-        w = self.world
-        return np.concatenate([w.pos.ravel(), w.vel.ravel(), w.tool_position])
+    @classmethod
+    def _task_obs_rows(cls, envs, state):
+        e = len(envs)
+        return np.concatenate([state.pos.reshape(e, -1), state.vel.reshape(e, -1),
+                               state.tool_pos], axis=1)
+
+
+class _BallRows:
+    """The ball state of the envs scored together, env i's in row i: its
+    streaks and its caught and lost flags, one column per ball.
+
+    Each env's _streak, _caught and _lost are views of its rows, so a step
+    of the same envs in the same order updates them in place; any other set
+    of envs, or an env reset since, gets rows of its own.
+    """
+
+    def __init__(self, envs: list):
+        self.envs = list(envs)
+        self.streak = np.array([env._streak for env in envs])
+        self.caught = np.array([env._caught for env in envs])
+        self.lost = np.array([env._lost for env in envs])
+        for env, s, c, lo in zip(envs, self.streak, self.caught, self.lost):
+            env._streak, env._caught, env._lost = s, c, lo
+            env._ball_rows = self
+
+    def holds(self, envs: list) -> bool:
+        """Whether these are this stack's envs, in order, none reset since."""
+        if len(envs) != len(self.envs):
+            return False
+        for env, mine in zip(envs, self.envs):
+            if env is not mine or env._ball_rows is not self:
+                return False
+        return True

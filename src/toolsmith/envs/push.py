@@ -59,19 +59,30 @@ class PushEnv(ToolTaskEnv):
     def _goal_dist(self) -> float:
         return float(np.linalg.norm(self.world.pos[self._puck] - self._goal))
 
-    def _apply_control(self, action: np.ndarray) -> None:
-        self.world.command_tool(action, 0.0)
+    @classmethod
+    def _tool_commands(cls, clamped):
+        return clamped, [0.0] * clamped.shape[0]
 
-    def _task_reward_done(self):
-        dist = self._goal_dist()
-        reward = self._prev_dist - dist
-        self._prev_dist = dist
-        speed = float(np.linalg.norm(self.world.vel[self._puck]))
-        if dist < SUCCESS_DIST and speed < SUCCESS_SPEED:
-            self._success = 1.0
-            return reward + self.cfg.success_reward, True
-        return reward, False
+    @classmethod
+    def _task_rewards(cls, envs, steps, tool_vel, state):
+        # the puck rows of the scene stack; each row's norm is its ddot, as
+        # _goal_dist's np.linalg.norm computes it
+        puck = envs[0]._puck
+        off = state.pos[:, puck] - [env._goal for env in envs]
+        dist = np.sqrt(np.vecdot(off, off))
+        puck_vel = state.vel[:, puck]
+        speed = np.sqrt(np.vecdot(puck_vel, puck_vel))
+        reward = np.array([env._prev_dist for env in envs]) - dist
+        done = (dist < SUCCESS_DIST) & (speed < SUCCESS_SPEED)
+        reward[done] += envs[0].cfg.success_reward
+        for env, d, end in zip(envs, dist.tolist(), done.tolist()):
+            env._prev_dist = d
+            if end:
+                env._success = 1.0
+        return reward, done
 
-    def _task_obs(self) -> np.ndarray:
-        w = self.world
-        return np.concatenate([w.pos[self._puck], w.vel[self._puck], w.tool_position])
+    @classmethod
+    def _task_obs_rows(cls, envs, state):
+        puck = envs[0]._puck
+        return np.concatenate([state.pos[:, puck], state.vel[:, puck],
+                               state.tool_pos], axis=1)

@@ -67,26 +67,38 @@ class ScoopEnv(ToolTaskEnv):
                 jx, jy = rng.uniform(-0.05, 0.05, size=2)
                 w.add_circle((x + jx, y + jy), radius=BALL_RADIUS)
 
-    def _apply_control(self, action: np.ndarray) -> None:
-        self.world.command_tool(action[:2], action[2])
-
     def _scooped_count(self) -> int:
         w = self.world
         held = supported_by_tool(w)
         return int(np.count_nonzero(held & (w.pos[:, 1] > RIM_Y)))
 
-    def _task_reward_done(self):
-        if self._steps < self.cfg.max_episode_steps:
-            return 0.0, False
-        k = self._scooped_count()
-        n = int(self._goal[0])
-        reward = 1.0 - abs(k - n) / 7.0
-        if k == n:
-            reward += self.cfg.success_reward
-            self._success = 1.0
-        return reward, True
+    @classmethod
+    def _tool_commands(cls, clamped):
+        return clamped[:, :2], clamped[:, 2].tolist()
 
-    def _task_obs(self) -> np.ndarray:
-        w = self.world
-        return np.concatenate([w.pos.ravel(), w.vel.ravel(), w.tool_position,
-                               [np.cos(w.tool_angle), np.sin(w.tool_angle)]])
+    @classmethod
+    def _task_rewards(cls, envs, steps, tool_vel, state):
+        # only the last step is scored, by the lifted count
+        done = steps >= envs[0].cfg.max_episode_steps
+        reward = np.zeros(len(envs))
+        last = np.flatnonzero(done)
+        if last.size:
+            lifted = np.array([envs[i]._scooped_count() for i in last])
+            goal = np.array([int(envs[i]._goal[0]) for i in last])
+            score = 1.0 - np.abs(lifted - goal) / 7.0
+            exact = lifted == goal
+            score[exact] += envs[0].cfg.success_reward
+            reward[last] = score
+            for i in last[exact]:
+                envs[i]._success = 1.0
+        return reward, done
+
+    @classmethod
+    def _task_obs_rows(cls, envs, state):
+        e = len(envs)
+        # the heading's cosine and sine from np.cos and np.sin per scene
+        heading = [[np.cos(env.world.tool_angle), np.sin(env.world.tool_angle)]
+                   for env in envs]
+        return np.concatenate([state.pos.reshape(e, -1),
+                               state.vel.reshape(e, -1), state.tool_pos,
+                               heading], axis=1)

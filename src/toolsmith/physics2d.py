@@ -35,12 +35,19 @@ so:
   0.0.
 Each world keeps its own contacts: the rows of its scene, with its own
 circle indices, so readers such as supported_by_tool see one scene.
+
+Batched callers read and command the scenes as arrays too: stacked_state
+gives the stack of the worlds' last pass (circle positions and velocities,
+tool positions) without copying, and command_tools sets every tool's
+velocity from one (E, 2) array. A pass turns the tool links only when some
+tool angle has changed since the last pass of the stack.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -162,8 +169,8 @@ class World:
 
     def command_tool(self, velocity, angular_velocity: float = 0.0) -> None:
         """Set the tool's velocity for subsequent steps; it is followed exactly."""
-        self.tool_velocity = np.asarray(velocity, dtype=np.float64).copy()
-        self.tool_angular_velocity = float(angular_velocity)
+        command_tools([self], np.array([velocity], dtype=np.float64),
+                      [float(angular_velocity)])
 
     # -- queries ------------------------------------------------------------
 
@@ -189,17 +196,18 @@ class World:
 
     # -- stepping -----------------------------------------------------------
 
-    def step(self, *others: World) -> None:
+    def step(self, *others: World) -> SceneState:
         """Advance this world, and every other world given, by one dt.
 
         All of them go through one numpy pass; see the module docstring for
-        what they must share.
+        what they must share. Returns their stacked_state after the pass.
         """
         worlds = (self,) + others
         scenes = self._scenes
         if scenes is None or not scenes.holds(worlds):
             scenes = _Scenes(worlds)
         scenes.step(worlds)
+        return scenes.state
 
     def _layout(self) -> tuple:
         """What worlds stepped together must share, as exact bytes."""
@@ -210,6 +218,36 @@ class World:
                 self.inv_mass.tobytes(), self.damping.tobytes(),
                 self.static_a.tobytes(), self.static_b.tobytes(),
                 self.static_r.tobytes())
+
+
+def command_tools(worlds, velocity: np.ndarray, angular_velocity: list) -> None:
+    """worlds[e].command_tool(velocity[e], angular_velocity[e]) for every
+    scene e. velocity is an (E, 2) float64 array whose rows the worlds keep,
+    so the caller does not write it afterwards; angular_velocity holds
+    floats."""
+    for w, v, a in zip(worlds, velocity, angular_velocity):
+        w.tool_velocity, w.tool_angular_velocity = v, a
+
+
+class SceneState(NamedTuple):
+    """Circle positions and velocities (E, N, 2) and tool positions (E, 2)
+    of E scenes, scene e in row e."""
+
+    pos: np.ndarray
+    vel: np.ndarray
+    tool_pos: np.ndarray
+
+
+def stacked_state(worlds) -> SceneState:
+    """The state of the worlds, scene e for worlds[e], to be read and not
+    written: the stack of their last pass when they were stepped together
+    in this order, else a new stack."""
+    scenes = worlds[0]._scenes
+    if scenes is not None and scenes.holds(worlds):
+        return scenes.state
+    return SceneState(_stacked([w.pos for w in worlds]),
+                      _stacked([w.vel for w in worlds]),
+                      _stacked([w.tool_position for w in worlds]))
 
 
 def _stacked(arrays: list) -> np.ndarray:
@@ -311,6 +349,10 @@ class _Scenes:
         self.flat_pos = self.pos.reshape(-1, 2)
         self.flat_vel = self.vel.reshape(-1, 2)
         self.x, self.y = self.pos[:, :, 0], self.pos[:, :, 1]
+        # tool positions change only by a pass or set_tool, which drops
+        # the stack; each pass keeps its own
+        self.state = SceneState(self.pos, self.vel,
+                                _stacked([o.tool_position for o in worlds]))
         self.views = [(o.pos, o.vel) for o in worlds]
         for o in worlds:
             o._scenes = self
@@ -319,7 +361,9 @@ class _Scenes:
         self.n = n
         self.dt = w.dt
         self.gravity_dt = w.gravity * w.dt
-        self.keep = np.tile(np.maximum(0.0, 1.0 - w.damping * w.dt), e)[:, None]
+        keep = np.maximum(0.0, 1.0 - w.damping * w.dt)
+        # times 1.0 changes no velocity, so undamped scenes skip it
+        self.keep = None if np.all(keep == 1.0) else np.tile(keep, e)[:, None]
         self.inv_mass = np.tile(w.inv_mass, e)  # by body e * N + i
         self.friction = w.friction
         self.restitution_circle = w.restitution_circle
@@ -332,11 +376,18 @@ class _Scenes:
         self.links = k
         self.ends = np.empty((e, s, 2, 2))
         self.a, self.b = self.ends[:, :, 0], self.ends[:, :, 1]
+        # broadcast views for detection, kept since the arrays they view are
+        # written in place
+        self.x_by_surface = self.x[:, :, None]
+        self.y_by_surface = self.y[:, :, None]
+        self.ax_by_circle = self.a[:, None, :, 0]
+        self.ay_by_circle = self.a[:, None, :, 1]
         self.ends[:, k:, 0] = w.static_a
         self.ends[:, k:, 1] = w.static_b
         r = np.empty((e, s))
         r[:, k:] = w.static_r
         if k:
+            self.angles = None  # the tool angles self.turned is for
             segments = np.stack([o.tool_geometry.segments for o in worlds])
             self.link_x, self.link_y = segments[..., 0], segments[..., 1]
             r[:, :k] = np.array([[o.tool_geometry.radius] for o in worlds])
@@ -369,16 +420,18 @@ class _Scenes:
         dt = self.dt
         if self.n:
             self.flat_vel += self.gravity_dt
-            self.flat_vel *= self.keep
+            if self.keep is not None:
+                self.flat_vel *= self.keep
             self.flat_pos += self.flat_vel * dt
         tool_pos = tool_vel = None
         if self.links:
             tool_vel = _stacked([w.tool_velocity for w in worlds])
-            tool_pos = _stacked([w.tool_position for w in worlds]) + tool_vel * dt
+            tool_pos = self.state.tool_pos + tool_vel * dt
             for w, p in zip(worlds, tool_pos):
                 w.tool_position = p
                 w.tool_angle += w.tool_angular_velocity * dt
             self._place_tools(worlds, tool_pos)
+            self.state = SceneState(self.pos, self.vel, tool_pos)
 
         rows = self._detect()
         if rows is None:
@@ -396,12 +449,22 @@ class _Scenes:
     # -- internals ----------------------------------------------------------
 
     def _place_tools(self, worlds: tuple, tool_pos: np.ndarray) -> None:
-        """Tool segments at each scene's current pose, in surface slots [0:k]."""
-        c = np.array([math.cos(w.tool_angle) for w in worlds])[:, None, None]
-        sn = np.array([math.sin(w.tool_angle) for w in worlds])[:, None, None]
-        x, y, k = self.link_x, self.link_y, self.links
-        self.ends[:, :k, :, 0] = x * c - y * sn + tool_pos[:, 0, None, None]
-        self.ends[:, :k, :, 1] = x * sn + y * c + tool_pos[:, 1, None, None]
+        """Tool segments at each scene's current pose, in surface slots [0:k].
+
+        The links turned by each scene's angle are kept until an angle
+        changes; a tool that only slides, as push's and catch's do, is
+        turned once.
+        """
+        angles = [w.tool_angle for w in worlds]
+        if angles != self.angles:
+            c = np.array([math.cos(a) for a in angles])[:, None, None]
+            sn = np.array([math.sin(a) for a in angles])[:, None, None]
+            x, y = self.link_x, self.link_y
+            self.turned = (x * c - y * sn, x * sn + y * c)
+            self.angles = angles
+        k = self.links
+        self.ends[:, :k, :, 0] = self.turned[0] + tool_pos[:, 0, None, None]
+        self.ends[:, :k, :, 1] = self.turned[1] + tool_pos[:, 1, None, None]
 
     def _detect(self) -> _Rows | None:
         """Every scene's contact rows, or None when no scene has one."""
@@ -419,8 +482,8 @@ class _Scenes:
             ab = b - a
             abx, aby = ab[:, None, :, 0], ab[:, None, :, 1]
             length2 = np.maximum(abx ** 2 + aby ** 2, 1e-18)
-            dx = x[:, :, None] - a[:, None, :, 0]
-            dy = y[:, :, None] - a[:, None, :, 1]
+            dx = self.x_by_surface - self.ax_by_circle
+            dy = self.y_by_surface - self.ay_by_circle
             t = (dx * abx + dy * aby) / length2
             np.maximum(t, 0.0, out=t)
             np.minimum(t, 1.0, out=t)
@@ -428,7 +491,7 @@ class _Scenes:
             ey = dy - t * aby
             dist = np.sqrt(ex * ex + ey * ey)
             overlap = self.reach - dist
-            hit = np.flatnonzero(overlap > 0.0)
+            hit = (overlap > 0.0).ravel().nonzero()[0]
             if hit.size:
                 cs_env, body, si = (table.take(hit) for table in self.cs_pairs)
                 d = dist.take(hit)
@@ -445,7 +508,7 @@ class _Scenes:
             diffx = x[:, i] - x[:, j]
             diffy = y[:, i] - y[:, j]
             dist2 = diffx * diffx + diffy * diffy
-            hit = np.flatnonzero(dist2 < self.pair_reach2)
+            hit = (dist2 < self.pair_reach2).ravel().nonzero()[0]
             if hit.size:
                 cc_env, body_a, body_b = (table.take(hit) for table in self.cc_pairs)
                 d = np.sqrt(dist2.take(hit))

@@ -42,6 +42,7 @@ from .envs import (
     make_env,
     reset_envs,
     step_controls,
+    value_inputs,
 )
 from .geometry import DESIGN_DIM
 from .neural import (
@@ -322,8 +323,9 @@ def collect_batch(envs: list, art: Artifact, cfg: TrainConfig,
     All policy queries are batched across environments in a fixed order, so a
     seeded rng reproduces the batch exactly. The control-phase envs step
     together through step_controls, and envs that finish together are reset
-    together through reset_envs. Each env step is featurized once, by
-    value_input; the policies read their columns of that row (art.columns).
+    together through reset_envs. Each env step is featurized once, the
+    rows of all envs by one value_inputs call; the policies read their
+    columns of those rows (art.columns).
     A fixed-design art takes its design action in place of the designer's.
     """
     trajs: list = []
@@ -336,7 +338,7 @@ def collect_batch(envs: list, art: Artifact, cfg: TrainConfig,
         design_ids = [i for i, d in zip(ids, in_design) if d]
         control_ids = [i for i, d in zip(ids, in_design) if not d]
 
-        val_in = np.stack([builders[i].env.value_input() for i in ids])
+        val_in = value_inputs([builders[i].env for i in ids])
         vals = forward(art.params.value, val_in)[:, 0]
         for k, i in enumerate(ids):
             builders[i].value_inputs.append(val_in[k])
@@ -835,7 +837,9 @@ def run_episodes(envs: list, art: Artifact, goals: list, seeds: list) -> list:
     and the envs still live step together by step_controls until all are
     done, so each episode is bitwise the one its env runs alone. Control t
     is art.controls[t] for an open-loop plan, else the controller's mean on
-    a one-row forward of the env's own value row.
+    a one-row forward of the env's own value row; one value_inputs call
+    gives the rows of all live envs. Returns, step counts, efforts and the
+    live set are arrays over the envs.
     """
     if not len(envs) == len(goals) == len(seeds):
         raise ValueError(f"{len(envs)} envs need as many goals and seeds, "
@@ -843,27 +847,42 @@ def run_episodes(envs: list, art: Artifact, goals: list, seeds: list) -> list:
     controls = art.controls
     if controls is None:
         _, control_cols = art.columns(envs[0])
+    else:
+        controls = np.asarray(controls, dtype=np.float64)
     reset_envs(envs, goals, seeds)
-    totals = [env.step_design(art.design_action(env)) for env in envs]
-    c_used = [[] for _ in envs]
-    live = [i for i, env in enumerate(envs) if not env.done]
-    while live:
+    n, horizon = len(envs), envs[0].cfg.max_episode_steps
+    # rewards[i, 0] is env i's design step, rewards[i, t + 1] and
+    # c_used[i, t] its control step t; the live envs have all taken t
+    # control steps, and steps[i] is set when env i ends
+    rewards = np.zeros((n, 1 + horizon))
+    c_used = np.zeros((n, horizon))
+    steps = np.zeros(n, dtype=np.int64)
+    rewards[:, 0] = [env.step_design(art.design_action(env)) for env in envs]
+    live = np.arange(n)
+    stepped = list(envs)
+    t = 0
+    while stepped:
         if controls is not None:
-            acts = [controls[len(c_used[i])] for i in live]
+            acts = np.broadcast_to(controls[t], (live.size, controls.shape[1]))
         else:
-            acts = [forward(art.params.controller,
-                            envs[i].value_input()[control_cols])
-                    for i in live]
-        rewards = step_controls([envs[i] for i in live], acts)
-        for i, reward in zip(live, rewards):
-            totals[i] += reward
-            c_used[i].append(envs[i].c_used)
-        live = [i for i in live if not envs[i].done]
+            acts = [forward(art.params.controller, row[control_cols])
+                    for row in value_inputs(stepped)]
+        rewards[live, t + 1] = step_controls(stepped, acts)
+        c_used[live, t] = [env.c_used for env in stepped]
+        t += 1
+        if any(env.done for env in stepped):
+            ended = np.array([env.done for env in stepped])
+            steps[live[ended]] = t
+            live = live[~ended]
+            stepped = [envs[i] for i in live.tolist()]
+    # each return sums its episode's rewards in step order, as a running
+    # total does
+    totals = np.add.accumulate(rewards, axis=1)[np.arange(n), steps]
     return [{
         "return": float(total),
         "success": env.success,
-        "steps": len(used),
+        "steps": int(k),
         "design": env.design,
         "d_used": env.d_used,
-        "mean_c_used": float(np.mean(used)) if used else 0.0,
-    } for env, total, used in zip(envs, totals, c_used)]
+        "mean_c_used": float(np.mean(used[:k])) if k else 0.0,
+    } for env, total, used, k in zip(envs, totals, c_used, steps)]

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toolsmith.envs import (
     CONTROL,
@@ -578,3 +579,91 @@ def test_step_controls_refuses_envs_out_of_phase():
     with pytest.raises(ProtocolError):
         step_controls([a, b], np.zeros((2, 2)))
     assert a.world.tool_velocity.tolist() == [0.0, 0.0]
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+@pytest.mark.parametrize("task", TASKS)
+def test_step_controls_over_a_live_subset_is_each_envs_own_step(task, data):
+    """step_controls over any live subset of 1-6 envs gives each env,
+    bitwise, the reward and the state of its own step_control: its c_used
+    (the clamped action's np.linalg.norm), done, success and value row,
+    push's puck distance (its np.linalg.norm) and catch's streaks; with the tradeoff term on or off and actions up to
+    three times the caps. Short horizons reach the time limit and scoop's
+    scored last step."""
+    k = data.draw(st.sampled_from([0.0, 0.5]), label="K")
+    alpha = data.draw(st.floats(0.0, 1.0), label="alpha")
+    horizon = data.draw(st.integers(1, 8), label="max_episode_steps")
+    cfg = default_config(task, tradeoff_k=k, tradeoff_alpha=alpha,
+                         max_episode_steps=horizon)
+    n = data.draw(st.integers(1, 6), label="envs")
+    together = [make_env(cfg) for _ in range(n)]
+    alone = [make_env(cfg) for _ in range(n)]
+    reset_envs(together, seeds=list(range(n)))
+    for i, env in enumerate(alone):
+        env.reset(seed=i)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    for a, b in zip(together, alone):
+        design = rng.uniform(-1.5, 1.5, size=5)
+        assert a.step_design(design) == b.step_design(design)
+    cap = np.asarray(cfg.control_velocity_cap)
+    while any(not env.done for env in together):
+        live = [i for i in range(n) if not together[i].done]
+        chosen = data.draw(st.lists(st.sampled_from(live), min_size=1,
+                                    unique=True), label="stepped")
+        actions = rng.uniform(-3.0, 3.0, size=(len(chosen), cap.size)) * cap
+        got = step_controls([together[i] for i in chosen], actions)
+        for i, act, reward in zip(chosen, actions, got):
+            a, b = together[i], alone[i]
+            assert bits(reward) == bits(b.step_control(act))
+            clamped = np.minimum(np.maximum(act, -cap), cap)
+            assert bits(a.c_used) == bits(float(np.linalg.norm(clamped)))
+            assert bits(a.c_used) == bits(b.c_used)
+            assert (a.done, bits(a.success)) == (b.done, bits(b.success))
+            assert a.value_input().tobytes() == b.value_input().tobytes()
+            if task == "push":  # the puck's distance, as np.linalg.norm gives it
+                assert bits(a._prev_dist) == bits(a._goal_dist())
+            if task == "catch":
+                assert a._streak.tobytes() == b._streak.tobytes()
+    assert all(env.done for env in alone)
+
+
+def stepped_pair(**overrides):
+    """Two push envs in the control phase that have taken one step."""
+    envs = [make_env("push", **overrides), make_env("push")]
+    for k, env in enumerate(envs):
+        env.reset(seed=k)
+        env.step_design(np.zeros(5))
+        env.step_control((3.0, -4.0))
+    return envs
+
+
+@pytest.mark.parametrize("overrides,actions", [
+    ({"tradeoff_k": 0.5}, np.ones((2, 2))),
+    ({}, [(1.0, 2.0), (1.0, 2.0, 3.0)]),
+    ({}, np.ones((2, 3))),
+    ({}, np.ones((2, 1))),
+    ({}, [(1.0, 2.0)]),
+    ({}, np.ones(2)),
+], ids=["another-config", "ragged", "too-wide", "too-narrow", "too-few",
+        "one-vector"])
+def test_step_controls_refuses_a_mixed_batch_before_writing(overrides, actions):
+    """Envs of different TaskConfigs, or an action of the wrong shape, raise
+    ValueError before any env is written: tool velocities, c_used and step
+    counts stay as the last step left them."""
+    envs = stepped_pair(**overrides)
+    before = [(e.world.tool_velocity.tolist(), e.c_used, e._steps) for e in envs]
+    with pytest.raises(ValueError):
+        step_controls(envs, actions)
+    assert [(e.world.tool_velocity.tolist(), e.c_used, e._steps)
+            for e in envs] == before
+
+
+def test_step_controls_takes_equal_configs_that_are_not_the_same_object():
+    a, b = stepped_pair()
+    assert a.cfg == b.cfg and a.cfg is not b.cfg
+    assert len(step_controls([a, b], np.ones((2, 2)))) == 2

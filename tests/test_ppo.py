@@ -267,22 +267,25 @@ def test_collect_batch_structure():
 
 
 def test_collect_batch_featurizes_each_step_once(monkeypatch):
-    calls = []
-    value_input = ToolTaskEnv.value_input
+    """One value_inputs call per lockstep step gives every stepped env's
+    row; no env is featurized a second time, one by one."""
+    rows = []
+    value_inputs = ppo.value_inputs
 
-    def counted(self):
-        calls.append(self)
-        return value_input(self)
+    def counted(envs):
+        rows.extend(envs)
+        return value_inputs(envs)
 
     def forbidden(self):
         raise AssertionError("collect_batch featurized a step a second time")
 
-    monkeypatch.setattr(ToolTaskEnv, "value_input", counted)
+    monkeypatch.setattr(ppo, "value_inputs", counted)
+    monkeypatch.setattr(ToolTaskEnv, "value_input", forbidden)
     monkeypatch.setattr(ToolTaskEnv, "design_input", forbidden)
     monkeypatch.setattr(ToolTaskEnv, "control_input", forbidden)
     rng, envs, params, cfg = make_setup()
     trajs = collect_batch(envs, Artifact("push", params), cfg, rng)
-    assert len(calls) == sum(t.length for t in trajs)
+    assert len(rows) == sum(t.length for t in trajs)
 
 
 def test_collect_batch_deterministic():

@@ -1,7 +1,11 @@
-"""Tests for the scripts under tools/, run on canned input only."""
+"""Tests for the scripts under tools/: on canned input, or on a tiny
+budget in a process of their own."""
 
 import importlib.util
 import json
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,3 +65,24 @@ def test_bench_smoke_misses_each_unsound_run(kwargs):
         assert " wall_s=None peak_rss_mb=None" in line
     for check in kwargs.get("checks", ()):
         assert f"check failed: {check}" in line
+
+
+def test_step_cost_prints_one_line_per_task_and_size():
+    """tools/step_cost.py on a tiny budget: one line per task and batch
+    size, in order, each with a positive time per step and per env step."""
+    out = subprocess.run(
+        [sys.executable, str(TOOLS / "step_cost.py"), "--sizes", "1", "3",
+         "--steps", "2", "--repeats", "2"],
+        capture_output=True, text=True, timeout=300, check=True).stdout
+    lines = out.splitlines()
+    pattern = re.compile(r"step_cost task=(\w+) envs=(\d+) "
+                         r"us_per_step=(\d+\.\d) us_per_env_step=(\d+\.\d\d)")
+    found = [pattern.fullmatch(line) for line in lines]
+    assert all(found), lines
+    assert [(m[1], int(m[2])) for m in found] == [
+        (task, size) for task in ("push", "catch", "scoop") for size in (1, 3)]
+    for m in found:
+        per_step, per_env = float(m[3]), float(m[4])
+        assert per_step > 0.0
+        # us_per_step is printed to 0.1, us_per_env_step to 0.01
+        assert per_env == pytest.approx(per_step / int(m[2]), abs=0.06)
