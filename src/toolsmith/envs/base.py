@@ -51,9 +51,11 @@ trains, and ppo.run_episodes, the scored-episode loop
   batched hooks do the rest: _tool_commands turns the clamped actions into
   tool velocities, and _task_rewards scores the step on the scene stack's
   arrays (physics2d.stacked_state). Push reads its puck rows there. Catch
-  and scoop call supported_by_tool once per world, since each world keeps
-  its own contacts. Catch keeps its ball state in _BallRows, which the next
-  step of the same envs updates in place.
+  and scoop read the pass's contact rows, which the stack carries, through
+  one supported_by_tool call over all the scenes: catch once per control
+  step, scoop on the step that ends its episodes. Catch keeps its ball
+  state in _BallRows, which the next step of the same envs updates in
+  place.
 - value_inputs builds all rows at once from the scene stack, through the
   task's _task_obs_rows hook.
 
@@ -431,20 +433,20 @@ class ToolTaskEnv:
         """The raw task observation of every env, one row each."""
         raise NotImplementedError
 
-    def _task_obs(self) -> np.ndarray:
-        """This env's raw task observation: its _task_obs_rows row."""
-        return self._task_obs_rows([self], stacked_state([self.world]))[0]
-
 
 def reset_envs(envs: list, goals=None, seeds=None) -> None:
     """Reset every env.
 
-    goals and seeds give each env's reset arguments (None: all None). The
+    goals and seeds give each env's reset arguments, one entry per env
+    (None: all None); any other length raises before an env is touched. The
     scenes are built in env order, each from its own rng, then the task's
     settle steps run for all of them as batched World.step passes.
     """
     goals = [None] * len(envs) if goals is None else goals
     seeds = [None] * len(envs) if seeds is None else seeds
+    if not len(envs) == len(goals) == len(seeds):
+        raise ValueError(f"{len(envs)} envs need as many goals and seeds, "
+                         f"got {len(goals)} and {len(seeds)}")
     settle = {env.settle_steps for env in envs}
     if len(settle) != 1:
         raise ValueError("envs reset together must share settle_steps")
@@ -458,10 +460,12 @@ def reset_envs(envs: list, goals=None, seeds=None) -> None:
 
 def _control_actions(envs: list, actions) -> np.ndarray:
     """actions as one (E, control_action_dim) array, once every env is in
-    its control phase and all share one TaskConfig; raises before anything
-    is written."""
+    its control phase, none is given twice and all share one TaskConfig;
+    raises before anything is written."""
     if not envs or len(actions) != len(envs):
         raise ValueError(f"{len(envs)} envs need as many actions, got {len(actions)}")
+    if len(set(map(id, envs))) < len(envs):
+        raise ValueError("an env can be stepped only once per step_controls call")
     cfg = envs[0].cfg
     for env in envs:
         env._require(CONTROL)
@@ -520,21 +524,30 @@ def value_inputs(envs: list) -> np.ndarray:
     return rows
 
 
-def supported_by_tool(world: World) -> np.ndarray:
-    """Circles touching the tool, directly or through a chain of contacts."""
-    mask = world.circles_touching_tool()
-    cc_a, cc_b = world.contacts.cc_a, world.contacts.cc_b
-    if cc_a.size == 0:
-        # no circle-circle contact, as on most catch substeps: the loop's
-        # first test would find none too, at about 4 us a call
-        return mask
-    # spread the mask until no contact links a held circle to a free one
-    linked = mask[cc_a] ^ mask[cc_b]
-    while linked.any():
-        mask[cc_a[linked]] = True
-        mask[cc_b[linked]] = True
+def supported_by_tool(state: SceneState) -> np.ndarray:
+    """(E, N) mask of the circles that touch the tool, directly or through a
+    chain of contacts, in the World.step pass that returned state.
+
+    The pass's rows number circle i of scene e as e * N + i and never link
+    two scenes, so one spread over all of them gives each scene's own mask.
+    """
+    c = state.contacts
+    if c is None:
+        raise ValueError("supported_by_tool needs the state of a World.step "
+                         "pass, which carries its contacts")
+    e, n = state.pos.shape[:2]
+    mask = np.zeros(e * n, dtype=bool)
+    mask[c.cs_circle[c.cs_is_tool]] = True
+    cc_a, cc_b = c.cc_a, c.cc_b
+    # spread the mask until no contact links a held circle to a free one;
+    # most catch substeps have no circle-circle row to spread over
+    if cc_a.size:
         linked = mask[cc_a] ^ mask[cc_b]
-    return mask
+        while linked.any():
+            mask[cc_a[linked]] = True
+            mask[cc_b[linked]] = True
+            linked = mask[cc_a] ^ mask[cc_b]
+    return mask.reshape(e, n)
 
 
 def make_env(config: TaskConfig | str, **overrides) -> ToolTaskEnv:

@@ -83,9 +83,9 @@ class CatchEnv(ToolTaskEnv):
 
     @classmethod
     def _task_rewards(cls, envs, steps, tool_vel, state):
-        # supported_by_tool reads each world's own contacts; rel is
-        # np.linalg.norm(off, axis=2) written out, the same add.reduce
-        held = np.array([supported_by_tool(env.world) for env in envs])
+        # one supported_by_tool call reads the pass's rows of all scenes;
+        # rel is np.linalg.norm(off, axis=2) written out, the same add.reduce
+        held = supported_by_tool(state)
         off = state.vel - tool_vel[:, None]
         rel = np.sqrt(np.add.reduce(off * off, axis=2))
         rows = envs[0]._ball_rows

@@ -67,11 +67,6 @@ class ScoopEnv(ToolTaskEnv):
                 jx, jy = rng.uniform(-0.05, 0.05, size=2)
                 w.add_circle((x + jx, y + jy), radius=BALL_RADIUS)
 
-    def _scooped_count(self) -> int:
-        w = self.world
-        held = supported_by_tool(w)
-        return int(np.count_nonzero(held & (w.pos[:, 1] > RIM_Y)))
-
     @classmethod
     def _tool_commands(cls, clamped):
         return clamped[:, :2], clamped[:, 2].tolist()
@@ -83,7 +78,7 @@ class ScoopEnv(ToolTaskEnv):
         reward = np.zeros(len(envs))
         last = np.flatnonzero(done)
         if last.size:
-            lifted = np.array([envs[i]._scooped_count() for i in last])
+            lifted = cls._lifted_counts(state, last)
             goal = np.array([int(envs[i]._goal[0]) for i in last])
             score = 1.0 - np.abs(lifted - goal) / 7.0
             exact = lifted == goal
@@ -92,6 +87,13 @@ class ScoopEnv(ToolTaskEnv):
             for i in last[exact]:
                 envs[i]._success = 1.0
         return reward, done
+
+    @classmethod
+    def _lifted_counts(cls, state, scenes: np.ndarray) -> np.ndarray:
+        """How many balls each of the scenes (rows of state) holds above the
+        rim, supported by the tool."""
+        held = supported_by_tool(state)[scenes]
+        return np.count_nonzero(held & (state.pos[scenes, :, 1] > RIM_Y), axis=1)
 
     @classmethod
     def _task_obs_rows(cls, envs, state):

@@ -33,20 +33,24 @@ so:
 - Impulses and position corrections are added only to scenes that have rows
   of that kind: adding a zero to a scene without rows would turn a -0.0 into
   0.0.
-Each world keeps its own contacts: the rows of its scene, with its own
-circle indices, so readers such as supported_by_tool see one scene.
+
+Contacts belong to the pass: its rows are kept once, for all its scenes,
+with circle i of scene e numbered e * N + i, the numbering the solver uses.
+The SceneState a pass returns carries them, and World.contacts of every
+world in the pass is that same ContactBatch. Rows never link two scenes,
+so a world stepped alone reads rows of its own circles only.
 
 Batched callers read and command the scenes as arrays too: stacked_state
 gives the stack of the worlds' last pass (circle positions and velocities,
-tool positions) without copying, and command_tools sets every tool's
-velocity from one (E, 2) array. A pass turns the tool links only when some
-tool angle has changed since the last pass of the stack.
+tool positions, contacts) without copying, and command_tools sets every
+tool's velocity from one (E, 2) array. A pass turns the tool links only
+when some tool angle has changed since the last pass of the stack.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -70,7 +74,11 @@ for _empty in (_NO_INDEX, _NO_FLAG, _NO_VALUE, _NO_VECTOR):
 
 @dataclass
 class ContactBatch:
-    """Contacts found in the last step, split by pairing."""
+    """The contact rows of one pass, split by pairing.
+
+    Circle ids run across the pass's scenes: circle i of scene e is e * N + i,
+    so a world stepped alone has its own circle ids. Rows are sorted by scene.
+    """
 
     # circle vs surface (tool segments first, then static capsules)
     cs_circle: np.ndarray = field(default_factory=lambda: _NO_INDEX)
@@ -92,13 +100,7 @@ class ContactBatch:
     cc_impulse: np.ndarray = field(default_factory=lambda: _NO_VALUE)
     cc_impulse_t: np.ndarray = field(default_factory=lambda: _NO_VALUE)
 
-    def rows(self, cs: slice, cc: slice) -> ContactBatch:
-        """The circle-surface rows cs and the circle-circle rows cc."""
-        return ContactBatch(**{name: getattr(self, name)[cs if name.startswith("cs_") else cc]
-                               for name in _CONTACT_FIELDS})
 
-
-_CONTACT_FIELDS = tuple(f.name for f in fields(ContactBatch))
 _NO_CONTACTS = ContactBatch()
 
 
@@ -130,8 +132,7 @@ class World:
         self.tool_velocity = np.zeros(2, dtype=np.float64)
         self.tool_angular_velocity = 0.0
 
-        self._contacts = ContactBatch()
-        self._rows: tuple | None = None  # (rows of a pass, scene) not split out yet
+        self.contacts = _NO_CONTACTS  # the rows of the world's last pass
         self._scenes: _Scenes | None = None
 
     # -- construction -------------------------------------------------------
@@ -178,22 +179,6 @@ class World:
     def num_circles(self) -> int:
         return self.pos.shape[0]
 
-    @property
-    def contacts(self) -> ContactBatch:
-        """Contacts found in the last step, by this world's circle ids."""
-        if self._rows is not None:
-            rows, e = self._rows
-            self._contacts, self._rows = rows.scene(e), None
-        return self._contacts
-
-    def circles_touching_tool(self) -> np.ndarray:
-        """Boolean mask over circles in contact with the tool in the last step."""
-        mask = np.zeros(self.num_circles, dtype=bool)
-        c = self.contacts
-        if c.cs_circle.size:
-            mask[c.cs_circle[c.cs_is_tool]] = True
-        return mask
-
     # -- stepping -----------------------------------------------------------
 
     def step(self, *others: World) -> SceneState:
@@ -231,11 +216,13 @@ def command_tools(worlds, velocity: np.ndarray, angular_velocity: list) -> None:
 
 class SceneState(NamedTuple):
     """Circle positions and velocities (E, N, 2) and tool positions (E, 2)
-    of E scenes, scene e in row e."""
+    of E scenes, scene e in row e, and the contact rows of the pass that
+    left them (None for a stack no pass has left)."""
 
     pos: np.ndarray
     vel: np.ndarray
     tool_pos: np.ndarray
+    contacts: ContactBatch | None
 
 
 def stacked_state(worlds) -> SceneState:
@@ -247,7 +234,7 @@ def stacked_state(worlds) -> SceneState:
         return scenes.state
     return SceneState(_stacked([w.pos for w in worlds]),
                       _stacked([w.vel for w in worlds]),
-                      _stacked([w.tool_position for w in worlds]))
+                      _stacked([w.tool_position for w in worlds]), None)
 
 
 def _stacked(arrays: list) -> np.ndarray:
@@ -257,12 +244,11 @@ def _stacked(arrays: list) -> np.ndarray:
 
 @dataclass
 class _Rows:
-    """The contact rows of one pass.
+    """The contact rows of one pass and where each scene's rows are.
 
-    batch holds the rows of every scene with circles numbered across scenes:
-    circle i of scene e is body e * N + i. cs_env and cc_env give each row's
-    scene; scene e owns rows cs_at[e]:cs_at[e + 1] of the circle-surface
-    rows and cc_at[e]:cc_at[e + 1] of the circle-circle rows.
+    cs_env and cc_env give each row of batch its scene; scene e owns rows
+    cs_at[e]:cs_at[e + 1] of the circle-surface rows and cc_at[e]:cc_at[e + 1]
+    of the circle-circle rows.
     """
 
     batch: ContactBatch
@@ -270,20 +256,6 @@ class _Rows:
     cc_env: np.ndarray
     cs_at: list
     cc_at: list
-    n: int
-
-    def scene(self, e: int) -> ContactBatch:
-        """Scene e's rows, numbered by its own circles."""
-        cs = slice(self.cs_at[e], self.cs_at[e + 1])
-        cc = slice(self.cc_at[e], self.cc_at[e + 1])
-        if cs.start == cs.stop and cc.start == cc.stop:
-            return _NO_CONTACTS
-        batch = self.batch.rows(cs, cc)
-        first = e * self.n
-        batch.cs_circle = batch.cs_circle - first
-        batch.cc_a = batch.cc_a - first
-        batch.cc_b = batch.cc_b - first
-        return batch
 
 
 def _bounds(env: np.ndarray, scenes: int) -> list:
@@ -352,7 +324,7 @@ class _Scenes:
         # tool positions change only by a pass or set_tool, which drops
         # the stack; each pass keeps its own
         self.state = SceneState(self.pos, self.vel,
-                                _stacked([o.tool_position for o in worlds]))
+                                _stacked([o.tool_position for o in worlds]), None)
         self.views = [(o.pos, o.vel) for o in worlds]
         for o in worlds:
             o._scenes = self
@@ -423,28 +395,25 @@ class _Scenes:
             if self.keep is not None:
                 self.flat_vel *= self.keep
             self.flat_pos += self.flat_vel * dt
-        tool_pos = tool_vel = None
+        tool_pos, tool_vel = self.state.tool_pos, None
         if self.links:
             tool_vel = _stacked([w.tool_velocity for w in worlds])
-            tool_pos = self.state.tool_pos + tool_vel * dt
+            tool_pos = tool_pos + tool_vel * dt
             for w, p in zip(worlds, tool_pos):
                 w.tool_position = p
                 w.tool_angle += w.tool_angular_velocity * dt
             self._place_tools(worlds, tool_pos)
-            self.state = SceneState(self.pos, self.vel, tool_pos)
 
         rows = self._detect()
         if rows is None:
-            for w in worlds:
-                w._contacts, w._rows = _NO_CONTACTS, None
-            return
-        self._solve_velocity(worlds, rows, tool_pos, tool_vel)
-        self._correct_positions(rows)
-        if len(worlds) == 1:  # one scene's rows are its own
-            worlds[0]._contacts, worlds[0]._rows = rows.batch, None
-        else:  # split out when read
-            for e, w in enumerate(worlds):
-                w._rows = (rows, e)
+            contacts = _NO_CONTACTS
+        else:
+            self._solve_velocity(worlds, rows, tool_pos, tool_vel)
+            self._correct_positions(rows)
+            contacts = rows.batch
+        for w in worlds:
+            w.contacts = contacts
+        self.state = SceneState(self.pos, self.vel, tool_pos, contacts)
 
     # -- internals ----------------------------------------------------------
 
@@ -526,7 +495,7 @@ class _Scenes:
             found["cs_scale"] = _redundancy_scale(found["cs_circle"], cs_env,
                                                   found["cs_normal"], cs_at)
         return _Rows(ContactBatch(**found), cs_env, cc_env, cs_at,
-                     _bounds(cc_env, scenes), n)
+                     _bounds(cc_env, scenes))
 
     def _surface_point_velocity(self, worlds, rows, tool_pos, tool_vel) -> np.ndarray:
         """Velocity of the surface material at each circle-surface contact."""

@@ -833,17 +833,15 @@ def run_episodes(envs: list, art: Artifact, goals: list, seeds: list) -> list:
     """One deterministic episode of art per env, env i reset with goals[i]
     and seeds[i]; returns one episode dict per env.
 
-    The envs are reset together by reset_envs, each takes art.design_action,
-    and the envs still live step together by step_controls until all are
+    The envs are reset together by reset_envs, which refuses goals or seeds
+    that do not give one entry per env. Each takes art.design_action, and
+    the envs still live step together by step_controls until all are
     done, so each episode is bitwise the one its env runs alone. Control t
     is art.controls[t] for an open-loop plan, else the controller's mean on
     a one-row forward of the env's own value row; one value_inputs call
     gives the rows of all live envs. Returns, step counts, efforts and the
     live set are arrays over the envs.
     """
-    if not len(envs) == len(goals) == len(seeds):
-        raise ValueError(f"{len(envs)} envs need as many goals and seeds, "
-                         f"got {len(goals)} and {len(seeds)}")
     controls = art.controls
     if controls is None:
         _, control_cols = art.columns(envs[0])

@@ -17,9 +17,11 @@ from toolsmith.envs import (
     step_controls,
     tradeoff_reward,
 )
+from toolsmith.envs import catch as catch_task
 from toolsmith.envs.base import supported_by_tool
+from toolsmith.envs.scoop import ScoopEnv
 from toolsmith.geometry import build_tool
-from toolsmith.physics2d import World
+from toolsmith.physics2d import World, stacked_state
 
 TASKS = ("push", "catch", "scoop")
 
@@ -27,6 +29,11 @@ TASKS = ("push", "catch", "scoop")
 def run_out(env, action):
     while not env.done:
         env.step_control(action)
+
+
+def task_obs(env):
+    """The env's raw task observation: its _task_obs_rows row."""
+    return env._task_obs_rows([env], stacked_state([env.world]))[0]
 
 
 # -- protocol ---------------------------------------------------------------
@@ -39,7 +46,7 @@ def test_reset_starts_design_phase(task):
     assert env.design is None
     assert (env.success, env.d_used, env.c_used) == (0.0, 0.0, 0.0)
     assert env.goal.shape == (env.goal_dim,)
-    assert env._task_obs().shape == (env.task_obs_dim,)
+    assert task_obs(env).shape == (env.task_obs_dim,)
     row = env.value_input()
     assert not row[1 + env.task_obs_dim:1 + env.task_obs_dim + 5].any()
 
@@ -310,18 +317,19 @@ def test_scoop_zero_policy_terminal_reward():
         total += env.step_control((0.0, 0.0, 0.0))
         steps += 1
     assert steps == 30
-    assert env._scooped_count() == 0
+    assert ScoopEnv._lifted_counts(stacked_state([env.world]), [0]).tolist() == [0]
     assert env.success == 0.0
     assert total == pytest.approx((1.0 - 6.0 / 7.0) + 30 * -0.001, abs=1e-9)
 
 
-def test_scoop_exact_match_bonus():
+def test_scoop_exact_match_bonus(monkeypatch):
     env = make_env("scoop")
     env.reset(goal=(4.0,), seed=0)
     env.step_design(np.zeros(5))
     for _ in range(29):
         env.step_control((0.0, 0.0, 0.0))
-    env._scooped_count = lambda: 4
+    monkeypatch.setattr(ScoopEnv, "_lifted_counts", classmethod(
+        lambda cls, state, scenes: np.full(len(scenes), 4)))
     reward = env.step_control((0.0, 0.0, 0.0))
     assert env.done
     assert env.success == 1.0
@@ -346,9 +354,19 @@ def test_supported_by_tool_is_transitive():
     w.add_circle((3.0, 9.6), radius=0.5)       # stacked on the first
     w.add_circle((-3.0, 0.6), radius=0.5)      # on the floor, away from tool
     for _ in range(120):
-        w.step()
-    held = supported_by_tool(w)
-    assert held.tolist() == [True, True, False]
+        state = w.step()
+    assert supported_by_tool(state).tolist() == [[True, True, False]]
+
+
+def test_supported_by_tool_refuses_a_stack_no_pass_left():
+    """A stack that stacked_state builds without a pass has no contact rows
+    to read."""
+    env = make_env("catch")
+    env.reset(seed=0)
+    state = stacked_state([env.world])
+    assert state.contacts is None
+    with pytest.raises(ValueError, match="World.step pass"):
+        supported_by_tool(state)
 
 
 # -- determinism and goals ----------------------------------------------------
@@ -439,7 +457,7 @@ def test_value_row_columns_are_the_per_phase_layouts(task):
     rng = np.random.default_rng(3)
 
     def normalized():
-        return ((env._task_obs() - env.task_center) / env.task_scale,
+        return ((task_obs(env) - env.task_center) / env.task_scale,
                 (env.goal - env.goal_center) / env.goal_scale)
 
     row = env.value_input()
@@ -539,11 +557,12 @@ def test_step_controls_equals_stepping_each_env_alone(task):
             break
         actions = [batch_action(task, rng, t) for _ in live]
         got = step_controls([together[k] for k in live], actions)
-        for k, a, reward in zip(live, actions, got):
+        masks = supported_by_tool(stacked_state([together[k].world for k in live]))
+        for k, a, reward, mask in zip(live, actions, got, masks):
             assert reward == alone[k].step_control(a)
             assert_same_state(together[k], alone[k])
-            mask = supported_by_tool(together[k].world)
-            assert np.array_equal(mask, supported_by_tool(alone[k].world))
+            own = supported_by_tool(stacked_state([alone[k].world]))
+            assert np.array_equal(mask, own[0])
             held += int(mask.sum())
             if task == "catch":
                 assert np.array_equal(together[k]._streak, alone[k]._streak)
@@ -569,6 +588,43 @@ def test_batched_reset_equals_one_env_resets():
         assert np.array_equal(env.world.pos, twin.world.pos)
         assert np.array_equal(env.world.vel, twin.world.vel)
         assert env._rng.bit_generator.state == twin._rng.bit_generator.state
+
+
+def test_reset_envs_needs_one_goal_and_seed_per_env():
+    """Too few or too many goals or seeds raise ValueError before any env
+    is reset: both envs stay in the control phase they were in."""
+    envs = [make_env("push") for _ in range(2)]
+    for k, env in enumerate(envs):
+        env.reset(seed=k)
+        env.step_design(np.zeros(5))
+        env.step_control((1.0, 0.0))
+    before = [(env.phase, env._steps, env.goal.tolist()) for env in envs]
+    for goals, seeds in (([(5.0, 5.0)], None), (None, [7]),
+                         ([None] * 3, None), (None, [1, 2, 3])):
+        with pytest.raises(ValueError, match="2 envs need as many"):
+            reset_envs(envs, goals, seeds)
+        assert [(env.phase, env._steps, env.goal.tolist())
+                for env in envs] == before
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_catch_calls_supported_by_tool_once_per_control_step(monkeypatch, size):
+    """Catch scores a step of any number of envs with one supported_by_tool
+    call over the pass's rows."""
+    calls = []
+
+    def counted(state):
+        calls.append(state.pos.shape[0])
+        return supported_by_tool(state)
+
+    monkeypatch.setattr(catch_task, "supported_by_tool", counted)
+    envs = [make_env("catch") for _ in range(size)]
+    reset_envs(envs, seeds=list(range(size)))
+    for env in envs:
+        env.step_design(np.zeros(5))
+    for _ in range(4):
+        step_controls(envs, np.zeros((size, 1)))
+    assert calls == [size] * 4
 
 
 def test_step_controls_refuses_envs_out_of_phase():
@@ -642,23 +698,25 @@ def stepped_pair(**overrides):
     return envs
 
 
-@pytest.mark.parametrize("overrides,actions", [
-    ({"tradeoff_k": 0.5}, np.ones((2, 2))),
-    ({}, [(1.0, 2.0), (1.0, 2.0, 3.0)]),
-    ({}, np.ones((2, 3))),
-    ({}, np.ones((2, 1))),
-    ({}, [(1.0, 2.0)]),
-    ({}, np.ones(2)),
+@pytest.mark.parametrize("overrides,actions,picked", [
+    ({"tradeoff_k": 0.5}, np.ones((2, 2)), (0, 1)),
+    ({}, [(1.0, 2.0), (1.0, 2.0, 3.0)], (0, 1)),
+    ({}, np.ones((2, 3)), (0, 1)),
+    ({}, np.ones((2, 1)), (0, 1)),
+    ({}, [(1.0, 2.0)], (0, 1)),
+    ({}, np.ones(2), (0, 1)),
+    ({}, np.full((2, 2), 0.5), (0, 0)),
 ], ids=["another-config", "ragged", "too-wide", "too-narrow", "too-few",
-        "one-vector"])
-def test_step_controls_refuses_a_mixed_batch_before_writing(overrides, actions):
-    """Envs of different TaskConfigs, or an action of the wrong shape, raise
-    ValueError before any env is written: tool velocities, c_used and step
-    counts stay as the last step left them."""
+        "one-vector", "repeated-env"])
+def test_step_controls_refuses_a_mixed_batch_before_writing(overrides, actions,
+                                                             picked):
+    """Envs of different TaskConfigs, an env given twice, or an action of
+    the wrong shape, raise ValueError before any env is written: tool
+    velocities, c_used and step counts stay as the last step left them."""
     envs = stepped_pair(**overrides)
     before = [(e.world.tool_velocity.tolist(), e.c_used, e._steps) for e in envs]
     with pytest.raises(ValueError):
-        step_controls(envs, actions)
+        step_controls([envs[i] for i in picked], actions)
     assert [(e.world.tool_velocity.tolist(), e.c_used, e._steps)
             for e in envs] == before
 

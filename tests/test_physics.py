@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from _world_oracle import OracleWorld
+from toolsmith.envs.base import supported_by_tool
 from toolsmith.geometry import build_tool
 from toolsmith.physics2d import BAUMGARTE, SLOP, World
 
@@ -479,7 +480,7 @@ ZERO_OR_SPEED = st.sampled_from([0.0, -0.0]) | st.floats(-3.0, 3.0)
 
 
 @st.composite
-def scene_sets(draw):
+def scene_sets(draw, tool=st.booleans()):
     n = draw(st.integers(1, 5))
     layout = dict(
         radii=[draw(st.sampled_from([0.25, 0.4, 0.6])) for _ in range(n)],
@@ -488,7 +489,7 @@ def scene_sets(draw):
         gravity=draw(st.sampled_from([(0.0, 0.0), (0.0, -9.8)])),
         friction=draw(st.sampled_from([0.0, 0.5])),
         tank=draw(st.booleans()),
-        tool=draw(st.booleans()))
+        tool=draw(tool))
     scenes = []
     for _ in range(draw(st.integers(1, 4))):
         if draw(st.booleans()):  # pile
@@ -514,14 +515,28 @@ def scene_sets(draw):
     return layout, scenes, groups
 
 
-def assert_same_scene(w, ref):
+def scene_rows(contacts, e, n):
+    """Scene e's rows of a pass's contacts, whose circle i of scene e is
+    e * n + i, as a dict of the fields numbered by the scene's own circles."""
+    cs = contacts.cs_circle // n == e
+    cc = contacts.cc_a // n == e
+    rows = {name: getattr(contacts, name)[cs if name.startswith("cs_") else cc]
+            for name in CONTACT_FIELDS}
+    for name in ("cs_circle", "cc_a", "cc_b"):
+        rows[name] = rows[name] - e * n
+    return rows
+
+
+def assert_same_scene(w, ref, e):
+    """w, scene e of its last pass, is bitwise the oracle ref."""
     assert np.array_equal(w.pos, ref.pos) and np.array_equal(w.vel, ref.vel)
     assert np.array_equal(np.signbit(w.pos), np.signbit(ref.pos))
     assert np.array_equal(np.signbit(w.vel), np.signbit(ref.vel))
     assert np.array_equal(w.tool_position, ref.tool_position)
     assert w.tool_angle == ref.tool_angle
+    rows = scene_rows(w.contacts, e, w.num_circles)
     for name in CONTACT_FIELDS:
-        got, want = getattr(w.contacts, name), getattr(ref.contacts, name)
+        got, want = rows[name], getattr(ref.contacts, name)
         assert got.shape == want.shape and np.array_equal(got, want), name
 
 
@@ -555,12 +570,50 @@ def test_batched_step_equals_the_single_scene_oracle(case):
     layout, scenes, groups = case
     worlds = [build_scene(World, layout, s) for s in scenes]
     oracles = [build_scene(OracleWorld, layout, s) for s in scenes]
+    slot = [0] * len(scenes)  # each world's scene in its last pass
     for group in groups:
         worlds[group[0]].step(*[worlds[i] for i in group[1:]])
-        for i in group:
+        for e, i in enumerate(group):
             oracles[i].step()
-        for w, ref in zip(worlds, oracles):
-            assert_same_scene(w, ref)
+            slot[i] = e
+        for w, ref, e in zip(worlds, oracles, slot):
+            assert_same_scene(w, ref, e)
+
+
+def oracle_supported(ref):
+    """Whether each circle of the oracle's last step touches its tool,
+    directly or through a chain of its circle-circle rows."""
+    held = set(np.flatnonzero(ref.circles_touching_tool()).tolist())
+    pairs = list(zip(ref.contacts.cc_a.tolist(), ref.contacts.cc_b.tolist()))
+    grown = True
+    while grown:
+        grown = False
+        for a, b in pairs:
+            if (a in held) != (b in held):
+                held |= {a, b}
+                grown = True
+    return [i in held for i in range(ref.num_circles)]
+
+
+@example(COVERING_SET)
+@settings(max_examples=100)
+@given(scene_sets(tool=st.just(True)))
+def test_supported_by_tool_reads_every_scene_of_a_pass(case):
+    """Row e of supported_by_tool over a pass is, for scene e of the group
+    that stepped together, the closure of tool contact that the frozen
+    oracle gives that scene stepped alone; every world of the pass reads
+    the pass's contacts."""
+    layout, scenes, groups = case
+    worlds = [build_scene(World, layout, s) for s in scenes]
+    oracles = [build_scene(OracleWorld, layout, s) for s in scenes]
+    for group in groups:
+        state = worlds[group[0]].step(*[worlds[i] for i in group[1:]])
+        assert all(worlds[i].contacts is state.contacts for i in group)
+        held = supported_by_tool(state)
+        assert held.shape == (len(group), len(layout["radii"]))
+        for e, i in enumerate(group):
+            oracles[i].step()
+            assert held[e].tolist() == oracle_supported(oracles[i])
 
 
 def test_covering_set_has_every_row_kind():
@@ -570,10 +623,10 @@ def test_covering_set_has_every_row_kind():
     layout, scenes, _ = COVERING_SET
     worlds = [build_scene(World, layout, s) for s in scenes]
     worlds[0].step(*worlds[1:])
-    pile, free, _ = (w.contacts for w in worlds)
-    assert free.cs_circle.size == 0 and free.cc_a.size == 0
-    assert np.any(np.bincount(pile.cs_circle) >= 2)
-    assert pile.cc_a.size > 0 and pile.cs_is_tool.any()
+    pile, free = (scene_rows(worlds[0].contacts, e, 3) for e in (0, 1))
+    assert free["cs_circle"].size == 0 and free["cc_a"].size == 0
+    assert np.any(np.bincount(pile["cs_circle"]) >= 2)
+    assert pile["cc_a"].size > 0 and pile["cs_is_tool"].any()
     assert np.any((worlds[1].vel == 0.0) & np.signbit(worlds[1].vel))
 
 

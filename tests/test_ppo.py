@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from toolsmith.baselines.single_traj import plan_dim, split_plan
 from toolsmith.envs import ToolTaskEnv, default_config, make_env
 from toolsmith.evaluation import evaluate_plan, evaluate_policy
-from toolsmith.physics2d import World
+from toolsmith.physics2d import ContactBatch, World, stacked_state
 from toolsmith.neural import (
     GaussianHead,
     HIDDEN,
@@ -303,7 +303,9 @@ def test_collect_batch_deterministic():
 
 def test_scoop_collect_batch_equals_worlds_stepped_one_at_a_time(monkeypatch):
     """collect_batch steps its scoop envs' worlds together, settles and all;
-    the trajectories are bitwise those of a run that steps each world alone."""
+    the trajectories are bitwise those of a run that steps each world alone.
+    That run hands the task the worlds' own contact rows, numbered as one
+    pass numbers them: circle i of world e is e * N + i."""
     def collect():
         rng, envs, params, _ = make_setup(seed=5, task="scoop")
         cfg = default_train_config("scoop", batch_size=64, minibatch_size=32)
@@ -313,8 +315,15 @@ def test_scoop_collect_batch_equals_worlds_stepped_one_at_a_time(monkeypatch):
     step = World.step
 
     def one_at_a_time(self, *others):
-        for w in (self,) + others:
+        worlds = (self,) + others
+        for w in worlds:
             step(w)
+        n = self.num_circles
+        rows = {name: np.concatenate([getattr(w.contacts, name) + e * n
+                                      for e, w in enumerate(worlds)])
+                for name in ("cs_circle", "cc_a", "cc_b")}
+        rows["cs_is_tool"] = np.concatenate([w.contacts.cs_is_tool for w in worlds])
+        return stacked_state(worlds)._replace(contacts=ContactBatch(**rows))
 
     monkeypatch.setattr(World, "step", one_at_a_time)
     alone = collect()

@@ -9,9 +9,11 @@ and then times ``steps`` calls of ``step_controls`` over all of them, on
 seeded actions drawn up to 1.5 times the velocity caps, so some are clamped.
 Each repeat resets the envs again. The figure is the minimum over repeats
 of the mean time per call: the task work of a control step (clamps,
-efforts, rewards, done flags, catch's and scoop's ``supported_by_tool``)
-together with its physics passes. BLAS is pinned to one thread. Prints one
-line per task and size:
+efforts, rewards, done flags, and catch's one ``supported_by_tool`` call
+over the pass's rows of all E scenes) together with its physics passes.
+Scoop reads ``supported_by_tool`` only on the step that ends its episodes,
+which is never timed. BLAS is pinned to one thread. Prints one line per
+task and size:
 
     step_cost task=push envs=16 us_per_step=412.3 us_per_env_step=25.77
 
