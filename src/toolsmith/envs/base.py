@@ -526,10 +526,11 @@ def value_inputs(envs: list) -> np.ndarray:
 
 def supported_by_tool(state: SceneState) -> np.ndarray:
     """(E, N) mask of the circles that touch the tool, directly or through a
-    chain of contacts, in the World.step pass that returned state.
+    chain of circle-circle rows, in the World.step pass that returned state.
 
     The pass's rows number circle i of scene e as e * N + i and never link
-    two scenes, so one spread over all of them gives each scene's own mask.
+    two scenes, so marking every tool row's circle and then spreading over
+    the circle-circle rows gives each scene's own mask.
     """
     c = state.contacts
     if c is None:
@@ -537,16 +538,16 @@ def supported_by_tool(state: SceneState) -> np.ndarray:
                          "pass, which carries its contacts")
     e, n = state.pos.shape[:2]
     mask = np.zeros(e * n, dtype=bool)
-    mask[c.cs_circle[c.cs_is_tool]] = True
-    cc_a, cc_b = c.cc_a, c.cc_b
+    mask[c.a[c.is_tool]] = True
     # spread the mask until no contact links a held circle to a free one;
     # most catch substeps have no circle-circle row to spread over
-    if cc_a.size:
-        linked = mask[cc_a] ^ mask[cc_b]
+    if c.a.size > c.surfaces:
+        ia, ib = c.a[c.surfaces:], c.b[c.surfaces:]
+        linked = mask[ia] ^ mask[ib]
         while linked.any():
-            mask[cc_a[linked]] = True
-            mask[cc_b[linked]] = True
-            linked = mask[cc_a] ^ mask[cc_b]
+            mask[ia[linked]] = True
+            mask[ib[linked]] = True
+            linked = mask[ia] ^ mask[ib]
     return mask.reshape(e, n)
 
 

@@ -21,24 +21,25 @@ world's own arrays. After a batched step each world's pos and vel are views
 of the stacked arrays, until the world is stepped with other worlds or
 gains a circle, a static or a tool.
 
+Contacts are one row set per pass, a ContactBatch in the order the solver
+reads it: the circle-surface rows of all scenes, env-major, then the
+circle-circle rows, env-major, circle i of scene e numbered e * N + i. The
+SceneState a pass returns carries it, and World.contacts of every world in
+the pass is that same ContactBatch. Rows never link two scenes, so a world
+stepped alone reads rows of its own circles only.
+
 Each scene comes out bitwise equal to stepping it alone. Three rules keep it
 so:
-- Contact rows are the circle-surface rows of all scenes, env-major, then
-  the circle-circle rows, env-major. Each circle's impulse and correction
-  bincounts then add its rows in the single-scene order.
-- The redundancy scale (ContactBatch.cs_scale) comes from each scene's own
+- Each circle's impulse and correction bincounts add its rows in the
+  single-scene order, which the row order above keeps; the position
+  correction takes one bincount per kind of row, as a single scene does.
+- The redundancy scale (ContactBatch.scale) comes from each scene's own
   nrm @ nrm.T block, since BLAS may fuse multiply-adds differently for
   another shape, and the tool's cos and sin come from math per scene, not
   from np.cos over all of them.
 - Impulses and position corrections are added only to scenes that have rows
   of that kind: adding a zero to a scene without rows would turn a -0.0 into
   0.0.
-
-Contacts belong to the pass: its rows are kept once, for all its scenes,
-with circle i of scene e numbered e * N + i, the numbering the solver uses.
-The SceneState a pass returns carries them, and World.contacts of every
-world in the pass is that same ContactBatch. Rows never link two scenes,
-so a world stepped alone reads rows of its own circles only.
 
 Batched callers read and command the scenes as arrays too: stacked_state
 gives the stack of the worlds' last pass (circle positions and velocities,
@@ -74,31 +75,40 @@ for _empty in (_NO_INDEX, _NO_FLAG, _NO_VALUE, _NO_VECTOR):
 
 @dataclass
 class ContactBatch:
-    """The contact rows of one pass, split by pairing.
+    """The contact rows of one pass, in the order the solver reads them.
 
-    Circle ids run across the pass's scenes: circle i of scene e is e * N + i,
-    so a world stepped alone has its own circle ids. Rows are sorted by scene.
+    Rows [0:surfaces] pair circle a with surface b (tool segments first,
+    then static capsules); the rows after them pair circle a with circle b.
+    Each part is sorted by scene, and scene e owns its rows cs_at[e] to
+    cs_at[e + 1] and surfaces + cc_at[e] to surfaces + cc_at[e + 1]. Circle
+    ids run across the pass's scenes: circle i of scene e is e * N + i, so a
+    world stepped alone has its own circle ids. normal points from b to a.
     """
 
-    # circle vs surface (tool segments first, then static capsules)
-    cs_circle: np.ndarray = field(default_factory=lambda: _NO_INDEX)
-    cs_surface: np.ndarray = field(default_factory=lambda: _NO_INDEX)
-    cs_is_tool: np.ndarray = field(default_factory=lambda: _NO_FLAG)
-    cs_normal: np.ndarray = field(default_factory=lambda: _NO_VECTOR)
-    cs_depth: np.ndarray = field(default_factory=lambda: _NO_VALUE)
-    cs_impulse: np.ndarray = field(default_factory=lambda: _NO_VALUE)
-    cs_impulse_t: np.ndarray = field(default_factory=lambda: _NO_VALUE)
-    # redundancy split: rows on one circle with near-parallel normals (e.g. a
-    # ball spanning the joint of two collinear links) share the impulse, so
-    # simultaneous per-row solves do not double-apply it
-    cs_scale: np.ndarray = field(default_factory=lambda: _NO_VALUE)
-    # circle vs circle
-    cc_a: np.ndarray = field(default_factory=lambda: _NO_INDEX)
-    cc_b: np.ndarray = field(default_factory=lambda: _NO_INDEX)
-    cc_normal: np.ndarray = field(default_factory=lambda: _NO_VECTOR)
-    cc_depth: np.ndarray = field(default_factory=lambda: _NO_VALUE)
-    cc_impulse: np.ndarray = field(default_factory=lambda: _NO_VALUE)
-    cc_impulse_t: np.ndarray = field(default_factory=lambda: _NO_VALUE)
+    surfaces: int = 0
+    a: np.ndarray = field(default_factory=lambda: _NO_INDEX)
+    b: np.ndarray = field(default_factory=lambda: _NO_INDEX)
+    is_tool: np.ndarray = field(default_factory=lambda: _NO_FLAG)  # b is a tool link
+    normal: np.ndarray = field(default_factory=lambda: _NO_VECTOR)
+    depth: np.ndarray = field(default_factory=lambda: _NO_VALUE)
+    # redundancy split of the surface rows: rows on one circle with near-
+    # parallel normals (e.g. a ball spanning the joint of two collinear links)
+    # share the impulse, so simultaneous per-row solves do not double-apply it
+    scale: np.ndarray = field(default_factory=lambda: _NO_VALUE)
+    impulse: np.ndarray = field(default_factory=lambda: _NO_VALUE)
+    impulse_t: np.ndarray = field(default_factory=lambda: _NO_VALUE)
+    cs_at: list = field(default_factory=list)
+    cc_at: list = field(default_factory=list)
+
+    @property
+    def cs_circle(self) -> np.ndarray:
+        """a[:surfaces], a read-only view; bench/spans.py reads it."""
+        return self.a[:self.surfaces]
+
+    @property
+    def cc_a(self) -> np.ndarray:
+        """a[surfaces:], a read-only view; bench/spans.py reads it."""
+        return self.a[self.surfaces:]
 
 
 _NO_CONTACTS = ContactBatch()
@@ -209,7 +219,11 @@ def command_tools(worlds, velocity: np.ndarray, angular_velocity: list) -> None:
     """worlds[e].command_tool(velocity[e], angular_velocity[e]) for every
     scene e. velocity is an (E, 2) float64 array whose rows the worlds keep,
     so the caller does not write it afterwards; angular_velocity holds
-    floats."""
+    floats. Raises ValueError, before any world is written, unless both
+    give one entry per world."""
+    if len(velocity) != len(worlds) or len(angular_velocity) != len(worlds):
+        raise ValueError("command_tools needs one velocity and one angular "
+                         "velocity per world")
     for w, v, a in zip(worlds, velocity, angular_velocity):
         w.tool_velocity, w.tool_angular_velocity = v, a
 
@@ -240,22 +254,6 @@ def stacked_state(worlds) -> SceneState:
 def _stacked(arrays: list) -> np.ndarray:
     """The arrays along a new leading axis; a view when there is one."""
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
-@dataclass
-class _Rows:
-    """The contact rows of one pass and where each scene's rows are.
-
-    cs_env and cc_env give each row of batch its scene; scene e owns rows
-    cs_at[e]:cs_at[e + 1] of the circle-surface rows and cc_at[e]:cc_at[e + 1]
-    of the circle-circle rows.
-    """
-
-    batch: ContactBatch
-    cs_env: np.ndarray
-    cc_env: np.ndarray
-    cs_at: list
-    cc_at: list
 
 
 def _bounds(env: np.ndarray, scenes: int) -> list:
@@ -404,13 +402,12 @@ class _Scenes:
                 w.tool_angle += w.tool_angular_velocity * dt
             self._place_tools(worlds, tool_pos)
 
-        rows = self._detect()
-        if rows is None:
+        contacts = self._detect()
+        if contacts is None:
             contacts = _NO_CONTACTS
         else:
-            self._solve_velocity(worlds, rows, tool_pos, tool_vel)
-            self._correct_positions(rows)
-            contacts = rows.batch
+            self._solve_velocity(worlds, contacts, tool_pos, tool_vel)
+            self._correct_positions(contacts)
         for w in worlds:
             w.contacts = contacts
         self.state = SceneState(self.pos, self.vel, tool_pos, contacts)
@@ -435,13 +432,15 @@ class _Scenes:
         self.ends[:, :k, :, 0] = self.turned[0] + tool_pos[:, 0, None, None]
         self.ends[:, :k, :, 1] = self.turned[1] + tool_pos[:, 1, None, None]
 
-    def _detect(self) -> _Rows | None:
+    def _detect(self) -> ContactBatch | None:
         """Every scene's contact rows, or None when no scene has one."""
         n = self.n
         if n == 0:
             return None
         scenes = self.pos.shape[0]
-        found = {}
+        # each kind's rows: circle a, surface or circle b, the offset of a
+        # from b's nearest point, its length and the depth
+        surface = circle = None
         cs_env = cc_env = _NO_INDEX
         x, y = self.x, self.y
 
@@ -463,14 +462,8 @@ class _Scenes:
             hit = (overlap > 0.0).ravel().nonzero()[0]
             if hit.size:
                 cs_env, body, si = (table.take(hit) for table in self.cs_pairs)
-                d = dist.take(hit)
-                safe = np.maximum(d, 1e-9)
-                nrm = np.stack([ex.take(hit) / safe, ey.take(hit) / safe], axis=1)
-                bad = d <= 1e-9
-                if bad.any():
-                    nrm[bad] = (0.0, 1.0)
-                found.update(cs_circle=body, cs_surface=si, cs_is_tool=self.is_tool[si],
-                             cs_normal=nrm, cs_depth=overlap.take(hit))
+                surface = (body, si, ex.take(hit), ey.take(hit), dist.take(hit),
+                           overlap.take(hit))
 
         if n > 1:
             i, j = self.pair_i, self.pair_j
@@ -481,75 +474,80 @@ class _Scenes:
             if hit.size:
                 cc_env, body_a, body_b = (table.take(hit) for table in self.cc_pairs)
                 d = np.sqrt(dist2.take(hit))
-                safe = np.maximum(d, 1e-9)
-                nrm = np.stack([diffx.take(hit) / safe, diffy.take(hit) / safe], axis=1)
-                bad = d <= 1e-9
-                if bad.any():
-                    nrm[bad] = (0.0, 1.0)
-                found.update(cc_a=body_a, cc_b=body_b, cc_normal=nrm,
-                             cc_depth=self.pair_reach.take(hit) - d)
-        if not found:
+                circle = (body_a, body_b, diffx.take(hit), diffy.take(hit), d,
+                          self.pair_reach.take(hit) - d)
+        kinds = [k for k in (surface, circle) if k is not None]
+        if not kinds:
             return None
+        # one kind's arrays are used as they are
+        a, b, ox, oy, d, depth = (kinds[0] if len(kinds) == 1 else
+                                  (np.concatenate(k) for k in zip(*kinds)))
+        m = cs_env.size
+        is_tool = np.zeros(a.size, dtype=bool)
+        is_tool[:m] = self.is_tool[b[:m]]
+        safe = np.maximum(d, 1e-9)
+        normal = np.stack([ox / safe, oy / safe], axis=1)
+        bad = d <= 1e-9
+        if bad.any():
+            normal[bad] = (0.0, 1.0)
         cs_at = _bounds(cs_env, scenes)
-        if cs_env.size:
-            found["cs_scale"] = _redundancy_scale(found["cs_circle"], cs_env,
-                                                  found["cs_normal"], cs_at)
-        return _Rows(ContactBatch(**found), cs_env, cc_env, cs_at,
-                     _bounds(cc_env, scenes))
+        scale = _redundancy_scale(a[:m], cs_env, normal[:m], cs_at) if m else _NO_VALUE
+        return ContactBatch(m, a, b, is_tool, normal, depth, scale,
+                            cs_at=cs_at, cc_at=_bounds(cc_env, scenes))
 
-    def _surface_point_velocity(self, worlds, rows, tool_pos, tool_vel) -> np.ndarray:
+    def _surface_point_velocity(self, worlds, contacts, tool_pos, tool_vel) -> np.ndarray:
         """Velocity of the surface material at each circle-surface contact."""
-        batch = rows.batch
-        v = np.zeros((batch.cs_circle.size, 2), dtype=np.float64)
+        m = contacts.surfaces
+        v = np.zeros((m, 2), dtype=np.float64)
         if not self.links:
             return v
-        tool = batch.cs_is_tool
+        tool = contacts.is_tool[:m]
         if np.any(tool):
             # contact point approximated by the circle center projection;
             # for spin we need the offset from the tool origin
+            circles = contacts.a[:m][tool]
             w = np.array([o.tool_angular_velocity for o in worlds])
             if len(worlds) > 1:  # one scene broadcasts as it is
-                env = rows.cs_env[tool]
+                env = circles // self.n
                 tool_pos, tool_vel, w = tool_pos[env], tool_vel[env], w[env]
-            rel = self.flat_pos[batch.cs_circle[tool]] - tool_pos
+            rel = self.flat_pos[circles] - tool_pos
             spin = np.stack([-w * rel[:, 1], w * rel[:, 0]], axis=1)
             v[tool] = tool_vel + spin
         return v
 
-    def _solve_velocity(self, worlds, rows, tool_pos, tool_vel) -> None:
+    def _solve_velocity(self, worlds, contacts, tool_pos, tool_vel) -> None:
         """Accumulated-impulse sweeps over all contacts as one constraint batch.
 
-        Rows are the circle-surface contacts, then the circle-circle ones.
         A surface is a virtual body with fixed velocity and zero inverse
-        mass, so both kinds share the same normal/friction arithmetic and a
-        single scatter per sweep.
+        mass, so both kinds of row share the same normal/friction arithmetic
+        and a single scatter per sweep.
         """
-        batch = rows.batch
-        m_cs = batch.cs_circle.size
-        m = m_cs + batch.cc_a.size
+        m_cs = contacts.surfaces
+        m = contacts.a.size
         vel = self.flat_vel
         scenes = self.pos.shape[0]
         bodies = vel.shape[0]
 
-        ja = np.concatenate([batch.cs_circle, batch.cc_a])
-        jb = np.concatenate([bodies + np.arange(m_cs), batch.cc_b])
-        normal = np.concatenate([batch.cs_normal, batch.cc_normal])
+        ja = contacts.a
+        # surface row r pushes virtual body bodies + r
+        jb = np.concatenate([np.arange(bodies, bodies + m_cs), contacts.b[m_cs:]])
+        normal = contacts.normal
         nx, ny = normal[:, 0], normal[:, 1]
         tangent = normal[:, ::-1] * (-1.0, 1.0)
         wa = self.inv_mass[ja]
         wb = np.zeros(m)
-        wb[m_cs:] = self.inv_mass[batch.cc_b]
+        wb[m_cs:] = self.inv_mass[jb[m_cs:]]
         coeff = 1.0 / (wa + wb)
-        coeff[:m_cs] *= batch.cs_scale
+        coeff[:m_cs] *= contacts.scale
         restitution = np.empty(m)
         restitution[:m_cs] = self.restitution_surface
         restitution[m_cs:] = self.restitution_circle
-        moved = _scenes_with_rows(rows.cs_at, rows.cc_at)
+        moved = _scenes_with_rows(contacts.cs_at, contacts.cc_at)
 
         # body velocities: slots [0:bodies] mirror the circles after each
         # sweep, slots past them hold constant surface velocities
         v = np.concatenate([vel, self._surface_point_velocity(
-            worlds, rows, tool_pos, tool_vel)])
+            worlds, contacts, tool_pos, tool_vel)])
         # every row pushes body a and, oppositely, body b; bins are
         # 2 * body + axis, and what lands on surface slots is dropped
         bins = (2 * np.concatenate([ja, jb])[:, None] + (0, 1)).ravel()
@@ -580,32 +578,31 @@ class _Scenes:
                  moved, scenes)
             v[:bodies] = vel
 
-        batch.cs_impulse = acc_n[:m_cs]
-        batch.cs_impulse_t = acc_t[:m_cs]
-        batch.cc_impulse = acc_n[m_cs:]
-        batch.cc_impulse_t = acc_t[m_cs:]
+        contacts.impulse = acc_n
+        contacts.impulse_t = acc_t
 
-    def _correct_positions(self, rows) -> None:
+    def _correct_positions(self, contacts) -> None:
         beta, slop = BAUMGARTE, SLOP
-        batch, pos = rows.batch, self.flat_pos
+        pos, m = self.flat_pos, contacts.surfaces
         scenes, bodies = self.pos.shape[0], pos.shape[0]
         x, y = pos[:, 0], pos[:, 1]
-        if batch.cs_circle.size:
-            ci = batch.cs_circle
-            corr = beta * np.maximum(batch.cs_depth - slop, 0.0) * batch.cs_scale
-            moved = _scenes_with_rows(rows.cs_at)
-            _add(x, np.bincount(ci, weights=corr * batch.cs_normal[:, 0],
+        # one bincount per kind, as a scene stepped alone adds them
+        if m:
+            ci, normal = contacts.a[:m], contacts.normal[:m]
+            corr = beta * np.maximum(contacts.depth[:m] - slop, 0.0) * contacts.scale
+            moved = _scenes_with_rows(contacts.cs_at)
+            _add(x, np.bincount(ci, weights=corr * normal[:, 0],
                                 minlength=bodies), moved, scenes)
-            _add(y, np.bincount(ci, weights=corr * batch.cs_normal[:, 1],
+            _add(y, np.bincount(ci, weights=corr * normal[:, 1],
                                 minlength=bodies), moved, scenes)
-        if batch.cc_a.size:
-            ia, ib = batch.cc_a, batch.cc_b
+        if contacts.a.size > m:
+            ia, ib, normal = contacts.a[m:], contacts.b[m:], contacts.normal[m:]
             wa, wb = self.inv_mass[ia], self.inv_mass[ib]
-            corr = beta * np.maximum(batch.cc_depth - slop, 0.0) / (wa + wb)
-            px = corr * batch.cc_normal[:, 0]
-            py = corr * batch.cc_normal[:, 1]
+            corr = beta * np.maximum(contacts.depth[m:] - slop, 0.0) / (wa + wb)
+            px = corr * normal[:, 0]
+            py = corr * normal[:, 1]
             idx = np.concatenate([ia, ib])
-            moved = _scenes_with_rows(rows.cc_at)
+            moved = _scenes_with_rows(contacts.cc_at)
             _add(x, np.bincount(idx, weights=np.concatenate([px * wa, -px * wb]),
                                 minlength=bodies), moved, scenes)
             _add(y, np.bincount(idx, weights=np.concatenate([py * wa, -py * wb]),
@@ -614,7 +611,7 @@ class _Scenes:
 
 def _redundancy_scale(body: np.ndarray, env: np.ndarray, nrm: np.ndarray,
                       at: list) -> np.ndarray:
-    """ContactBatch.cs_scale of circle-surface rows sorted by scene.
+    """ContactBatch.scale of circle-surface rows sorted by scene.
 
     A scene where some circle has more than one row takes the scale from its
     own nrm @ nrm.T block; in any other scene every row's scale is 1.

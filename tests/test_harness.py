@@ -947,6 +947,23 @@ def test_cli_eval_rejects_truncated_plan(tmp_path, capsys):
     assert str(plan_dim(env)) in err
 
 
+@pytest.mark.parametrize("args", [
+    pytest.param(["eval", "--checkpoint"], id="eval-checkpoint"),
+    pytest.param(["train", "--task", "push", "--seeds", "0", "--config"],
+                 id="train-config"),
+])
+def test_cli_rejects_a_directory_given_as_an_input_file(tmp_path, capsys, args):
+    """A directory named where a checkpoint or a config file belongs exits 2
+    with an error line, not a traceback, before anything is written."""
+    given = tmp_path / "given"
+    given.mkdir()
+    out_dir = tmp_path / "run"
+    rc = cli_main([*args, str(given), "--out-dir", str(out_dir)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out_dir.exists()
+
+
 def test_cli_output_root_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("TOOLSMITH_OUT", str(tmp_path / "root"))
     cfg = config_from_dict({"task": "push"})

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from _world_oracle import OracleWorld
 from toolsmith.envs.base import supported_by_tool
 from toolsmith.geometry import build_tool
-from toolsmith.physics2d import BAUMGARTE, SLOP, World
+from toolsmith.physics2d import BAUMGARTE, SLOP, World, command_tools
 
 DT = 1.0 / 60.0
 
@@ -80,15 +80,15 @@ def contact_after_one_step(center, radius):
 
 def test_circle_capsule_contact_separated():
     """A gap of 1.4 produces no contact."""
-    assert contact_after_one_step((0.0, 2.0), 0.5).cs_circle.size == 0
+    assert contact_after_one_step((0.0, 2.0), 0.5).a.size == 0
 
 
 def test_circle_capsule_contact_overlap():
     """Overlap of 0.1 yields an upward normal and that depth."""
     c = contact_after_one_step((0.0, 0.5), 0.5)
-    assert c.cs_circle.tolist() == [0]
-    assert c.cs_normal[0] == pytest.approx((0.0, 1.0))
-    assert c.cs_depth[0] == pytest.approx(0.1, abs=1e-12)
+    assert c.surfaces == 1 and c.a.tolist() == [0] and c.b.tolist() == [0]
+    assert c.normal[0] == pytest.approx((0.0, 1.0))
+    assert c.depth[0] == pytest.approx(0.1, abs=1e-12)
 
 
 def test_ball_settles_in_v_tool():
@@ -121,7 +121,7 @@ def test_no_tunneling_at_task_speed_cap():
             before = float(w.pos[0] @ vel)
             w.step()
             after = float(w.pos[0] @ vel)
-            if w.contacts.cs_circle.size:
+            if w.contacts.surfaces:
                 saw_contact = True
             if before < 0.0 < after and not saw_contact:
                 crossed_without_contact = True
@@ -166,10 +166,10 @@ def test_contact_depth_matches_dense_sampling():
         w.step()
         want = contact_depth_oracle(center, 0.6, a, b, 0.2)
         if want > 1e-4:
-            assert w.contacts.cs_depth.size == 1
-            assert w.contacts.cs_depth[0] == pytest.approx(want, abs=1e-3)
+            assert w.contacts.surfaces == w.contacts.depth.size == 1
+            assert w.contacts.depth[0] == pytest.approx(want, abs=1e-3)
         elif want < -1e-4:
-            assert w.contacts.cs_depth.size == 0
+            assert w.contacts.depth.size == 0
 
 
 def test_resting_penetration_bounded():
@@ -239,9 +239,9 @@ def test_friction_clamped_by_normal_impulse():
     for _ in range(60):
         w.step()
         c = w.contacts
-        if c.cs_circle.size:
-            assert np.all(np.abs(c.cs_impulse_t) <= 0.4 * c.cs_impulse + 1e-12)
-        assert np.all(c.cs_impulse >= -1e-12)
+        if c.surfaces:
+            assert np.all(np.abs(c.impulse_t) <= 0.4 * c.impulse + 1e-12)
+        assert np.all(c.impulse >= -1e-12)
 
 
 def test_circle_circle_momentum_and_restitution():
@@ -299,7 +299,7 @@ def test_circle_contacts_conserve_linear_momentum(circles):
     before = mass @ w.vel
     scale = mass @ np.abs(w.vel)
     w.step()
-    assert w.contacts.cc_a.size >= len(circles) - 1
+    assert w.contacts.a.size - w.contacts.surfaces >= len(circles) - 1
     scale += mass @ np.abs(w.vel)
     tol = 64 * np.finfo(np.float64).eps * scale
     assert np.all(np.abs(mass @ w.vel - before) <= tol)
@@ -443,9 +443,8 @@ def test_ball_settles_in_capsule_corner():
 # velocity of -0.0, which a stray "+= 0.0" would turn into 0.0.
 
 TANK = (((0.0, 0.0), (6.0, 0.0)), ((0.0, 0.0), (0.0, 4.0)), ((6.0, 0.0), (6.0, 4.0)))
-CONTACT_FIELDS = ("cs_circle", "cs_surface", "cs_is_tool", "cs_normal", "cs_depth",
-                  "cs_impulse", "cs_impulse_t", "cs_scale", "cc_a", "cc_b",
-                  "cc_normal", "cc_depth", "cc_impulse", "cc_impulse_t")
+CONTACT_FIELDS = ("a", "b", "is_tool", "normal", "depth", "scale", "impulse",
+                  "impulse_t")
 
 
 def build_scene(cls, layout, scene):
@@ -517,13 +516,31 @@ def scene_sets(draw, tool=st.booleans()):
 
 def scene_rows(contacts, e, n):
     """Scene e's rows of a pass's contacts, whose circle i of scene e is
-    e * n + i, as a dict of the fields numbered by the scene's own circles."""
-    cs = contacts.cs_circle // n == e
-    cc = contacts.cc_a // n == e
-    rows = {name: getattr(contacts, name)[cs if name.startswith("cs_") else cc]
-            for name in CONTACT_FIELDS}
-    for name in ("cs_circle", "cc_a", "cc_b"):
-        rows[name] = rows[name] - e * n
+    e * n + i: a dict of ContactBatch's fields numbered by the scene's own
+    circles, surfaces giving how many of its rows pair a circle with a
+    surface."""
+    m = contacts.surfaces
+    cs = np.flatnonzero(contacts.a[:m] // n == e)
+    rows = np.concatenate([cs, m + np.flatnonzero(contacts.a[m:] // n == e)])
+    scene = {name: getattr(contacts, name)[rows] for name in CONTACT_FIELDS
+             if name != "scale"}
+    scene.update(surfaces=cs.size, scale=contacts.scale[cs])
+    scene["a"] -= e * n
+    scene["b"][cs.size:] -= e * n
+    return scene
+
+
+def oracle_rows(contacts):
+    """The oracle's per-kind contacts as one row set of ContactBatch's
+    fields: circle-surface rows, then circle-circle rows."""
+    c = contacts
+    kinds = dict(a=(c.cs_circle, c.cc_a), b=(c.cs_surface, c.cc_b),
+                 is_tool=(c.cs_is_tool, np.zeros(c.cc_a.size, dtype=bool)),
+                 normal=(c.cs_normal, c.cc_normal), depth=(c.cs_depth, c.cc_depth),
+                 impulse=(c.cs_impulse, c.cc_impulse),
+                 impulse_t=(c.cs_impulse_t, c.cc_impulse_t))
+    rows = {name: np.concatenate(pair) for name, pair in kinds.items()}
+    rows.update(surfaces=c.cs_circle.size, scale=c.cs_scale)
     return rows
 
 
@@ -535,9 +552,12 @@ def assert_same_scene(w, ref, e):
     assert np.array_equal(w.tool_position, ref.tool_position)
     assert w.tool_angle == ref.tool_angle
     rows = scene_rows(w.contacts, e, w.num_circles)
+    want = oracle_rows(ref.contacts)
+    assert rows["surfaces"] == want["surfaces"]
     for name in CONTACT_FIELDS:
-        got, want = rows[name], getattr(ref.contacts, name)
-        assert got.shape == want.shape and np.array_equal(got, want), name
+        got = rows[name]
+        assert got.shape == want[name].shape and np.array_equal(got, want[name]), name
+        assert got.dtype == want[name].dtype, name
 
 
 # one tank of four layouts: a corner circle with two surface rows, overlapping
@@ -624,10 +644,48 @@ def test_covering_set_has_every_row_kind():
     worlds = [build_scene(World, layout, s) for s in scenes]
     worlds[0].step(*worlds[1:])
     pile, free = (scene_rows(worlds[0].contacts, e, 3) for e in (0, 1))
-    assert free["cs_circle"].size == 0 and free["cc_a"].size == 0
-    assert np.any(np.bincount(pile["cs_circle"]) >= 2)
-    assert pile["cc_a"].size > 0 and pile["cs_is_tool"].any()
+    assert free["a"].size == 0
+    m = pile["surfaces"]
+    assert np.any(np.bincount(pile["a"][:m]) >= 2)
+    assert pile["a"].size > m and pile["is_tool"].any()
     assert np.any((worlds[1].vel == 0.0) & np.signbit(worlds[1].vel))
+
+
+def test_per_kind_views_count_the_rows_of_a_pass():
+    """cs_circle and cc_a, the per-kind views of a that bench/spans.py
+    counts rows by: a contact-free pass reads no rows through them, and on
+    the covering set they split a at surfaces, each as long as the oracle's
+    rows of its kind over all scenes."""
+    free = World(gravity=(0.0, 0.0), dt=DT)
+    free.add_circle((0.0, 5.0))
+    free.step()
+    assert free.contacts.cs_circle.size + free.contacts.cc_a.size == 0
+    layout, scenes, _ = COVERING_SET
+    worlds = [build_scene(World, layout, s) for s in scenes]
+    oracles = [build_scene(OracleWorld, layout, s) for s in scenes]
+    c = worlds[0].step(*worlds[1:]).contacts
+    for ref in oracles:
+        ref.step()
+    assert c.cs_circle.size + c.cc_a.size == c.a.size
+    assert np.array_equal(np.concatenate([c.cs_circle, c.cc_a]), c.a)
+    assert c.cs_circle.size == sum(ref.contacts.cs_circle.size for ref in oracles) > 0
+    assert c.cc_a.size == sum(ref.contacts.cc_a.size for ref in oracles) > 0
+
+
+def test_command_tools_refuses_a_count_other_than_the_worlds():
+    """A velocity or angular velocity list that does not give one entry per
+    world raises before any world's command is written."""
+    worlds = [World(), World()]
+    for w in worlds:
+        w.command_tool((3.0, 0.0), angular_velocity=0.5)
+    for velocity, spin in ((np.array([[1.0, 0.0]]), [0.0, 0.0]),
+                           (np.array([[1.0, 0.0], [2.0, 0.0]]), [0.0]),
+                           (np.zeros((3, 2)), [0.0, 0.0, 0.0])):
+        with pytest.raises(ValueError):
+            command_tools(worlds, velocity, spin)
+        for w in worlds:
+            assert w.tool_velocity.tolist() == [3.0, 0.0]
+            assert w.tool_angular_velocity == 0.5
 
 
 @pytest.mark.parametrize("change", [

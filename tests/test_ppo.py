@@ -319,11 +319,13 @@ def test_scoop_collect_batch_equals_worlds_stepped_one_at_a_time(monkeypatch):
         for w in worlds:
             step(w)
         n = self.num_circles
-        rows = {name: np.concatenate([getattr(w.contacts, name) + e * n
-                                      for e, w in enumerate(worlds)])
-                for name in ("cs_circle", "cc_a", "cc_b")}
-        rows["cs_is_tool"] = np.concatenate([w.contacts.cs_is_tool for w in worlds])
-        return stacked_state(worlds)._replace(contacts=ContactBatch(**rows))
+        own = [(w.contacts, w.contacts.surfaces, e * n) for e, w in enumerate(worlds)]
+        # every world's circle-surface rows, then every world's circle-circle rows
+        a, b, is_tool = (np.concatenate(part) for part in zip(
+            *[(c.a[:m] + off, c.b[:m], c.is_tool[:m]) for c, m, off in own],
+            *[(c.a[m:] + off, c.b[m:] + off, c.is_tool[m:]) for c, m, off in own]))
+        contacts = ContactBatch(sum(m for _, m, _ in own), a, b, is_tool)
+        return stacked_state(worlds)._replace(contacts=contacts)
 
     monkeypatch.setattr(World, "step", one_at_a_time)
     alone = collect()

@@ -69,20 +69,22 @@ def test_bench_smoke_misses_each_unsound_run(kwargs):
 
 def test_step_cost_prints_one_line_per_task_and_size():
     """tools/step_cost.py on a tiny budget: one line per task and batch
-    size, in order, each with a positive time per step and per env step."""
+    size, in order, each with a positive minimum time per step and per env
+    step, and a median time per step no lower than the minimum."""
     out = subprocess.run(
         [sys.executable, str(TOOLS / "step_cost.py"), "--sizes", "1", "3",
          "--steps", "2", "--repeats", "2"],
         capture_output=True, text=True, timeout=300, check=True).stdout
     lines = out.splitlines()
     pattern = re.compile(r"step_cost task=(\w+) envs=(\d+) "
-                         r"us_per_step=(\d+\.\d) us_per_env_step=(\d+\.\d\d)")
+                         r"us_per_step=(\d+\.\d) us_per_env_step=(\d+\.\d\d) "
+                         r"median_us_per_step=(\d+\.\d)")
     found = [pattern.fullmatch(line) for line in lines]
     assert all(found), lines
     assert [(m[1], int(m[2])) for m in found] == [
         (task, size) for task in ("push", "catch", "scoop") for size in (1, 3)]
     for m in found:
-        per_step, per_env = float(m[3]), float(m[4])
-        assert per_step > 0.0
+        per_step, per_env, median = float(m[3]), float(m[4]), float(m[5])
+        assert per_step > 0.0 and median >= per_step
         # us_per_step is printed to 0.1, us_per_env_step to 0.01
         assert per_env == pytest.approx(per_step / int(m[2]), abs=0.06)
