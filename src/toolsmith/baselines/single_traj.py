@@ -42,6 +42,8 @@ def load_plan(path) -> Artifact:
     """The open-loop Artifact of the best_plan.json single_traj_cmaes wrote."""
     with open(path, encoding="utf-8") as fh:
         state = json.load(fh)
+    if not isinstance(state, dict) or "vector" not in state:
+        raise ValueError(f"plan {path} must hold a JSON object with a 'vector'")
     env = make_env(default_config(state.get("task")))
     design, controls = split_plan(env, state["vector"])
     return Artifact(env.task_name, fixed_design=design, controls=controls)

@@ -213,21 +213,17 @@ def default_config(task: str, **overrides) -> TaskConfig:
 # Config text, hashed into the training fingerprint
 # ---------------------------------------------------------------------------
 
-_TUPLE_FIELDS = {"tool_position_init", "tool_length_init", "tool_length_ratio",
-                 "tool_angle_ratio", "control_velocity_cap"}
-_INT_FIELDS = {"max_episode_steps", "control_steps_per_action"}
-
-
 def dump_task_config(cfg: TaskConfig) -> str:
-    """One `key = value` line per field, tuples comma-separated."""
+    """One `key = value` line per field, written as the field's declared
+    type (str, int, float or a tuple of floats), tuples comma-separated."""
     lines = []
     for f in fields(TaskConfig):
         v = getattr(cfg, f.name)
-        if f.name in _TUPLE_FIELDS:
+        if f.type.startswith("tuple"):
             text = ", ".join(repr(float(x)) for x in v)
-        elif f.name == "task":
+        elif f.type == "str":
             text = v
-        elif f.name in _INT_FIELDS:
+        elif f.type == "int":
             text = str(int(v))
         else:
             text = repr(float(v))

@@ -576,20 +576,22 @@ def cmd_alpha_sweep(out_dir, task: str = "catch", alphas=DEFAULT_ALPHAS,
     """Train one agent per tradeoff weight and tabulate the usage ratio.
 
     Each weight is one ExperimentConfig for ours, whose seeds train through
-    _run_one_seed under out_dir/alpha_<alpha>/seed_<seed>. Each seed's
+    _run_one_seed under out_dir/alpha_<alpha:g>/seed_<seed>, so two weights
+    that print alike would share a run and are refused. Each seed's
     tool_seed_<seed>.stl is the design its eval episode on goal 0 built.
     What an earlier sweep left for other alphas or seeds is removed first:
     their seed directories as _remove_stale_seeds does, their STL files,
     and then each other alpha's directory once it is empty."""
     if k <= 0.0:
         raise ValueError("the sweep needs K > 0; the tradeoff is inactive at 0")
-    if len(alphas) == 0 or len(set(alphas)) != len(alphas):
+    names = [f"alpha_{alpha:g}" for alpha in alphas]
+    if len(alphas) == 0 or len(set(names)) != len(names):
         raise ValueError(f"alphas {list(alphas)} must be non-empty and not "
-                         f"repeat a value")
+                         f"print alike as alpha_<alpha:g>")
     configs = [ExperimentConfig(
         task=task, method="ours", total_steps=budget, seeds=tuple(seeds),
         tradeoff_k=k, tradeoff_alpha=alpha, n_envs=n_envs, train=cfg,
-        out_dir=os.path.join(out_dir, f"alpha_{alpha:g}")) for alpha in alphas]
+        out_dir=os.path.join(out_dir, name)) for alpha, name in zip(alphas, names)]
     write_manifest(out_dir, "alpha-sweep", {
         "task": task, "alphas": list(alphas), "k": k,
         "budget": budget, "seeds": list(seeds),

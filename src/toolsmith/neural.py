@@ -355,6 +355,8 @@ def write_atomic(path, text: str) -> None:
 def load_checkpoint(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         body = json.load(fh)
+    if not isinstance(body, dict):
+        raise ValueError(f"checkpoint {path} must hold a JSON object")
     if body.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {body.get('version')!r}")
     body.pop("version")

@@ -37,9 +37,11 @@ so:
   nrm @ nrm.T block, since BLAS may fuse multiply-adds differently for
   another shape, and the tool's cos and sin come from math per scene, not
   from np.cos over all of them.
-- Impulses and position corrections are added only to scenes that have rows
-  of that kind: adding a zero to a scene without rows would turn a -0.0 into
-  0.0.
+- Impulses and position corrections are added only to the scenes that own
+  a row, scene a // N for a row of circle a: adding a zero to a scene
+  without rows would turn a -0.0 into 0.0. A scene with rows of one kind
+  also takes the other kind's correction, all +0.0; a bincount is never
+  -0.0, so that changes no bit.
 
 Batched callers read and command the scenes as arrays too: stacked_state
 gives the stack of the worlds' last pass (circle positions and velocities,
@@ -79,9 +81,8 @@ class ContactBatch:
 
     Rows [0:surfaces] pair circle a with surface b (tool segments first,
     then static capsules); the rows after them pair circle a with circle b.
-    Each part is sorted by scene, and scene e owns its rows cs_at[e] to
-    cs_at[e + 1] and surfaces + cc_at[e] to surfaces + cc_at[e + 1]. Circle
-    ids run across the pass's scenes: circle i of scene e is e * N + i, so a
+    Circle ids run across the pass's scenes: circle i of scene e is
+    e * N + i, so a row's scene is a // N, each part is sorted by it, and a
     world stepped alone has its own circle ids. normal points from b to a.
     """
 
@@ -97,8 +98,6 @@ class ContactBatch:
     scale: np.ndarray = field(default_factory=lambda: _NO_VALUE)
     impulse: np.ndarray = field(default_factory=lambda: _NO_VALUE)
     impulse_t: np.ndarray = field(default_factory=lambda: _NO_VALUE)
-    cs_at: list = field(default_factory=list)
-    cc_at: list = field(default_factory=list)
 
     @property
     def cs_circle(self) -> np.ndarray:
@@ -256,35 +255,23 @@ def _stacked(arrays: list) -> np.ndarray:
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
-def _bounds(env: np.ndarray, scenes: int) -> list:
-    """Where each scene's rows start in rows sorted by scene, then the end."""
-    if scenes == 1:
-        return [0, env.size]
-    return np.searchsorted(env, np.arange(scenes + 1)).tolist()
-
-
-def _scenes_with_rows(*bounds: list) -> list | None:
-    """The scenes that own a row in any of bounds; None when all of them do.
-    Called only when there are rows."""
-    count = len(bounds[0]) - 1
+def _scenes_of(circles: np.ndarray, n: int, count: int) -> np.ndarray | None:
+    """Which of count scenes of n circles own one of the circle ids, as a
+    mask; None when there is one scene or every scene does."""
     if count == 1:
         return None
-    has = [False] * count
-    for at in bounds:
-        for e in range(count):
-            if at[e] < at[e + 1]:
-                has[e] = True
-    return None if all(has) else [e for e in range(count) if has[e]]
+    has = np.zeros(count, dtype=bool)
+    has[circles // n] = True
+    return None if has.all() else has
 
 
-def _add(target: np.ndarray, delta: np.ndarray, scenes: list | None,
-         count: int) -> None:
-    """target += delta over bodies of count scenes, in the given scenes only
-    (None: all of them)."""
+def _add(target: np.ndarray, delta: np.ndarray, scenes: np.ndarray | None) -> None:
+    """target += delta over the bodies of every scene, in the scenes the
+    mask picks only (None: all of them)."""
     if scenes is None:
         target += delta
     else:
-        shape = (count, -1) + target.shape[1:]
+        shape = (scenes.size, -1) + target.shape[1:]
         target.reshape(shape)[scenes] += delta.reshape(shape)[scenes]
 
 
@@ -361,7 +348,6 @@ class _Scenes:
             segments = np.stack([o.tool_geometry.segments for o in worlds])
             self.link_x, self.link_y = segments[..., 0], segments[..., 1]
             r[:, :k] = np.array([[o.tool_geometry.radius] for o in worlds])
-        self.is_tool = np.arange(s) < k
         # circle pairs i < j, in the row-major order of the upper triangle
         self.pair_i, self.pair_j = np.triu_indices(n, k=1)
         # contact reach of every circle-surface and circle-circle pair
@@ -369,13 +355,10 @@ class _Scenes:
         pair_reach = w.radius[self.pair_i] + w.radius[self.pair_j]
         self.pair_reach2 = pair_reach * pair_reach
         self.pair_reach = np.tile(pair_reach, e)
-        # scene, circle body and surface or other circle body of every flat
-        # index into (scene, circle, surface) and (scene, pair), so found
+        # both circle bodies of every flat index into (scene, pair), so found
         # pairs are read off with take
-        env, circle, surface = (i.ravel() for i in np.indices((e, n, s)))
-        self.cs_pairs = (env, env * n + circle, surface)
         env, pair = (i.ravel() for i in np.indices((e, self.pair_i.size)))
-        self.cc_pairs = (env, env * n + self.pair_i[pair], env * n + self.pair_j[pair])
+        self.cc_pairs = (env * n + self.pair_i[pair], env * n + self.pair_j[pair])
 
     def holds(self, worlds: tuple) -> bool:
         """Whether these are this stack's worlds, in order, still stacked."""
@@ -406,8 +389,9 @@ class _Scenes:
         if contacts is None:
             contacts = _NO_CONTACTS
         else:
-            self._solve_velocity(worlds, contacts, tool_pos, tool_vel)
-            self._correct_positions(contacts)
+            moved = _scenes_of(contacts.a, self.n, self.pos.shape[0])
+            self._solve_velocity(worlds, contacts, tool_pos, tool_vel, moved)
+            self._correct_positions(contacts, moved)
         for w in worlds:
             w.contacts = contacts
         self.state = SceneState(self.pos, self.vel, tool_pos, contacts)
@@ -437,11 +421,9 @@ class _Scenes:
         n = self.n
         if n == 0:
             return None
-        scenes = self.pos.shape[0]
         # each kind's rows: circle a, surface or circle b, the offset of a
         # from b's nearest point, its length and the depth
         surface = circle = None
-        cs_env = cc_env = _NO_INDEX
         x, y = self.x, self.y
 
         s = self.ends.shape[1]
@@ -461,7 +443,7 @@ class _Scenes:
             overlap = self.reach - dist
             hit = (overlap > 0.0).ravel().nonzero()[0]
             if hit.size:
-                cs_env, body, si = (table.take(hit) for table in self.cs_pairs)
+                body, si = np.divmod(hit, s)  # hit is (e * n + i) * s + si
                 surface = (body, si, ex.take(hit), ey.take(hit), dist.take(hit),
                            overlap.take(hit))
 
@@ -472,7 +454,7 @@ class _Scenes:
             dist2 = diffx * diffx + diffy * diffy
             hit = (dist2 < self.pair_reach2).ravel().nonzero()[0]
             if hit.size:
-                cc_env, body_a, body_b = (table.take(hit) for table in self.cc_pairs)
+                body_a, body_b = (table.take(hit) for table in self.cc_pairs)
                 d = np.sqrt(dist2.take(hit))
                 circle = (body_a, body_b, diffx.take(hit), diffy.take(hit), d,
                           self.pair_reach.take(hit) - d)
@@ -482,18 +464,16 @@ class _Scenes:
         # one kind's arrays are used as they are
         a, b, ox, oy, d, depth = (kinds[0] if len(kinds) == 1 else
                                   (np.concatenate(k) for k in zip(*kinds)))
-        m = cs_env.size
+        m = 0 if surface is None else surface[0].size
         is_tool = np.zeros(a.size, dtype=bool)
-        is_tool[:m] = self.is_tool[b[:m]]
+        is_tool[:m] = b[:m] < self.links
         safe = np.maximum(d, 1e-9)
         normal = np.stack([ox / safe, oy / safe], axis=1)
         bad = d <= 1e-9
         if bad.any():
             normal[bad] = (0.0, 1.0)
-        cs_at = _bounds(cs_env, scenes)
-        scale = _redundancy_scale(a[:m], cs_env, normal[:m], cs_at) if m else _NO_VALUE
-        return ContactBatch(m, a, b, is_tool, normal, depth, scale,
-                            cs_at=cs_at, cc_at=_bounds(cc_env, scenes))
+        scale = _redundancy_scale(a[:m], normal[:m], n) if m else _NO_VALUE
+        return ContactBatch(m, a, b, is_tool, normal, depth, scale)
 
     def _surface_point_velocity(self, worlds, contacts, tool_pos, tool_vel) -> np.ndarray:
         """Velocity of the surface material at each circle-surface contact."""
@@ -515,17 +495,17 @@ class _Scenes:
             v[tool] = tool_vel + spin
         return v
 
-    def _solve_velocity(self, worlds, contacts, tool_pos, tool_vel) -> None:
+    def _solve_velocity(self, worlds, contacts, tool_pos, tool_vel, moved) -> None:
         """Accumulated-impulse sweeps over all contacts as one constraint batch.
 
         A surface is a virtual body with fixed velocity and zero inverse
         mass, so both kinds of row share the same normal/friction arithmetic
-        and a single scatter per sweep.
+        and a single scatter per sweep. Impulses go to the scenes moved
+        picks (see _add).
         """
         m_cs = contacts.surfaces
         m = contacts.a.size
         vel = self.flat_vel
-        scenes = self.pos.shape[0]
         bodies = vel.shape[0]
 
         ja = contacts.a
@@ -542,7 +522,6 @@ class _Scenes:
         restitution = np.empty(m)
         restitution[:m_cs] = self.restitution_surface
         restitution[m_cs:] = self.restitution_circle
-        moved = _scenes_with_rows(contacts.cs_at, contacts.cc_at)
 
         # body velocities: slots [0:bodies] mirror the circles after each
         # sweep, slots past them hold constant surface velocities
@@ -575,26 +554,25 @@ class _Scenes:
             impulse = dj[:, None] * normal + djt[:, None] * tangent
             _add(vel, np.bincount(bins, weights=(push * impulse).ravel(),
                                   minlength=2 * bodies)[:2 * bodies].reshape(bodies, 2),
-                 moved, scenes)
+                 moved)
             v[:bodies] = vel
 
         contacts.impulse = acc_n
         contacts.impulse_t = acc_t
 
-    def _correct_positions(self, contacts) -> None:
+    def _correct_positions(self, contacts, moved) -> None:
         beta, slop = BAUMGARTE, SLOP
         pos, m = self.flat_pos, contacts.surfaces
-        scenes, bodies = self.pos.shape[0], pos.shape[0]
+        bodies = pos.shape[0]
         x, y = pos[:, 0], pos[:, 1]
         # one bincount per kind, as a scene stepped alone adds them
         if m:
             ci, normal = contacts.a[:m], contacts.normal[:m]
             corr = beta * np.maximum(contacts.depth[:m] - slop, 0.0) * contacts.scale
-            moved = _scenes_with_rows(contacts.cs_at)
             _add(x, np.bincount(ci, weights=corr * normal[:, 0],
-                                minlength=bodies), moved, scenes)
+                                minlength=bodies), moved)
             _add(y, np.bincount(ci, weights=corr * normal[:, 1],
-                                minlength=bodies), moved, scenes)
+                                minlength=bodies), moved)
         if contacts.a.size > m:
             ia, ib, normal = contacts.a[m:], contacts.b[m:], contacts.normal[m:]
             wa, wb = self.inv_mass[ia], self.inv_mass[ib]
@@ -602,16 +580,15 @@ class _Scenes:
             px = corr * normal[:, 0]
             py = corr * normal[:, 1]
             idx = np.concatenate([ia, ib])
-            moved = _scenes_with_rows(contacts.cc_at)
             _add(x, np.bincount(idx, weights=np.concatenate([px * wa, -px * wb]),
-                                minlength=bodies), moved, scenes)
+                                minlength=bodies), moved)
             _add(y, np.bincount(idx, weights=np.concatenate([py * wa, -py * wb]),
-                                minlength=bodies), moved, scenes)
+                                minlength=bodies), moved)
 
 
-def _redundancy_scale(body: np.ndarray, env: np.ndarray, nrm: np.ndarray,
-                      at: list) -> np.ndarray:
-    """ContactBatch.scale of circle-surface rows sorted by scene.
+def _redundancy_scale(body: np.ndarray, nrm: np.ndarray, n: int) -> np.ndarray:
+    """ContactBatch.scale of circle-surface rows of circles body, sorted by
+    scene body // n.
 
     A scene where some circle has more than one row takes the scale from its
     own nrm @ nrm.T block; in any other scene every row's scale is 1.
@@ -620,9 +597,13 @@ def _redundancy_scale(body: np.ndarray, env: np.ndarray, nrm: np.ndarray,
     repeat = body[1:] == body[:-1]
     if not repeat.any():
         return total
-    scenes = np.unique(env[1:][repeat]).tolist() if len(at) > 2 else (0,)
-    for e in scenes:
-        lo, hi = at[e], at[e + 1]
+    if body[0] // n == body[-1] // n:  # the rows of one scene
+        spans = [(0, body.size)]
+    else:
+        env = body // n
+        scenes = np.unique(env[1:][repeat])
+        spans = np.searchsorted(env, [scenes, scenes + 1]).T.tolist()
+    for lo, hi in spans:
         c, block = body[lo:hi], nrm[lo:hi]
         agree = block @ block.T
         np.maximum(agree, 0.0, out=agree)

@@ -742,6 +742,8 @@ def checkpoint_record(art: Artifact, optimizers: Optimizers,
 
 def artifact_from_record(state: dict) -> Artifact:
     """The Artifact of a loaded checkpoint_record, a shared trunk untied."""
+    if "params" not in state:
+        raise ValueError("checkpoint holds no 'params'")
     art = Artifact(state.get("task"), params_from_state(state["params"]))
     if "fixed_design" in state:
         art.fixed_design = np.asarray(state["fixed_design"], dtype=np.float64)

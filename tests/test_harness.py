@@ -947,6 +947,34 @@ def test_cli_eval_rejects_truncated_plan(tmp_path, capsys):
     assert str(plan_dim(env)) in err
 
 
+@pytest.mark.parametrize("command", ["eval", "finetune", "export-tool",
+                                     "compare"])
+@pytest.mark.parametrize("name,body", [
+    pytest.param("checkpoint.json", [], id="checkpoint-list"),
+    pytest.param("checkpoint.json", {"version": 1}, id="checkpoint-no-params"),
+    pytest.param("best_plan.json", [], id="plan-list"),
+    pytest.param("best_plan.json", {"task": "push"}, id="plan-no-vector"),
+])
+def test_cli_rejects_a_malformed_artifact_file(tmp_path, capsys, command,
+                                               name, body):
+    """A checkpoint or plan that is not a JSON object, or lacks the key its
+    reader reads, exits 2 with an error line, not a traceback, before
+    anything is written."""
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / name).write_text(json.dumps(body))
+    args = {"eval": ["eval", "--checkpoint", str(run / name)],
+            "finetune": ["finetune", "--checkpoint", str(run / name)],
+            "export-tool": ["export-tool", "--checkpoint", str(run / name),
+                            "--goal", "0,0"],
+            "compare": ["compare", str(run), "--task", "push"]}[command]
+    out_dir = tmp_path / "out"
+    rc = cli_main([*args, "--out-dir", str(out_dir)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("args", [
     pytest.param(["eval", "--checkpoint"], id="eval-checkpoint"),
     pytest.param(["train", "--task", "push", "--seeds", "0", "--config"],
@@ -1022,14 +1050,16 @@ def test_cli_rejects_an_empty_goal_set_before_running(tmp_path, capsys,
 
 @pytest.mark.parametrize("flag,value", [("--seeds", "0,0"),
                                         ("--alphas", "0.5,0.5"),
+                                        ("--alphas", "0.1,0.1000001"),
                                         ("--alphas", "1.5"),
                                         ("--seeds", ""),
                                         ("--budget", "0")])
 def test_cli_alpha_sweep_rejects_bad_inputs_before_running(tmp_path, capsys,
                                                            flag, value):
-    """A repeated seed or alpha would train the same run twice, an alpha
-    outside [0, 1] is no weight, no seed is no sweep and a budget of 0
-    trains nothing; each exits 2 before anything is written."""
+    """A repeated seed, or two alphas that name one directory alpha_<g>,
+    would train the same run twice, an alpha outside [0, 1] is no weight,
+    no seed is no sweep and a budget of 0 trains nothing; each exits 2
+    before anything is written."""
     out_dir = tmp_path / "sweep"
     rc = cli_main(["alpha-sweep", "--task", "push", "--budget", "1",
                    "--alphas", "0.5", "--out-dir", str(out_dir), flag, value])
